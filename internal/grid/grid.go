@@ -14,7 +14,9 @@
 // combo through kernel.Defaults + BootParams.Apply (which consult
 // model.MitigationSupport) yields the cell's effective mitigation set;
 // cells with equal effective sets are one equivalence class and need
-// one simulation. Canonicalizer exposes that fold to the engine.
+// one simulation. Fold computes that fold per uarch, Cells stamps it
+// into every cell's canonical key, and Canonicalizer exposes it to the
+// engine.
 package grid
 
 import (
@@ -29,23 +31,13 @@ import (
 // fixed PR 8 objective; see workloads.go for the full registry).
 const Workload = "grid/lebench/getpid"
 
-// boolParams are the ten independent boot-parameter toggles the grid
-// sweeps (bit i of the combo's flag field). Order is part of the
-// enumeration contract.
-var boolParams = []struct {
-	token string
-	set   func(*kernel.BootParams)
-}{
-	{"mitigations=off", func(bp *kernel.BootParams) { bp.MitigationsOff = true }},
-	{"nopti", func(bp *kernel.BootParams) { bp.NoPTI = true }},
-	{"pti=on", func(bp *kernel.BootParams) { bp.ForcePTI = true }},
-	{"nospectre_v1", func(bp *kernel.BootParams) { bp.NoSpectreV1 = true }},
-	{"nospectre_v2", func(bp *kernel.BootParams) { bp.NoSpectreV2 = true }},
-	{"mds=off", func(bp *kernel.BootParams) { bp.MDSOff = true }},
-	{"eagerfpu=off", func(bp *kernel.BootParams) { bp.LazyFPU = true }},
-	{"l1tf=off", func(bp *kernel.BootParams) { bp.L1TFOff = true }},
-	{"noibpb", func(bp *kernel.BootParams) { bp.NoIBPB = true }},
-	{"norsb", func(bp *kernel.BootParams) { bp.NoRSBStuff = true }},
+// flagTokens are the ten independent boot-parameter toggles the grid
+// sweeps (bit i of the combo's flag field), as rendered in display
+// keys. Order is part of the enumeration contract; bootParams sets the
+// matching fields.
+var flagTokens = [...]string{
+	"mitigations=off", "nopti", "pti=on", "nospectre_v1", "nospectre_v2",
+	"mds=off", "eagerfpu=off", "l1tf=off", "noibpb", "norsb",
 }
 
 // v2Values are the spectre_v2= request values swept ("" = not passed).
@@ -64,7 +56,7 @@ const CombosPerUarch = (1 << 10) * 7 * ssbdModes
 func MaxCells() int { return CombosPerUarch * len(model.All()) }
 
 func init() {
-	if got := (1 << len(boolParams)) * len(v2Values) * ssbdModes; got != CombosPerUarch {
+	if got := (1 << len(flagTokens)) * len(v2Values) * ssbdModes; got != CombosPerUarch {
 		panic("grid: CombosPerUarch out of sync with the parameter tables")
 	}
 }
@@ -86,40 +78,92 @@ type Cell struct {
 	Mit kernel.Mitigations
 }
 
-// combo reconstructs boot params and the display token string for one
-// combo index in [0, CombosPerUarch).
-func combo(i int) (kernel.BootParams, string) {
-	var bp kernel.BootParams
+// bootParams reconstructs the boot params of combo index i in
+// [0, CombosPerUarch) with direct bit tests on the index.
+func bootParams(i int) kernel.BootParams {
+	ssbd := (i / len(v2Values)) % ssbdModes
+	flags := i / (len(v2Values) * ssbdModes)
+	return kernel.BootParams{
+		MitigationsOff: flags&(1<<0) != 0,
+		NoPTI:          flags&(1<<1) != 0,
+		ForcePTI:       flags&(1<<2) != 0,
+		NoSpectreV1:    flags&(1<<3) != 0,
+		NoSpectreV2:    flags&(1<<4) != 0,
+		MDSOff:         flags&(1<<5) != 0,
+		LazyFPU:        flags&(1<<6) != 0,
+		L1TFOff:        flags&(1<<7) != 0,
+		NoIBPB:         flags&(1<<8) != 0,
+		NoRSBStuff:     flags&(1<<9) != 0,
+		SpectreV2:      v2Values[i%len(v2Values)],
+		NoSSBSD:        ssbd == 1,
+		SSBDOn:         ssbd == 2,
+	}
+}
+
+// display renders combo index i's boot-param request as its display
+// token string ("defaults" when nothing is passed).
+func display(i int) string {
 	var tokens []string
-	bp.SpectreV2 = v2Values[i%len(v2Values)]
-	if bp.SpectreV2 != "" {
-		tokens = append(tokens, "spectre_v2="+bp.SpectreV2)
+	if v2 := v2Values[i%len(v2Values)]; v2 != "" {
+		tokens = append(tokens, "spectre_v2="+v2)
 	}
 	switch (i / len(v2Values)) % ssbdModes {
 	case 1:
-		bp.NoSSBSD = true
 		tokens = append(tokens, "spec_store_bypass_disable=off")
 	case 2:
-		bp.SSBDOn = true
 		tokens = append(tokens, "spec_store_bypass_disable=on")
 	}
 	flags := i / (len(v2Values) * ssbdModes)
-	for bit, p := range boolParams {
+	for bit, tok := range flagTokens {
 		if flags&(1<<bit) != 0 {
-			p.set(&bp)
-			tokens = append(tokens, p.token)
+			tokens = append(tokens, tok)
 		}
 	}
 	if len(tokens) == 0 {
-		return bp, "defaults"
+		return "defaults"
 	}
-	return bp, strings.Join(tokens, " ")
+	return strings.Join(tokens, " ")
 }
 
-// ComboAt exposes the enumeration to other packages (the optimizer
-// walks the same combo space the sweep does): the boot params and
-// display token string for combo index i in [0, CombosPerUarch).
-func ComboAt(i int) (kernel.BootParams, string) { return combo(i) }
+// ComboAt exposes the enumeration to other packages: the boot params
+// and display token string for combo index i in [0, CombosPerUarch).
+func ComboAt(i int) (kernel.BootParams, string) { return bootParams(i), display(i) }
+
+// Class is one equivalence class of a folded lattice prefix on one
+// uarch: every combo whose effective mitigation set equals Mit.
+type Class struct {
+	Mit kernel.Mitigations
+	// Canon is Mit's kernel.CanonicalKey, rendered once per class.
+	Canon string
+	// First is the first combo index that lowers into the class; Combos
+	// counts the combos that do.
+	First, Combos int
+}
+
+// Fold lowers the first combos lattice combos (at most CombosPerUarch)
+// on m through kernel.Defaults + BootParams.Apply and folds them into
+// equivalence classes. Classes are keyed by Mitigations.Index through a
+// flat table, so the per-combo work builds no string and touches no
+// map. It returns the classes in first-seen order and, for each combo,
+// the position of its class in that slice.
+func Fold(m *model.CPU, combos int) ([]Class, []int32) {
+	def := kernel.Defaults(m)
+	var slot [kernel.IndexSpace]uint16 // class position + 1; 0 = unseen
+	var classes []Class
+	classOf := make([]int32, combos)
+	for ci := range classOf {
+		mit := bootParams(ci).Apply(m, def)
+		s := &slot[mit.Index()]
+		if *s == 0 {
+			classes = append(classes, Class{Mit: mit, Canon: mit.CanonicalKey(), First: ci})
+			*s = uint16(len(classes))
+		}
+		id := int32(*s) - 1
+		classes[id].Combos++
+		classOf[ci] = id
+	}
+	return classes, classOf
+}
 
 // Cells enumerates the first n grid cells. The order is combo-major
 // with the uarchs interleaved inside each combo, so any prefix spreads
@@ -127,7 +171,8 @@ func ComboAt(i int) (kernel.BootParams, string) { return combo(i) }
 // and -cells N names the same set at every jobs/plan/dedup setting.
 // seed is the fault seed stamped into every key (0 when faults are
 // off), keeping fault-run cells distinct from clean ones in the memo
-// and the store.
+// and the store. Every cell of one class shares its canonical key
+// string.
 func Cells(n int, seed uint64) []Cell {
 	if max := MaxCells(); n > max {
 		n = max
@@ -136,19 +181,35 @@ func Cells(n int, seed uint64) []Cell {
 		n = 0
 	}
 	cpus := model.All()
+	type folded struct {
+		classes []Class
+		classOf []int32
+		canon   []string // per class: "canon|" + Canon
+	}
+	folds := make([]folded, len(cpus))
+	combos := (n + len(cpus) - 1) / len(cpus)
+	for u, m := range cpus {
+		f := &folds[u]
+		f.classes, f.classOf = Fold(m, combos)
+		f.canon = make([]string, len(f.classes))
+		for id, c := range f.classes {
+			f.canon[id] = "canon|" + c.Canon
+		}
+	}
 	out := make([]Cell, 0, n)
 	for ci := 0; len(out) < n; ci++ {
-		bp, display := combo(ci)
-		for _, m := range cpus {
+		disp := display(ci)
+		for u, m := range cpus {
 			if len(out) >= n {
 				break
 			}
-			mit := bp.Apply(m, kernel.Defaults(m))
+			f := &folds[u]
+			id := f.classOf[ci]
 			out = append(out, Cell{
-				Display: engine.Key{Workload: Workload, Uarch: m.Uarch, Config: display, Seed: seed},
-				Canon:   engine.Key{Workload: Workload, Uarch: m.Uarch, Config: "canon|" + mit.CanonicalKey(), Seed: seed},
+				Display: engine.Key{Workload: Workload, Uarch: m.Uarch, Config: disp, Seed: seed},
+				Canon:   engine.Key{Workload: Workload, Uarch: m.Uarch, Config: f.canon[id], Seed: seed},
 				CPU:     m,
-				Mit:     mit,
+				Mit:     f.classes[id].Mit,
 			})
 		}
 	}

@@ -1,6 +1,9 @@
 package kernel
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 // allMitigations enumerates the full Mitigations value space: every
 // combination of the eleven bool fields crossed with every SpectreV2
@@ -35,22 +38,61 @@ func allMitigations() []Mitigations {
 	return out
 }
 
-// TestCanonicalKeyInjective asserts CanonicalKey is collision-free over
-// the entire Mitigations value space: distinct mitigation sets must map
-// to distinct keys, or checkpoint lookups (and sweep dedup classes)
-// would silently alias unrelated configurations.
+// TestCanonicalKeyInjective asserts both class keys — CanonicalKey and
+// the packed Index — are collision-free over the entire Mitigations
+// value space: distinct mitigation sets must map to distinct keys, or
+// checkpoint lookups (and sweep dedup classes) would silently alias
+// unrelated configurations. Index must also stay below IndexSpace, the
+// size of the table the lattice fold indexes with it.
 func TestCanonicalKeyInjective(t *testing.T) {
 	all := allMitigations()
-	seen := make(map[string]Mitigations, len(all))
-	for _, m := range all {
-		k := m.CanonicalKey()
-		if prev, dup := seen[k]; dup {
-			t.Fatalf("CanonicalKey collision: %+v and %+v both map to %q", prev, m, k)
+	for _, key := range []struct {
+		name string
+		of   func(Mitigations) any
+	}{
+		{"CanonicalKey", func(m Mitigations) any { return m.CanonicalKey() }},
+		{"Index", func(m Mitigations) any {
+			x := m.Index()
+			if x < 0 || x >= IndexSpace {
+				t.Fatalf("Index %d of %+v outside [0, %d)", x, m, IndexSpace)
+			}
+			return x
+		}},
+	} {
+		seen := make(map[any]Mitigations, len(all))
+		for _, m := range all {
+			k := key.of(m)
+			if prev, dup := seen[k]; dup {
+				t.Fatalf("%s collision: %+v and %+v both map to %v", key.name, prev, m, k)
+			}
+			seen[k] = m
 		}
-		seen[k] = m
+		if len(seen) != len(all) {
+			t.Fatalf("%s: expected %d distinct keys, got %d", key.name, len(all), len(seen))
+		}
 	}
-	if len(seen) != len(all) {
-		t.Fatalf("expected %d distinct keys, got %d", len(all), len(seen))
+}
+
+// TestIndexSeesEveryField flips each Mitigations field in turn and
+// requires Index to change, so a field added later cannot silently
+// merge lattice classes that differ only in it.
+func TestIndexSeesEveryField(t *testing.T) {
+	var base Mitigations
+	typ := reflect.TypeOf(base)
+	for i := 0; i < typ.NumField(); i++ {
+		m := base
+		f := reflect.ValueOf(&m).Elem().Field(i)
+		switch f.Kind() {
+		case reflect.Bool:
+			f.SetBool(true)
+		case reflect.Int:
+			f.SetInt(int64(V2EIBRS))
+		default:
+			t.Fatalf("field %s has kind %s; teach Index and this test to pack it", typ.Field(i).Name, f.Kind())
+		}
+		if m.Index() == base.Index() {
+			t.Errorf("setting field %s does not change Index()", typ.Field(i).Name)
+		}
 	}
 }
 

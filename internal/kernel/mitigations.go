@@ -249,6 +249,29 @@ func (m Mitigations) CanonicalKey() string {
 	return string(buf)
 }
 
+// IndexSpace bounds Mitigations.Index: every valid mitigation set packs
+// into [0, IndexSpace), so a flat slice of this size maps sets to
+// anything without hashing.
+const IndexSpace = 1 << 14
+
+// Index packs the mitigation set into a dense int below IndexSpace: the
+// eleven bools in bits 0–10 and the SpectreV2 mode in bits 11–13. It is
+// injective over valid sets, like CanonicalKey, but allocation-free —
+// the lattice fold keys its equivalence classes on it and renders
+// CanonicalKey once per class instead of once per combo.
+func (m Mitigations) Index() int {
+	x := 0
+	for i, v := range [...]bool{
+		m.PTI, m.PTEInversion, m.L1TFFlushOnVMEntry, m.EagerFPU, m.SpectreV1,
+		m.IBPB, m.RSBStuff, m.MDSClear, m.SSBDSeccomp, m.SSBDAlways, m.NoSMT,
+	} {
+		if v {
+			x |= 1 << i
+		}
+	}
+	return x | int(m.SpectreV2)<<11
+}
+
 // Enabled returns a human-readable list of active mitigations, used by
 // Table 1 rendering.
 func (m Mitigations) Enabled() []string {

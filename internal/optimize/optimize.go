@@ -6,12 +6,14 @@
 // uarch, but three structural facts shrink the work the optimizer pays
 // for:
 //
-//  1. Canonical-class folding (free). Every combo lowers through
+//  1. Canonical-class folding (cheap). Every combo lowers through
 //     kernel.Defaults + BootParams.Apply to an effective Mitigations
 //     value; combos with equal effective sets are one equivalence class
-//     and one simulation. This is the same fold the sweep's -dedup
-//     path uses, keyed by kernel.CanonicalKey, so optimizer cells share
-//     memo and store entries with gridbench sweeps.
+//     and one simulation. This is grid.Fold, the same fold grid.Cells
+//     and so the sweep's -dedup path use: classes are found by the
+//     packed Mitigations.Index and named by kernel.CanonicalKey, so
+//     optimizer cells share memo and store entries with gridbench
+//     sweeps.
 //  2. Security is decided without simulating (free). The attacks
 //     taxonomy predicate consults only (uarch, effective mitigations),
 //     so every class is classified secure/insecure by pure host-side
@@ -274,7 +276,6 @@ type Result struct {
 type ustate struct {
 	cpu     *model.CPU
 	classes []*Class // all lattice classes, sorted by Canon
-	byCanon map[string]*Class
 	secure  []*Class // secure lattice classes, sorted by Canon
 	// defaults/baseline are the reporting reference classes (always
 	// evaluated; they may or may not appear in a reduced lattice).
@@ -289,22 +290,14 @@ type ustate struct {
 func buildState(m *model.CPU, combos int, require []attacks.Attack) *ustate {
 	st := &ustate{
 		cpu:     m,
-		byCanon: make(map[string]*Class),
 		evalOK:  make(map[string]*Evaluated),
 		evalErr: make(map[string]error),
 	}
-	def := kernel.Defaults(m)
-	for ci := 0; ci < combos; ci++ {
-		bp, display := grid.ComboAt(ci)
-		mit := bp.Apply(m, def)
-		ck := mit.CanonicalKey()
-		if c, ok := st.byCanon[ck]; ok {
-			c.Combos++
-			continue
-		}
-		c := &Class{Canon: ck, Display: display, Mit: mit, Combos: 1, Weight: Weight(mit)}
-		c.Secure, c.Open = attacks.Secure(m, mit, require)
-		st.byCanon[ck] = c
+	folded, _ := grid.Fold(m, combos)
+	for _, f := range folded {
+		_, display := grid.ComboAt(f.First)
+		c := &Class{Canon: f.Canon, Display: display, Mit: f.Mit, Combos: f.Combos, Weight: Weight(f.Mit)}
+		c.Secure, c.Open = attacks.Secure(m, f.Mit, require)
 		st.classes = append(st.classes, c)
 	}
 	sort.Slice(st.classes, func(i, j int) bool { return st.classes[i].Canon < st.classes[j].Canon })
@@ -313,6 +306,7 @@ func buildState(m *model.CPU, combos int, require []attacks.Attack) *ustate {
 			st.secure = append(st.secure, c)
 		}
 	}
+	def := kernel.Defaults(m)
 	st.defaults = st.ensureClass(def, "defaults", require)
 	st.baseline = st.ensureClass(
 		kernel.BootParams{MitigationsOff: true}.Apply(m, def), "mitigations=off", require)
@@ -323,11 +317,12 @@ func buildState(m *model.CPU, combos int, require []attacks.Attack) *ustate {
 // ensureClass returns the lattice class for mit, or a detached
 // reference class when the reduced lattice does not contain it.
 func (st *ustate) ensureClass(mit kernel.Mitigations, display string, require []attacks.Attack) *Class {
-	ck := mit.CanonicalKey()
-	if c, ok := st.byCanon[ck]; ok {
-		return c
+	for _, c := range st.classes {
+		if c.Mit == mit {
+			return c
+		}
 	}
-	c := &Class{Canon: ck, Display: display, Mit: mit, Weight: Weight(mit)}
+	c := &Class{Canon: mit.CanonicalKey(), Display: display, Mit: mit, Weight: Weight(mit)}
 	c.Secure, c.Open = attacks.Secure(st.cpu, mit, require)
 	return c
 }

@@ -12,6 +12,7 @@ import (
 	"compress/gzip"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"strings"
 	"sync/atomic"
@@ -37,7 +38,7 @@ type OptimizeRequest struct {
 	// every simulated uarch.
 	Uarchs []string `json:"uarchs,omitempty"`
 	// Combos restricts the lattice to the first n combos per uarch
-	// (0 = full).
+	// (0 = full; negative is rejected).
 	Combos int `json:"combos,omitempty"`
 	// Prune disables dominance pruning when set to false (ablation).
 	// Nil means pruning on.
@@ -118,6 +119,9 @@ func (o *optCounters) snapshot() *OptimizeStats {
 // resolveOptimize maps an OptimizeRequest onto search options.
 func resolveOptimize(req OptimizeRequest) (optimize.Options, error) {
 	opts := optimize.Options{Combos: req.Combos, Prune: req.Prune == nil || *req.Prune}
+	if req.Combos < 0 {
+		return opts, fmt.Errorf("combos must be 0 (full lattice) or positive, got %d", req.Combos)
+	}
 	spec := req.Require
 	if spec == "" {
 		spec = "default"
@@ -171,8 +175,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	}()
 
 	var req OptimizeRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
+	if !decodeRequest(w, r, &req) {
 		return
 	}
 	opts, err := resolveOptimize(req)

@@ -357,8 +357,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}()
 
 	var req SweepRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
+	if !decodeRequest(w, r, &req) {
 		return
 	}
 	exps, err := s.resolve(req.Experiments)
@@ -504,6 +503,29 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	enc.Encode(summary)
 	flush()
 	s.logf("server: sweep finished: %d/%d ok, timedOut=%v", len(exps)-summary.Failed, len(exps), timedOut)
+}
+
+// maxRequestBytes bounds a /sweep or /optimize request body. Bodies are
+// decoded while the request holds an admission slot, so an unbounded
+// body would let one client pin a slot and memory for as long as it
+// keeps sending.
+const maxRequestBytes = 1 << 20
+
+// decodeRequest decodes the JSON request body into v, answering 413
+// when the body exceeds maxRequestBytes and 400 when it is malformed.
+// It reports whether v was decoded.
+func decodeRequest(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		http.Error(w, fmt.Sprintf("request body exceeds %d bytes", maxRequestBytes), http.StatusRequestEntityTooLarge)
+		return false
+	}
+	http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
+	return false
 }
 
 // ErrDeadline is the error recorded for experiments still in flight
