@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short test-race bench bench-json grid-bench optimize-bench experiments faults-smoke serve-smoke examples vet cover clean
+.PHONY: all build test test-short test-race bench experiments faults-smoke serve-smoke examples vet cover clean
 
 all: vet test
 
@@ -25,30 +25,6 @@ test-race:
 # Regenerate every table and figure as testing.B benchmarks.
 bench:
 	$(GO) test -bench=. -benchmem
-
-# Record the performance baseline: the -superblock x -checkpoint
-# ablation matrix (timed interleaved at -jobs 1), the jobs-4 pair, and
-# the ablation benchmark ns/op (asserting all outputs are
-# byte-identical), as JSON.
-bench-json:
-	GO="$(GO)" sh scripts/bench_json.sh BENCH_PR7.json
-
-# Record the full-grid sweep baseline: verify gridbench output is
-# byte-identical across -batch x -codec x -dedup x -plan x -jobs x
-# -faults x store cold/warm (including a live v2->v3 migration), then
-# time the PR 9 fast path (batch+v3) against the PR 8 path (per-cell
-# submit, v2 store) cold and warm at 172k cells (override with
-# GRID_CELLS=10000 ID_CELLS=2000 for a quick run), as JSON.
-grid-bench:
-	GO="$(GO)" sh scripts/grid_bench.sh BENCH_PR9.json
-
-# Record the config-optimizer baseline: verify 'spectrebench optimize'
-# prints identical optima across -prune on/off x -jobs x -faults x
-# store cold/warm (warm = pure replay), then time the pruned
-# full-lattice search against brute force and against the full deduped
-# gridbench sweep of the same lattice, as JSON.
-optimize-bench:
-	GO="$(GO)" sh scripts/optimize_bench.sh BENCH_PR10.json
 
 # Run the full experiment registry through the CLI.
 experiments:

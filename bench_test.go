@@ -14,9 +14,7 @@ import (
 	"testing"
 
 	"spectrebench/internal/attacks"
-	"spectrebench/internal/checkpoint"
 	"spectrebench/internal/core"
-	"spectrebench/internal/cpu"
 	"spectrebench/internal/engine"
 	"spectrebench/internal/harness"
 	"spectrebench/internal/isa"
@@ -415,115 +413,6 @@ func BenchmarkAblationEngineJobs(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationBlockCache runs the same cell-heavy batch with the
-// decoded basic-block cache enabled and disabled: the on/off wall-clock
-// ratio is the tentpole metric of the block-cache PR. Output is
-// byte-identical either way (CI diffs the full `run all` output), so the
-// two sub-benchmarks measure pure interpreter speed. Engines are created
-// per iteration so every run simulates on cold memoization caches.
-func BenchmarkAblationBlockCache(b *testing.B) {
-	exps := make([]harness.Experiment, 0, 2)
-	for _, id := range []string{"fig3", "whatif-v1hw"} {
-		e, ok := harness.Lookup(id)
-		if !ok {
-			b.Fatalf("unknown experiment %q", id)
-		}
-		exps = append(exps, e)
-	}
-	for _, on := range []bool{true, false} {
-		name := "blockcache=on"
-		if !on {
-			name = "blockcache=off"
-		}
-		b.Run(name, func(b *testing.B) {
-			prev := cpu.SetDefaultBlockCache(on)
-			defer cpu.SetDefaultBlockCache(prev)
-			for i := 0; i < b.N; i++ {
-				eng := engine.New(1)
-				results := harness.SuperviseAll(exps, harness.RunConfig{Engine: eng})
-				eng.Close()
-				if n := harness.Failed(results); n != 0 {
-					b.Fatalf("%d experiments failed", n)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkAblationMemFast runs the cell-heavy batch with the
-// memory-path fast path (epoch-stamped cache/TLB flushes, MRU way
-// hints, translation and page caching) enabled and disabled: the
-// on/off wall-clock ratio is the tentpole metric of the memory-path
-// PR. Output is byte-identical either way (CI diffs the full `run all`
-// output), so the two sub-benchmarks measure pure memory-model speed.
-// Engines are created per iteration so every run simulates on cold
-// memoization caches.
-func BenchmarkAblationMemFast(b *testing.B) {
-	exps := make([]harness.Experiment, 0, 2)
-	for _, id := range []string{"fig3", "whatif-v1hw"} {
-		e, ok := harness.Lookup(id)
-		if !ok {
-			b.Fatalf("unknown experiment %q", id)
-		}
-		exps = append(exps, e)
-	}
-	for _, on := range []bool{true, false} {
-		name := "memfast=on"
-		if !on {
-			name = "memfast=off"
-		}
-		b.Run(name, func(b *testing.B) {
-			prev := cpu.SetDefaultMemFast(on)
-			defer cpu.SetDefaultMemFast(prev)
-			for i := 0; i < b.N; i++ {
-				eng := engine.New(1)
-				results := harness.SuperviseAll(exps, harness.RunConfig{Engine: eng})
-				eng.Close()
-				if n := harness.Failed(results); n != 0 {
-					b.Fatalf("%d experiments failed", n)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkAblationCorePool runs the cell-heavy batch with the CPU core
-// pool enabled and disabled: the on/off allocation and wall-clock deltas
-// are the tentpole metric of the pooled-cores PR. Output is
-// byte-identical either way (the determinism suite and CI both diff it),
-// so the two sub-benchmarks isolate pure construction/GC cost; watch the
-// B/op and allocs/op columns. Engines are created per iteration so every
-// run simulates on cold memoization caches.
-func BenchmarkAblationCorePool(b *testing.B) {
-	exps := make([]harness.Experiment, 0, 2)
-	for _, id := range []string{"fig3", "whatif-v1hw"} {
-		e, ok := harness.Lookup(id)
-		if !ok {
-			b.Fatalf("unknown experiment %q", id)
-		}
-		exps = append(exps, e)
-	}
-	for _, on := range []bool{true, false} {
-		name := "corepool=on"
-		if !on {
-			name = "corepool=off"
-		}
-		b.Run(name, func(b *testing.B) {
-			prev := cpu.SetDefaultCorePool(on)
-			defer cpu.SetDefaultCorePool(prev)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				eng := engine.New(4)
-				results := harness.SuperviseAll(exps, harness.RunConfig{Engine: eng})
-				eng.Close()
-				if n := harness.Failed(results); n != 0 {
-					b.Fatalf("%d experiments failed", n)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkAblationEngineCacheWarm measures a warm-cache re-run: the
 // same batch resubmitted to an engine that has already simulated every
 // cell costs only key construction and cache lookups.
@@ -546,81 +435,4 @@ func BenchmarkAblationEngineCacheWarm(b *testing.B) {
 	}
 	hits, _ := eng.Stats()
 	b.ReportMetric(float64(hits), "cache-hits")
-}
-
-// BenchmarkAblationSuperblock runs the cell-heavy batch with superblock
-// chaining enabled and disabled (block cache on in both arms): the
-// on/off wall-clock ratio isolates what trace formation buys over plain
-// block dispatch. Output is byte-identical either way (the determinism
-// suite and CI both diff it), so the two sub-benchmarks measure pure
-// dispatch-loop speed. Engines are created per iteration so every run
-// simulates on cold memoization caches.
-func BenchmarkAblationSuperblock(b *testing.B) {
-	exps := make([]harness.Experiment, 0, 2)
-	for _, id := range []string{"fig3", "whatif-v1hw"} {
-		e, ok := harness.Lookup(id)
-		if !ok {
-			b.Fatalf("unknown experiment %q", id)
-		}
-		exps = append(exps, e)
-	}
-	for _, on := range []bool{true, false} {
-		name := "superblock=on"
-		if !on {
-			name = "superblock=off"
-		}
-		b.Run(name, func(b *testing.B) {
-			prev := cpu.SetDefaultSuperblock(on)
-			defer cpu.SetDefaultSuperblock(prev)
-			for i := 0; i < b.N; i++ {
-				eng := engine.New(1)
-				results := harness.SuperviseAll(exps, harness.RunConfig{Engine: eng})
-				eng.Close()
-				if n := harness.Failed(results); n != 0 {
-					b.Fatalf("%d experiments failed", n)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkAblationCheckpoint runs the cell-heavy batch with
-// checkpointed warmup enabled and disabled: with it on, cells fork
-// kernel stubs, COW page-table templates, JIT compiles and assembled
-// workload programs from the process-wide registry instead of
-// rebuilding them per cell. The registry is cleared before every
-// iteration, so the "on" arm pays first-touch builds and then forks —
-// exactly the cold-process `run all` profile. Output is byte-identical
-// either way.
-func BenchmarkAblationCheckpoint(b *testing.B) {
-	exps := make([]harness.Experiment, 0, 2)
-	for _, id := range []string{"fig3", "whatif-v1hw"} {
-		e, ok := harness.Lookup(id)
-		if !ok {
-			b.Fatalf("unknown experiment %q", id)
-		}
-		exps = append(exps, e)
-	}
-	for _, on := range []bool{true, false} {
-		name := "checkpoint=on"
-		if !on {
-			name = "checkpoint=off"
-		}
-		b.Run(name, func(b *testing.B) {
-			prev := checkpoint.SetDefault(on)
-			defer func() {
-				checkpoint.SetDefault(prev)
-				checkpoint.Clear()
-			}()
-			for i := 0; i < b.N; i++ {
-				checkpoint.Clear()
-				eng := engine.New(1)
-				results := harness.SuperviseAll(exps, harness.RunConfig{Engine: eng})
-				eng.Close()
-				if n := harness.Failed(results); n != 0 {
-					b.Fatalf("%d experiments failed", n)
-				}
-			}
-		})
-	}
 }

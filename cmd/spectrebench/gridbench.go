@@ -21,17 +21,15 @@ type gridOptions struct {
 	cells    int
 	cfg      harness.RunConfig
 	storeDir string
-	codec    string
-	batch    bool
 	verbose  bool
 }
 
 // gridbench runs the synthetic boot-param configuration grid — the
 // million-cell sweep throughput benchmark — writing one line per cell
 // to w in submission order plus a deterministic trailer, so output is
-// byte-identical across -jobs × -dedup × -plan × -batch × -codec ×
-// -store settings (and across -faults runs at a fixed seed); timing and
-// engine statistics go to stderr only, keeping w pipe-clean.
+// byte-identical across -jobs values and cold, warm or no -store (and
+// across -faults runs at a fixed seed); timing and engine statistics go
+// to stderr only, keeping w pipe-clean.
 func gridbench(w io.Writer, opts gridOptions) int {
 	if opts.cells <= 0 {
 		fmt.Fprintln(os.Stderr, "spectrebench: gridbench: -cells must be positive")
@@ -46,15 +44,12 @@ func gridbench(w io.Writer, opts gridOptions) int {
 	cells := grid.Cells(opts.cells, seed)
 
 	eng := engine.Default()
-	// The canonicalizer is installed in every mode: with -dedup off it
-	// no longer folds cells onto shared class tasks, but it still keys
-	// each cell's fault seed and store identity canonically, which is
-	// what keeps the ablation byte-identical.
+	// The canonicalizer folds cells onto shared class tasks and keys each
+	// cell's fault seed and store identity canonically.
 	eng.SetCanonicalizer(grid.Canonicalizer(cells))
 
 	if opts.storeDir != "" {
 		st, err := store.Open(opts.storeDir, store.Options{
-			Codec: opts.codec,
 			Logf: func(format string, args ...any) {
 				fmt.Fprintf(os.Stderr, "spectrebench: "+format+"\n", args...)
 			},
@@ -73,41 +68,22 @@ func gridbench(w io.Writer, opts gridOptions) int {
 	}
 
 	start := time.Now()
-	var tasks []*engine.Task
-	if opts.batch {
-		bcells := make([]engine.BatchCell, len(cells))
-		for i, c := range cells {
-			c := c
-			bcells[i] = engine.BatchCell{Key: c.Display, Fn: c.Run}
-		}
-		tasks = eng.SubmitBatch(bcells)
-	} else {
-		tasks = make([]*engine.Task, len(cells))
-		for i, c := range cells {
-			c := c
-			tasks[i] = eng.Submit(c.Display, c.Run)
-		}
+	bcells := make([]engine.BatchCell, len(cells))
+	for i, c := range cells {
+		bcells[i] = engine.BatchCell{Key: c.Display, Fn: c.Run}
 	}
-	// Buffered result drain: per-cell Printf syscalls dominate warm
+	tasks := eng.SubmitBatch(bcells)
+	// Buffered, batched result drain: one goroutine-identity parse
+	// (WaitG) and hand-rolled float formatting (AppendFloat 'f'/2 is
+	// %.2f) for the whole slice; per-cell Printf syscalls dominate warm
 	// sweeps otherwise. Flushed once before the trailer-bearing return.
-	// The batch path also drains batched: one goroutine-identity parse
-	// (WaitG) and hand-rolled float formatting for the whole slice; the
-	// -batch off path keeps the per-cell Wait round-trip it is the
-	// ablation of. Both produce identical bytes (AppendFloat 'f'/2 is
-	// %.2f).
 	bw := bufio.NewWriterSize(w, 1<<16)
 	failed := 0
 	gid := gls.ID() // one parse for the whole drain loop
 	line := make([]byte, 0, 128)
 	for i, t := range tasks {
 		c := cells[i]
-		var v any
-		var err error
-		if opts.batch {
-			v, err = t.WaitG(gid)
-		} else {
-			v, err = t.Wait()
-		}
+		v, err := t.WaitG(gid)
 		if err != nil {
 			failed++
 			fmt.Fprintf(bw, "%s %s error: %v\n", c.Display.Uarch, c.Display.Config, err)
@@ -131,10 +107,9 @@ func gridbench(w io.Writer, opts gridOptions) int {
 
 	d := eng.StatsDetail()
 	fmt.Fprintf(os.Stderr,
-		"spectrebench: gridbench: %d cells in %.2fs (%.0f cells/sec, jobs=%d, dedup=%v, plan=%v, batch=%v, dedup ratio %.1fx)\n",
+		"spectrebench: gridbench: %d cells in %.2fs (%.0f cells/sec, jobs=%d, dedup ratio %.1fx)\n",
 		len(cells), elapsed.Seconds(), float64(len(cells))/elapsed.Seconds(),
-		eng.Jobs(), eng.DedupEnabled(), eng.PlanEnabled(), opts.batch,
-		float64(len(cells))/float64(classes))
+		eng.Jobs(), float64(len(cells))/float64(classes))
 	if opts.verbose {
 		fmt.Fprintf(os.Stderr, "spectrebench: engine: %s\n", d)
 		fmt.Fprintf(os.Stderr,

@@ -22,10 +22,8 @@ type optimizeOptions struct {
 	workloads string
 	uarchs    string
 	combos    int
-	prune     bool
 	cfg       harness.RunConfig
 	storeDir  string
-	codec     string
 	verbose   bool
 }
 
@@ -37,6 +35,11 @@ type optimizeOptions struct {
 // errored, 2 on a usage error. Like gridbench, store bookkeeping and
 // engine statistics go to stderr only.
 func optimizeCmd(w io.Writer, opts optimizeOptions) int {
+	if opts.combos < 0 {
+		// The same rule /optimize enforces with a 400.
+		fmt.Fprintf(os.Stderr, "spectrebench: optimize: -combos must be 0 (full lattice) or positive, got %d\n", opts.combos)
+		return 2
+	}
 	require, err := attacks.ParseRequirement(opts.require)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "spectrebench: -require: %v\n", err)
@@ -70,7 +73,6 @@ func optimizeCmd(w io.Writer, opts optimizeOptions) int {
 	eng := engine.Default()
 	if opts.storeDir != "" {
 		st, err := store.Open(opts.storeDir, store.Options{
-			Codec: opts.codec,
 			Logf: func(format string, args ...any) {
 				fmt.Fprintf(os.Stderr, "spectrebench: "+format+"\n", args...)
 			},
@@ -94,7 +96,7 @@ func optimizeCmd(w io.Writer, opts optimizeOptions) int {
 		Workloads: workloads,
 		Uarchs:    uarchs,
 		Combos:    opts.combos,
-		Prune:     opts.prune,
+		Prune:     true,
 		Seed:      seed,
 	})
 	if err != nil {
@@ -103,9 +105,9 @@ func optimizeCmd(w io.Writer, opts optimizeOptions) int {
 	}
 	res.Render(w, opts.verbose)
 	fmt.Fprintf(os.Stderr,
-		"spectrebench: optimize: %d classes evaluated across %d uarchs in %.2fs (jobs=%d, prune=%v)\n",
+		"spectrebench: optimize: %d classes evaluated across %d uarchs in %.2fs (jobs=%d)\n",
 		res.Totals.Evaluated, len(res.PerUarch), time.Since(start).Seconds(),
-		eng.Jobs(), opts.prune)
+		eng.Jobs())
 	if opts.verbose {
 		fmt.Fprintf(os.Stderr, "spectrebench: engine: %s\n", eng.StatsDetail())
 	}

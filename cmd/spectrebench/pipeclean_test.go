@@ -12,10 +12,10 @@ import (
 // writes to its output writer is result-table bytes — the cell-cache
 // note, store notes and -v breakdowns all go to stderr. A stats line
 // leaking into w breaks `spectrebench run | sort | md5sum` pipelines
-// and the CI ablation diffs built on them.
+// and the CI determinism diffs built on them.
 func TestRunStdoutIsPipeClean(t *testing.T) {
 	var buf bytes.Buffer
-	if code := run(&buf, []string{"table2"}, false, harness.RunConfig{}, "", "v3", true); code != 0 {
+	if code := run(&buf, []string{"table2"}, false, harness.RunConfig{}, "", true); code != 0 {
 		t.Fatalf("run returned %d", code)
 	}
 	out := buf.String()
@@ -42,8 +42,6 @@ func TestGridbenchStdoutIsPipeClean(t *testing.T) {
 		cells:    200,
 		cfg:      harness.RunConfig{},
 		storeDir: t.TempDir(),
-		codec:    "v3",
-		batch:    true,
 		verbose:  true,
 	})
 	if code != 0 {

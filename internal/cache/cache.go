@@ -7,8 +7,7 @@
 // # Memory-path fast path
 //
 // Two host-side optimisations keep the simulated model byte-identical
-// while removing the dominant per-access costs (the -memfast ablation
-// flag toggles both; see SetFastPath):
+// while removing the dominant per-access costs:
 //
 //   - Epoch-stamped invalidation. Every line carries the validity epoch
 //     it was filled under; a line is live only when its epoch matches
@@ -28,10 +27,7 @@
 //     the same line).
 package cache
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "fmt"
 
 // LineSize is the cache line size in bytes.
 const LineSize = 64
@@ -41,20 +37,6 @@ const LineShift = 6
 
 // LineBase returns the line-aligned base of a physical address.
 func LineBase(pa uint64) uint64 { return pa &^ uint64(LineSize-1) }
-
-// fastOff is inverted so the zero value means the fast path is on
-// (mirrors cpu's defaultBlockCacheOff).
-var fastOff atomic.Bool
-
-// SetFastPath enables or disables the package's memory-path fast path
-// (epoch-bump flushes and MRU way hints) for subsequently constructed
-// or Reset caches, returning the previous setting. Both modes produce
-// byte-identical simulated state; the -memfast flag and the
-// differential tests flip this around comparisons.
-func SetFastPath(on bool) (prev bool) { return !fastOff.Swap(!on) }
-
-// FastPath reports whether the fast path is enabled for new caches.
-func FastPath() bool { return !fastOff.Load() }
 
 // Cache is one level of a physically-tagged set-associative cache with
 // LRU replacement. Levels are chained through Next; the last level's
@@ -69,7 +51,10 @@ type Cache struct {
 	ways int
 	mask uint64 // sets-1 when sets is a power of two, else 0 with pow2 false
 	pow2 bool
-	fast bool // captured from FastPath at New/Reset
+	// eager selects the reference implementation: flushes clear valid
+	// bits in place and lookups scan every way. Only this package's
+	// differential tests set it.
+	eager bool
 	// lines[set] holds that set's ways, allocated lazily on the first
 	// insert into the set (and the outer slice on the first insert into
 	// the level). Most cores touch a tiny fraction of the outer levels —
@@ -87,8 +72,8 @@ type Cache struct {
 	// epoch is the level's current validity epoch. A line is live only
 	// when line.epoch == epoch; FlushAll and Reset invalidate in O(1) by
 	// bumping it (fast path) or eagerly clear valid bits (reference
-	// path) — the two representations satisfy the same liveness
-	// predicate, so they can be mixed freely.
+	// path); the two representations satisfy the same liveness
+	// predicate.
 	epoch uint64
 
 	// Statistics.
@@ -132,7 +117,6 @@ func New(memLatency uint64, levels ...Config) *Cache {
 			HitLatency: cfg.HitLatency,
 			sets:       sets,
 			ways:       cfg.Ways,
-			fast:       FastPath(),
 		}
 		if sets&(sets-1) == 0 {
 			c.mask = uint64(sets - 1)
@@ -185,7 +169,7 @@ func (c *Cache) lookup(pa uint64) *cacheLine {
 		return nil
 	}
 	tag := LineBase(pa)
-	if c.fast {
+	if !c.eager {
 		if w := c.mru[idx]; w != 0 {
 			l := &set[w-1]
 			if l.valid && l.epoch == c.epoch && l.tag == tag {
@@ -195,7 +179,7 @@ func (c *Cache) lookup(pa uint64) *cacheLine {
 	}
 	for i := range set {
 		if set[i].valid && set[i].epoch == c.epoch && set[i].tag == tag {
-			if c.fast {
+			if !c.eager {
 				c.mru[idx] = uint16(i + 1)
 			}
 			return &set[i]
@@ -308,7 +292,7 @@ func (c *Cache) Flush(pa uint64) {
 // host walk. The reference path clears valid bits in place; both leave
 // every line dead under the same liveness predicate.
 func (c *Cache) FlushAll() {
-	if c.fast {
+	if !c.eager {
 		c.epoch++
 		return
 	}
@@ -349,12 +333,9 @@ func (c *Cache) Contents() []uint64 {
 // never-allocated one (lookup checks liveness, insert claims dead ways
 // first), so a Reset hierarchy behaves byte-for-byte like a new one —
 // the property the CPU core pool depends on — without re-zeroing
-// megabytes of tag state per reuse. Reset also re-captures the
-// package-wide fast-path setting, so pooled caches honour an ablation
-// flip at their next checkout.
+// megabytes of tag state per reuse.
 func (c *Cache) Reset() {
-	c.fast = FastPath()
-	if c.fast {
+	if !c.eager {
 		c.epoch++
 	} else {
 		for _, set := range c.lines {
@@ -362,9 +343,6 @@ func (c *Cache) Reset() {
 				set[i] = cacheLine{}
 			}
 		}
-		// Stale epoch stamps from a previous fast-path life would leak
-		// liveness if the epoch counter were rewound; it never is, and
-		// eagerly cleared lines are dead under any epoch.
 	}
 	c.Hits, c.Misses = 0, 0
 	c.clock = 0

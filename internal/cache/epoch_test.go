@@ -6,21 +6,25 @@ import (
 	"testing"
 )
 
-// withFastPath runs f under both fast-path settings as subtests,
-// restoring the package flag afterwards. The epoch-stamped and
-// eager-clear implementations must be observationally identical, so
-// every regression test in this file runs against both.
-func withFastPath(t *testing.T, f func(t *testing.T)) {
+// withModes runs f once per implementation as subtests: "fast"
+// (epoch-stamped flushes, MRU hints) and "eager" (the reference). The
+// two must be observationally identical, so every regression test in
+// this file runs against both.
+func withModes(t *testing.T, f func(t *testing.T, eager bool)) {
 	for _, mode := range []struct {
-		name string
-		on   bool
-	}{{"fast", true}, {"eager", false}} {
-		t.Run(mode.name, func(t *testing.T) {
-			prev := SetFastPath(mode.on)
-			defer SetFastPath(prev)
-			f(t)
-		})
+		name  string
+		eager bool
+	}{{"fast", false}, {"eager", true}} {
+		t.Run(mode.name, func(t *testing.T) { f(t, mode.eager) })
 	}
+}
+
+// setEager selects the implementation for every level of hierarchy c.
+func setEager(c *Cache, eager bool) *Cache {
+	for l := c; l != nil; l = l.Next {
+		l.eager = eager
+	}
+	return c
 }
 
 // TestEpochFlushAllObservability pins the post-FlushAll contract the
@@ -28,8 +32,8 @@ func withFastPath(t *testing.T, f func(t *testing.T)) {
 // report every line absent, Contents must be empty, and a re-access
 // must pay the full miss latency — exactly as the eager clear behaves.
 func TestEpochFlushAllObservability(t *testing.T) {
-	withFastPath(t, func(t *testing.T) {
-		c := newHierarchy()
+	withModes(t, func(t *testing.T, eager bool) {
+		c := setEager(newHierarchy(), eager)
 		for pa := uint64(0); pa < 8*LineSize; pa += LineSize {
 			c.Access(pa)
 		}
@@ -57,14 +61,14 @@ func TestEpochFlushAllObservability(t *testing.T) {
 // reset hierarchy must be indistinguishable from a new one (Probe,
 // Contents, stats, latencies), whichever invalidation mode is active.
 func TestEpochResetObservability(t *testing.T) {
-	withFastPath(t, func(t *testing.T) {
-		c := newHierarchy()
+	withModes(t, func(t *testing.T, eager bool) {
+		c := setEager(newHierarchy(), eager)
 		for pa := uint64(0); pa < 32*LineSize; pa += LineSize {
 			c.Access(pa)
 			c.Access(pa)
 		}
 		c.Reset()
-		fresh := newHierarchy()
+		fresh := setEager(newHierarchy(), eager)
 		for lvl, flvl := c, fresh; lvl != nil; lvl, flvl = lvl.Next, flvl.Next {
 			if lvl.Hits != 0 || lvl.Misses != 0 {
 				t.Fatalf("%s stats after Reset = %d/%d, want 0/0", lvl.Name, lvl.Hits, lvl.Misses)
@@ -90,8 +94,8 @@ func TestEpochResetObservability(t *testing.T) {
 // clearing the valid bit of an epoch-dead line must be harmless, and a
 // line refilled after the flush must be evictable by Flush as usual.
 func TestEpochFlushTargetsDeadLines(t *testing.T) {
-	withFastPath(t, func(t *testing.T) {
-		c := newHierarchy()
+	withModes(t, func(t *testing.T, eager bool) {
+		c := setEager(newHierarchy(), eager)
 		c.Access(0x9000)
 		c.FlushAll()
 		c.Flush(0x9000) // line is already dead at L1; must not resurrect anything
@@ -114,8 +118,8 @@ func TestEpochFlushTargetsDeadLines(t *testing.T) {
 // than evicting by stale LRU timestamps — the behaviour the eager
 // implementation gets for free from cleared valid bits.
 func TestEpochInsertReclaimsDeadWays(t *testing.T) {
-	withFastPath(t, func(t *testing.T) {
-		c := New(100, Config{Name: "T", SizeBytes: 256, Ways: 2, HitLatency: 1})
+	withModes(t, func(t *testing.T, eager bool) {
+		c := setEager(New(100, Config{Name: "T", SizeBytes: 256, Ways: 2, HitLatency: 1}), eager)
 		// Two lines in set 0 (stride = sets*LineSize = 128).
 		c.Access(0)
 		c.Access(128)
@@ -189,27 +193,20 @@ func compareHierarchies(t *testing.T, ref, fast *Cache, step int) {
 // Touch, Flush, FlushAll, Reset and Probe through an epoch-stamped and
 // an eager-clear hierarchy and requires identical observations
 // throughout: every latency, every probe answer, all statistics, and
-// the exact set of live lines. Resets on the fast instance flip the
-// package flag at random, so histories that mix epoch-stamped and
-// eagerly-cleared lines in one tag array are covered too.
+// the exact set of live lines.
 func TestEpochDifferentialFuzz(t *testing.T) {
-	prev := FastPath()
-	defer SetFastPath(prev)
-
-	mk := func(fast bool) *Cache {
-		SetFastPath(fast)
+	mk := func(eager bool) *Cache {
 		// Tiny geometry so the fuzz actually collides: 4 sets × 2 ways
 		// over 8 sets × 4 ways.
-		return New(200,
+		return setEager(New(200,
 			Config{Name: "T1", SizeBytes: 512, Ways: 2, HitLatency: 3},
 			Config{Name: "T2", SizeBytes: 2048, Ways: 4, HitLatency: 11},
-		)
+		), eager)
 	}
 	for seed := int64(1); seed <= 20; seed++ {
 		r := rand.New(rand.NewSource(seed))
-		ref := mk(false)
-		fast := mk(true)
-		fastMode := true
+		ref := mk(true)
+		fast := mk(false)
 		for step := 0; step < 2000; step++ {
 			op := cacheOp{pa: uint64(r.Intn(64)) * 32} // 32 lines, split offsets
 			switch k := r.Intn(100); {
@@ -226,14 +223,7 @@ func TestEpochDifferentialFuzz(t *testing.T) {
 			default:
 				op.kind = 5 // probe
 			}
-			if op.kind == 4 {
-				// Flip the fast instance's mode at random so the next
-				// life mixes representations; the reference stays eager.
-				fastMode = r.Intn(2) == 0
-			}
-			SetFastPath(false)
 			refObs := applyCacheOp(ref, op)
-			SetFastPath(fastMode)
 			fastObs := applyCacheOp(fast, op)
 			if refObs != fastObs {
 				t.Fatalf("seed %d step %d: op %d pa %#x observed eager %d fast %d",

@@ -2,9 +2,7 @@
 // registry of immutable snapshots taken after a workload's warmup
 // prefix, keyed by everything that determines the warmed-up state (the
 // cell-key prefix: workload identity, uarch, warmup-relevant
-// configuration — plus the ablation-flag fingerprint, since flipped
-// fast-path defaults change host representations mid-process in the
-// differential tests). Cells that share a prefix fork from the snapshot
+// configuration). Cells that share a prefix fork from the snapshot
 // instead of re-simulating it: memory forks by copy-on-write page
 // sharing (mem.Phys.Snapshot/NewPhys — a snapshot costs a page-table
 // copy, not a memory-image clone), and core/kernel state is restored by
@@ -37,20 +35,6 @@ import (
 	"sync/atomic"
 )
 
-// defaultOff is inverted so the zero value means checkpointing is on
-// (mirrors the other ablation flags).
-var defaultOff atomic.Bool
-
-// SetDefault enables or disables checkpointed warmup process-wide,
-// returning the previous setting. The -checkpoint=on|off flag calls
-// this once at startup; tests flip it around ablation comparisons.
-func SetDefault(on bool) (prev bool) {
-	return !defaultOff.Swap(!on)
-}
-
-// Default reports whether checkpointed warmup is enabled.
-func Default() bool { return !defaultOff.Load() }
-
 // entry is one once-guarded snapshot slot.
 type entry struct {
 	once sync.Once
@@ -62,7 +46,7 @@ var registry sync.Map
 
 // hits/misses count registry consultations (host-side observability
 // only — never printed to stdout, so output stays byte-identical with
-// the registry cold, warm, or disabled).
+// the registry cold or warm).
 var hits, misses atomic.Uint64
 
 // Stats reports how many Get calls were served from an existing
@@ -71,18 +55,12 @@ func Stats() (h, m uint64) { return hits.Load(), misses.Load() }
 
 // Get returns the snapshot stored under key, building it with build on
 // first use. All callers of the same key receive the same value; build
-// runs exactly once per key for the life of the process. Returns
-// (nil, false) without consulting the registry when checkpointing is
-// disabled — the caller must then run its cold path.
+// runs exactly once per key for the life of the process.
 //
 // build must produce a value that is (a) immutable or only ever cloned
 // from, and (b) a pure function of key: the key must encode every input
-// the snapshot depends on, including ablation-flag state for anything
-// holding host-representation-sensitive structures.
-func Get(key string, build func() any) (any, bool) {
-	if !Default() {
-		return nil, false
-	}
+// the snapshot depends on.
+func Get(key string, build func() any) any {
 	e, loaded := registry.Load(key)
 	if !loaded {
 		e, loaded = registry.LoadOrStore(key, &entry{})
@@ -94,12 +72,11 @@ func Get(key string, build func() any) (any, bool) {
 		misses.Add(1)
 	}
 	ent.once.Do(func() { ent.v = build() })
-	return ent.v, true
+	return ent.v
 }
 
-// Clear drops every snapshot (tests; flag flips around differential
-// comparisons must not reuse snapshots built under the other setting —
-// keys embed the flag fingerprint, but Clear keeps memory bounded).
+// Clear drops every snapshot, so the next Get of every key builds cold
+// (tests and benchmarks that measure or compare cold registries).
 func Clear() {
 	registry.Range(func(k, _ any) bool {
 		registry.Delete(k)

@@ -23,9 +23,10 @@
 // host code outside block replay, the context validated at dispatch is
 // stable for the whole block.
 //
-// Exactness. `run all` must stay byte-identical with the cache on or
-// off, for every -jobs value, with and without -faults. That dictates
-// the two things the fast path does NOT batch:
+// Exactness. StepBlock must be indistinguishable from per-instruction
+// Step (the reference the differential tests hold it to), for every
+// -jobs value, with and without -faults. That dictates the two things
+// the fast path does NOT batch:
 //
 //   - The fetch TLB probe stays per-instruction (via a pinned tlb.SetRef
 //     with Lookup's exact scan order and LRU/hit/miss bookkeeping):
@@ -51,8 +52,6 @@
 package cpu
 
 import (
-	"sync/atomic"
-
 	"spectrebench/internal/faultinject"
 	"spectrebench/internal/isa"
 	"spectrebench/internal/mem"
@@ -63,36 +62,6 @@ import (
 // unrolled bodies the workloads run, short enough that a block never
 // outruns its 4 KiB page (1024 instructions).
 const maxBlockLen = 64
-
-// defaultBlockCache is the package default copied into new cores — the
-// -blockcache=on|off ablation flag. On unless turned off.
-var defaultBlockCacheOff atomic.Bool
-
-// SetDefaultBlockCache sets whether newly constructed cores use the
-// decoded basic-block fast path, returning the previous default. The
-// -blockcache flag calls this once at startup; tests flip it around
-// ablation comparisons.
-func SetDefaultBlockCache(on bool) (prev bool) {
-	return !defaultBlockCacheOff.Swap(!on)
-}
-
-// DefaultBlockCache reports the current package default.
-func DefaultBlockCache() bool { return !defaultBlockCacheOff.Load() }
-
-// defaultSuperblockOff is the package default for superblock chaining —
-// the -superblock=on|off ablation flag. On unless turned off.
-var defaultSuperblockOff atomic.Bool
-
-// SetDefaultSuperblock sets whether newly constructed cores chain block
-// exits (superblock/trace formation), returning the previous default.
-// The -superblock flag calls this once at startup; tests flip it around
-// ablation comparisons.
-func SetDefaultSuperblock(on bool) (prev bool) {
-	return !defaultSuperblockOff.Swap(!on)
-}
-
-// DefaultSuperblock reports the current package default.
-func DefaultSuperblock() bool { return !defaultSuperblockOff.Load() }
 
 // codeState is the fetch-path bookkeeping shared between SMT siblings.
 type codeState struct {
@@ -250,7 +219,7 @@ func (c *Core) StepBlock(limit int) (int, error) {
 	if limit <= 0 {
 		return 0, nil
 	}
-	if !c.BlockCache {
+	if c.refStep {
 		return 1, c.Step()
 	}
 
@@ -299,7 +268,7 @@ func (c *Core) StepBlock(limit int) (int, error) {
 	if c.FusedCmovGuards {
 		cmovCost = 0
 	}
-	sb := c.Superblock
+	sb := !c.noChain
 
 	n := 0
 chain:
@@ -340,21 +309,21 @@ chain:
 			// Fetch: per-instruction TLB probe on the pinned set, with
 			// Lookup's exact bookkeeping and the reference glitch/miss
 			// handling (interior thunk probes are elided — block building
-			// proved the addresses thunk-free for this generation). On the
-			// memfast path, a probe whose previous hit is still guarded by
-			// the TLB generation replays via Rehit instead of rescanning;
-			// CR3 cannot change inside a block (MOVCR3 ends one), but the
-			// generation can (a data access in the reference execute switch
-			// may insert), which the guard catches.
+			// proved the addresses thunk-free for this generation). A
+			// probe whose previous hit is still guarded by the TLB
+			// generation replays via Rehit instead of rescanning; CR3
+			// cannot change inside a block (MOVCR3 ends one), but the
+			// generation can (a data access in the reference execute
+			// switch may insert), which the guard catches.
 			var pte mem.PTE
 			var hit bool
-			if c.MemFast && c.xcFetch.hit(c, b.vpn) {
+			if !c.noXlate && c.xcFetch.hit(c, b.vpn) {
 				pte = c.TLB.Rehit(c.xcFetch.e)
 				hit = true
 			} else if e, ok := set.LookupH(b.vpn, pcid); ok {
 				pte = e.PTE()
 				hit = true
-				if c.MemFast {
+				if !c.noXlate {
 					c.xcFetch.fill(c, b.vpn, e)
 				}
 			}

@@ -92,11 +92,12 @@ func genFuzzProgram(r *rand.Rand) *isa.Program {
 // newFuzzCore builds one core for the differential test. Both cores of a
 // pair are built identically (own physical memory, own page tables with
 // the same deterministic layout, fault injector streams from the same
-// seed) and differ only in BlockCache.
+// seed) and differ only in whether StepBlock replays decoded blocks or
+// falls back to per-instruction Step (refStep).
 func newFuzzCore(t *testing.T, m *model.CPU, seed uint64, blockCache bool) *Core {
 	t.Helper()
 	c := New(m)
-	c.BlockCache = blockCache
+	c.refStep = !blockCache
 	c.FI = faultinject.New(seed)
 	pt1 := c.PTs.NewTable(1)
 	pt2 := c.PTs.NewTable(2)

@@ -246,26 +246,16 @@ type Core struct {
 	// has-thunks flag and invalidates decoded blocks spanning the address.
 	Thunks map[uint64]func(*Core)
 
-	// BlockCache enables the decoded basic-block fast path (StepBlock).
-	// New cores copy the package default set via SetDefaultBlockCache
-	// (the -blockcache ablation flag); with it off, StepBlock degrades to
-	// plain Step.
-	BlockCache bool
-
-	// MemFast enables the memory-path fast path: the core-side
-	// last-translation and page-table pointer caches (see memfast.go).
-	// New cores copy the package default set via SetDefaultMemFast (the
-	// -memfast ablation flag). The cache/TLB/Phys structures capture the
-	// corresponding package settings themselves at construction/Reset.
-	MemFast bool
-
-	// Superblock enables superblock chaining on top of the block cache:
-	// StepBlock follows resolved branch exits directly into the successor
-	// block (trace formation) instead of returning to the caller's
-	// dispatch loop. New cores copy the package default set via
-	// SetDefaultSuperblock (the -superblock ablation flag). It has no
-	// effect with BlockCache off.
-	Superblock bool
+	// Reference modes, set only by this package's differential tests;
+	// every core the simulator builds leaves them false. refStep makes
+	// StepBlock degrade to per-instruction Step (no decoded blocks);
+	// noChain keeps the block cache but returns to the dispatch loop at
+	// every block exit instead of chaining into the successor
+	// (superblocks); noXlate bypasses the last-translation and
+	// page-table pointer caches (see xlate.go).
+	refStep bool
+	noChain bool
+	noXlate bool
 
 	// xcFetch/xcData are the per-stream last-translation caches (fetch
 	// and data accesses age independently — a data access to a new page
@@ -322,18 +312,21 @@ type Core struct {
 }
 
 // New constructs a core for the given CPU model with its own memory
-// system and predictor state. When core pooling is enabled (the
-// default; see SetDefaultCorePool) the geometry-sized structures come
-// from a per-uarch recycle pool, and the core is returned to it when
-// the current simulation scope is released.
+// system and predictor state. The geometry-sized structures come from a
+// per-uarch recycle pool when it has a core to spare, and the core is
+// returned to it when the current simulation scope is released.
 func New(m *model.CPU) *Core {
 	sc := simscope.Current()
-	if DefaultCorePool() {
-		if c := checkoutPooled(m, sc); c != nil {
-			retainOnScope(c, sc)
-			return c
-		}
+	c := checkoutPooled(m, sc)
+	if c == nil {
+		c = construct(m, sc)
 	}
+	retainOnScope(c, sc)
+	return c
+}
+
+// construct builds a core from scratch, bypassing the pool.
+func construct(m *model.CPU, sc *simscope.Scope) *Core {
 	c := &Core{
 		Model:       m,
 		Phys:        mem.NewPhys(),
@@ -349,9 +342,6 @@ func New(m *model.CPU) *Core {
 		SpecEnabled: true,
 		msrs:        make(map[uint32]uint64),
 		Thunks:      make(map[uint64]func(*Core)),
-		BlockCache:  DefaultBlockCache(),
-		MemFast:     DefaultMemFast(),
-		Superblock:  DefaultSuperblock(),
 		code:        &codeState{},
 		FI:          faultinject.FromActiveScope(sc, m.Uarch),
 		scope:       sc,
@@ -368,7 +358,6 @@ func New(m *model.CPU) *Core {
 		HistoryDepth: m.Spec.BTBHistoryDepth,
 	})
 	c.msrs[MSRArchCaps] = archCaps(m)
-	retainOnScope(c, sc)
 	return c
 }
 
@@ -395,9 +384,9 @@ func NewSMTSibling(c *Core) *Core {
 		SpecEnabled: true,
 		msrs:        make(map[uint32]uint64),
 		Thunks:      c.Thunks,
-		BlockCache:  c.BlockCache,
-		MemFast:     c.MemFast,
-		Superblock:  c.Superblock,
+		refStep:     c.refStep,
+		noChain:     c.noChain,
+		noXlate:     c.noXlate,
 		code:        c.code, // shared: thunk installs invalidate both threads
 		programs:    c.programs,
 		FI:          c.FI, // siblings share the physical core's weather
@@ -523,7 +512,7 @@ func (c *Core) ClearHalt() { c.halted = false }
 // mutate in place behind the same pointer; that is invisible here.)
 func (c *Core) PageTable() *mem.PageTable {
 	root := mem.CR3Root(c.CR3)
-	if c.MemFast {
+	if !c.noXlate {
 		if c.lastPT != nil && c.lastPTRoot == root {
 			return c.lastPT
 		}

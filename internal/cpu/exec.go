@@ -80,7 +80,7 @@ func (c *Core) interruptedErr() error {
 
 // Run executes up to maxSteps instructions, stopping early on HLT or an
 // unhandled fault. It drives the decoded-block fast path when the core's
-// BlockCache is enabled; the observable behaviour is identical to
+// reference modes are off; the observable behaviour is identical to
 // calling Step maxSteps times.
 func (c *Core) Run(maxSteps int) error {
 	for i := 0; i < maxSteps; {

@@ -24,7 +24,7 @@ func (c *Core) xlate(va uint64, acc mem.Access, charge bool) (pa uint64, pte mem
 	vpn := mem.VPN(va)
 	user := c.Priv == PrivUser
 
-	if c.MemFast {
+	if !c.noXlate {
 		// Last-translation cache: if the entry that served this access
 		// stream's previous translation is provably still the scan's
 		// first match (same VPN, same CR3, unchanged TLB generation),
@@ -67,7 +67,7 @@ func (c *Core) xlate(va uint64, acc mem.Access, charge bool) (pa uint64, pte mem
 			// and use; drop the entry and take the walk below.
 			c.TLB.FlushVPN(vpn)
 		} else {
-			if c.MemFast {
+			if !c.noXlate {
 				if acc == mem.AccessFetch {
 					c.xcFetch.fill(c, vpn, e)
 				} else {

@@ -22,7 +22,6 @@ package cpu
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"spectrebench/internal/branch"
 	"spectrebench/internal/faultinject"
@@ -31,20 +30,6 @@ import (
 	"spectrebench/internal/model"
 	"spectrebench/internal/simscope"
 )
-
-// defaultCorePoolOff is inverted so the zero value means pooling is on
-// (mirrors defaultBlockCacheOff).
-var defaultCorePoolOff atomic.Bool
-
-// SetDefaultCorePool enables or disables core pooling process-wide and
-// returns the previous setting. The -corepool flag and the ablation
-// benchmarks use this; pooling is on by default.
-func SetDefaultCorePool(on bool) (prev bool) {
-	return !defaultCorePoolOff.Swap(!on)
-}
-
-// DefaultCorePool reports whether core pooling is enabled.
-func DefaultCorePool() bool { return !defaultCorePoolOff.Load() }
 
 // corePools maps uarch name -> *sync.Pool of *Core. Keying by uarch
 // guarantees every core in a pool has geometry-compatible BTB/TLB/cache
@@ -72,12 +57,12 @@ func checkoutPooled(m *model.CPU, sc *simscope.Scope) *Core {
 }
 
 // retainOnScope schedules c for recycling when sc is released. With no
-// scope (or pooling off) the core is simply garbage-collected. The
+// scope the core is simply garbage-collected. The
 // deferred cleanup captures the checkout generation so it becomes a
 // no-op if the caller recycles the core explicitly first (Recycle) and
 // the pool hands it to someone else before the scope ends.
 func retainOnScope(c *Core, sc *simscope.Scope) {
-	if sc != nil && DefaultCorePool() {
+	if sc != nil {
 		gen := c.poolGen.Load()
 		sc.Defer(func() { c.recycle(gen) })
 	}
@@ -162,9 +147,7 @@ func (c *Core) reinit(m *model.CPU, sc *simscope.Scope) {
 	c.NoPCID = false
 	c.FusedCmovGuards = false
 	clear(c.Thunks)
-	c.BlockCache = DefaultBlockCache()
-	c.MemFast = DefaultMemFast()
-	c.Superblock = DefaultSuperblock()
+	c.refStep, c.noChain, c.noXlate = false, false, false
 	// Translation and page-table caches refer to the previous cell's
 	// registry and would be stale even with the generation guard (the
 	// TLB generation is monotonic across Reset, but PTs was replaced).
@@ -194,8 +177,8 @@ func (c *Core) reinit(m *model.CPU, sc *simscope.Scope) {
 // fresh machine per iteration and extracts a plain value. The
 // scope-deferred recycling that cpu.New arranges is made a no-op by the
 // generation check, so an explicitly recycled core cannot be recycled a
-// second time while a new owner is using it. SMT siblings and cores
-// with pooling disabled are dropped silently.
+// second time while a new owner is using it. SMT siblings are dropped
+// silently.
 func (c *Core) Recycle() {
 	c.recycle(c.poolGen.Load())
 }
@@ -205,13 +188,12 @@ func (c *Core) Recycle() {
 // owning scope is released — strictly after the cell's task has
 // finished running — and by Recycle. The compare-and-swap guarantees
 // exactly one recycle per checkout no matter how the two paths
-// interleave. SMT siblings and cores created while pooling was disabled
-// are dropped instead.
+// interleave. SMT siblings are dropped instead.
 func (c *Core) recycle(gen uint64) {
 	if !c.poolGen.CompareAndSwap(gen, gen+1) {
 		return
 	}
-	if c.noPool || !DefaultCorePool() {
+	if c.noPool {
 		return
 	}
 	// Drop everything that could pin a previous cell's memory while the

@@ -161,7 +161,8 @@ func comparePooledCores(t *testing.T, fresh, recycled *Core) {
 			}
 		}
 	}
-	if fresh.BlockCache != recycled.BlockCache || fresh.SpecEnabled != recycled.SpecEnabled ||
+	if fresh.refStep != recycled.refStep || fresh.noChain != recycled.noChain ||
+		fresh.noXlate != recycled.noXlate || fresh.SpecEnabled != recycled.SpecEnabled ||
 		fresh.NoPCID != recycled.NoPCID || fresh.FusedCmovGuards != recycled.FusedCmovGuards {
 		t.Errorf("config toggles differ")
 	}
@@ -180,8 +181,6 @@ func comparePooledCores(t *testing.T, fresh, recycled *Core) {
 // execute a program to the exact same architectural and accounting
 // state.
 func TestRecycledCoreMatchesFresh(t *testing.T) {
-	prevPool := SetDefaultCorePool(false) // construct controls by hand
-	defer SetDefaultCorePool(prevPool)
 	faultinject.Activate(faultinject.Config{Seed: 77})
 	defer faultinject.Deactivate()
 
@@ -190,16 +189,12 @@ func TestRecycledCoreMatchesFresh(t *testing.T) {
 		for seed := uint64(1); seed <= 8; seed++ {
 			t.Run(fmt.Sprintf("%s/dirty=%d", m.Uarch, seed), func(t *testing.T) {
 				// Reference: a genuinely fresh core under scope seed 1000+seed.
-				restore := simscope.Enter(newScope(1000 + seed))
-				fresh := New(m)
-				restore()
+				fresh := construct(m, newScope(1000+seed))
 
 				// Candidate: a fresh core under an unrelated scope, driven
 				// through a dirty cell, then reinitialised for a scope
 				// equivalent to the reference's.
-				restore = simscope.Enter(newScope(555))
-				victim := New(m)
-				restore()
+				victim := construct(m, newScope(555))
 				dirtyCore(t, victim, seed)
 				victim.reinit(m, newScope(1000+seed))
 
@@ -242,8 +237,6 @@ func TestRecycledCoreMatchesFresh(t *testing.T) {
 // constructed under a scope returns to the pool when the scope is
 // released, and the next construction for the same uarch reuses it.
 func TestScopeReleaseRecyclesCore(t *testing.T) {
-	prevPool := SetDefaultCorePool(true)
-	defer SetDefaultCorePool(prevPool)
 	m := model.SkylakeClient()
 	// Drain any cores earlier tests parked for this uarch.
 	for checkoutPooled(m, nil) != nil {
@@ -271,8 +264,6 @@ func TestScopeReleaseRecyclesCore(t *testing.T) {
 // becomes a no-op after an explicit Recycle: the core must enter the
 // pool exactly once per checkout, never twice.
 func TestRecycleGenerationGuard(t *testing.T) {
-	prevPool := SetDefaultCorePool(true)
-	defer SetDefaultCorePool(prevPool)
 	m := model.Broadwell()
 	for checkoutPooled(m, nil) != nil {
 	}
@@ -302,8 +293,6 @@ func TestRecycleGenerationGuard(t *testing.T) {
 // both logical cores from the pool — their shared structures must not
 // be recycled into two independent cells.
 func TestSMTPairNeverPooled(t *testing.T) {
-	prevPool := SetDefaultCorePool(true)
-	defer SetDefaultCorePool(prevPool)
 	m := model.SkylakeClient()
 	for checkoutPooled(m, nil) != nil {
 	}
@@ -327,7 +316,6 @@ func TestSMTPairNeverPooled(t *testing.T) {
 // core can never replay a trace formed over a previous owner's code.
 func TestResetClearsChainLinks(t *testing.T) {
 	c := newUserCore(t, model.SkylakeClient())
-	c.Superblock = true
 	a := isa.NewAsm()
 	a.MovI(isa.R1, 0)
 	a.Label("loop")
@@ -357,14 +345,12 @@ func TestResetClearsChainLinks(t *testing.T) {
 
 // TestReinitClearsChainLinksAndSuperblock checks the pool path directly:
 // a dirty core with hot chains reinitialised for a new scope must come
-// back with no decoded blocks and with Superblock restored to the
-// package default, exactly like a fresh construction.
+// back with no decoded blocks and with superblock chaining (and the
+// other reference modes) back off, exactly like a fresh construction.
 func TestReinitClearsChainLinksAndSuperblock(t *testing.T) {
-	prevPool := SetDefaultCorePool(false)
-	defer SetDefaultCorePool(prevPool)
 	m := model.SkylakeClient()
-	c := New(m)
-	c.Superblock = !DefaultSuperblock() // cell-local override must not survive reuse
+	c := construct(m, nil)
+	c.noChain, c.noXlate = true, true // cell-local overrides must not survive reuse
 	mapStd(c)
 	a := isa.NewAsm()
 	a.MovI(isa.R1, 0)
@@ -382,7 +368,7 @@ func TestReinitClearsChainLinksAndSuperblock(t *testing.T) {
 	if c.lastBlock != nil || c.prevBlock != nil {
 		t.Error("reinit left the block dispatch memo populated")
 	}
-	if c.Superblock != DefaultSuperblock() {
-		t.Error("reinit did not restore Superblock to the package default")
+	if c.refStep || c.noChain || c.noXlate {
+		t.Error("reinit did not turn the reference modes back off")
 	}
 }

@@ -15,7 +15,7 @@ import (
 func newChainFuzzCore(t *testing.T, m *model.CPU, seed uint64, superblock bool) *Core {
 	t.Helper()
 	c := newFuzzCore(t, m, seed, true)
-	c.Superblock = superblock
+	c.noChain = !superblock
 	return c
 }
 
@@ -153,9 +153,8 @@ func TestSuperblockPredictorFlipMidChain(t *testing.T) {
 		return a.MustAssemble(codeBase)
 	}
 	ref := newUserCore(t, model.SkylakeClient())
-	ref.Superblock = false
+	ref.noChain = true
 	fast := newUserCore(t, model.SkylakeClient())
-	fast.Superblock = true
 	run(t, ref, prog())
 	run(t, fast, prog())
 	if fast.Regs[isa.R1] != 300 || fast.Regs[isa.R2] != 500 {
@@ -171,7 +170,6 @@ func TestSuperblockPredictorFlipMidChain(t *testing.T) {
 // code runs instead of a stale trace.
 func TestSuperblockJITReplacementMidChain(t *testing.T) {
 	c := newUserCore(t, model.SkylakeClient())
-	c.Superblock = true
 
 	makeProg := func(inc int64) *isa.Program {
 		a := isa.NewAsm()
@@ -219,7 +217,7 @@ func TestSuperblockJITReplacementMidChain(t *testing.T) {
 func TestSuperblockCR3SwapMidChain(t *testing.T) {
 	build := func(superblock bool) *Core {
 		c := New(model.SkylakeClient())
-		c.Superblock = superblock
+		c.noChain = !superblock
 		pt1 := c.PTs.NewTable(1)
 		pt2 := c.PTs.NewTable(2)
 		for _, pt := range []*mem.PageTable{pt1, pt2} {

@@ -1,6 +1,5 @@
-// Memory-path fast path: the core-side half of the -memfast ablation.
-//
-// The package default set here gates three layers at once:
+// Per-core translation caches: the core-side half of the memory-path
+// fast path. The other halves live with their structures:
 //
 //   - internal/cache: epoch-bump flushes (the per-VM-entry L1TF flush
 //     becomes O(1)) and per-set MRU way hints.
@@ -25,35 +24,7 @@
 // set's scan order).
 package cpu
 
-import (
-	"sync/atomic"
-
-	"spectrebench/internal/cache"
-	"spectrebench/internal/mem"
-	"spectrebench/internal/tlb"
-)
-
-// defaultMemFastOff is inverted so the zero value means the fast path
-// is on (mirrors defaultBlockCacheOff / defaultCorePoolOff).
-var defaultMemFastOff atomic.Bool
-
-// SetDefaultMemFast enables or disables the memory-path fast path for
-// newly constructed (or pool-recycled) cores and for the cache, TLB and
-// physical-memory structures they build, returning the previous core
-// default. The -memfast flag calls this once at startup; the ablation
-// benchmark and the differential tests flip it around comparisons.
-// Structures already constructed keep the setting they captured until
-// their next Reset, so flip it between simulations, not during one.
-func SetDefaultMemFast(on bool) (prev bool) {
-	prev = !defaultMemFastOff.Swap(!on)
-	cache.SetFastPath(on)
-	tlb.SetFastPath(on)
-	mem.SetFastPath(on)
-	return prev
-}
-
-// DefaultMemFast reports the current package default.
-func DefaultMemFast() bool { return !defaultMemFastOff.Load() }
+import "spectrebench/internal/tlb"
 
 // xlateCache remembers the TLB entry that served the previous
 // translation of one access stream. Valid only while all three keys

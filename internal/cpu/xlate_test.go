@@ -7,27 +7,26 @@ import (
 	"spectrebench/internal/model"
 )
 
-// newMemFuzzCore builds one core for the memfast differential tests.
-// The pair shares the blockcache fuzzer's program generator and layout
-// (two PCID-tagged page tables, JIT self-replacement, fault-injected
-// TLB glitches) and differs only in the memory-path fast path: the
-// package-level cache/TLB/Phys fast flags and the core's MemFast gate
-// are flipped together around construction, exactly as the -memfast
-// flag does.
+// newMemFuzzCore builds one core for the translation-cache differential
+// tests. The pair shares the blockcache fuzzer's program generator and
+// layout (two PCID-tagged page tables, JIT self-replacement,
+// fault-injected TLB glitches) and differs only in the core's
+// last-translation and page-table pointer caches (noXlate). The cache,
+// TLB and Phys fast paths are covered by their own packages'
+// differential tests.
 func newMemFuzzCore(t *testing.T, m *model.CPU, seed uint64, fast bool) *Core {
 	t.Helper()
-	prev := SetDefaultMemFast(fast)
-	defer SetDefaultMemFast(prev)
-	return newFuzzCore(t, m, seed, true)
+	c := newFuzzCore(t, m, seed, true)
+	c.noXlate = !fast
+	return c
 }
 
-// TestMemFastDifferential is the property test for the memory-path
-// fast path: randomized programs — loads, stores, clflush, CR3 swaps
-// between PCID-tagged tables, JIT recompilation, injected TLB
+// TestMemFastDifferential is the property test for the per-core
+// translation caches: randomized programs — loads, stores, clflush, CR3
+// swaps between PCID-tagged tables, JIT recompilation, injected TLB
 // shootdowns — must leave the fast core in exactly the state of the
-// eager-clear, scan-every-lookup reference: registers, flags, PC,
-// cycles, instret, PMC counts, TLB and cache statistics, and the same
-// error.
+// scan-every-lookup reference: registers, flags, PC, cycles, instret,
+// PMC counts, TLB and cache statistics, and the same error.
 func TestMemFastDifferential(t *testing.T) {
 	models := []*model.CPU{model.SkylakeClient(), model.CascadeLake()}
 	var retired, tlbHits uint64
@@ -90,8 +89,6 @@ func TestMemFastDifferentialLockstep(t *testing.T) {
 // translation-cache invalidation tests.
 func newXlateTestCore(t *testing.T) (c *Core, pt1, pt2 *mem.PageTable) {
 	t.Helper()
-	prev := SetDefaultMemFast(true)
-	defer SetDefaultMemFast(prev)
 	c = New(model.SkylakeClient())
 	pt1 = c.PTs.NewTable(1)
 	pt2 = c.PTs.NewTable(2)
@@ -155,28 +152,5 @@ func TestXlateCacheFlushInvalidates(t *testing.T) {
 					fl.name, c.TLB.Misses, missesBefore+1)
 			}
 		})
-	}
-}
-
-// TestMemFastPooledCoreHonoursFlip checks a pooled core re-captures the
-// process-wide memfast default at checkout — an ablation flip between
-// cells must not be defeated by recycling.
-func TestMemFastPooledCoreHonoursFlip(t *testing.T) {
-	prevPool := SetDefaultCorePool(true)
-	defer SetDefaultCorePool(prevPool)
-	prev := SetDefaultMemFast(true)
-	defer SetDefaultMemFast(prev)
-
-	m := model.SkylakeClient()
-	c := New(m)
-	if !c.MemFast {
-		t.Fatal("core built with memfast on reports MemFast == false")
-	}
-	c.Recycle()
-	SetDefaultMemFast(false)
-	c2 := New(m)
-	defer c2.Recycle()
-	if c2.MemFast {
-		t.Fatal("recycled core kept MemFast on after the default was flipped off")
 	}
 }

@@ -1,6 +1,7 @@
-// Batch submission: the replay & fan-out fast path.
+// Batch submission: the engine's one submission path (Submit is a
+// one-cell batch).
 //
-// Submit pays a fixed per-cell toll — a scope allocation, a
+// Submitting a cell pays a fixed toll — a scope allocation, a
 // second-level Get, a planner lock round-trip, a wakeup check — that
 // dominates once the cells themselves are cheap (a warm store replays a
 // cell in microseconds; a folded follower never runs at all). For
@@ -23,10 +24,11 @@
 //     cell is known to need simulating; memo hits, folds and store
 //     replays allocate none.
 //
-// Counter contract: Hits/Misses/ClassHits/SecondLevelHits are computed
-// exactly as the per-cell Submit path computes them — functions of the
-// submitted key multiset alone — so `-batch on|off` cannot change a
-// rendered byte. InlineFanouts/BatchedCells are batch-only telemetry.
+// Counter contract: Hits/Misses/ClassHits/SecondLevelHits are functions
+// of the submitted key multiset alone — however the cells are split into
+// batches and however the batches interleave — so rendered cache notes
+// never depend on scheduling. InlineFanouts is scheduling-dependent
+// telemetry.
 package engine
 
 import (
@@ -40,8 +42,7 @@ import (
 )
 
 // BatchCell is one cell of a SubmitBatch call: a display key and the
-// function that simulates it (pure with respect to the key, exactly as
-// for Submit).
+// function that simulates it (pure with respect to the key).
 type BatchCell struct {
 	Key Key
 	Fn  func() (any, error)
@@ -98,21 +99,24 @@ var closedChan = func() chan struct{} {
 
 // snapshot returns t's result if it has finished. The fmu acquisition
 // orders the val/err/cycles writes (made before finish took the lock)
-// before the reads.
+// before the reads; an unfinished task's fields may still be being
+// written by its worker, so they are not read at all.
 func (t *Task) snapshot() (val any, err error, cycles uint64, finished bool) {
 	t.fmu.Lock()
 	defer t.fmu.Unlock()
-	return t.val, t.err, t.cycles, t.finished
+	if !t.finished {
+		return nil, nil, 0, false
+	}
+	return t.val, t.err, t.cycles, true
 }
 
 // SubmitBatch schedules every cell of the slice and returns their
-// tasks in input order. It is equivalent to calling Submit per cell —
-// same tasks, same memo/class/store counters, same determinism
-// contract (fault seed, activation snapshot and cycle budget captured
-// from the submitter's scope at submission time) — but amortizes the
-// per-cell submission cost; see the package comment at the top of this
-// file. Never returns nil tasks: a closed engine yields pre-failed
-// ErrClosed tasks exactly as Submit does.
+// tasks in input order: the memoized task of a key submitted before,
+// a follower of the key's canonical class when the class is already
+// known, a task completed from the second level, or a fresh cell. Each
+// cell's fault seed, activation snapshot and cycle budget are captured
+// from the submitter's scope at submission time. Never returns nil
+// tasks: a closed engine yields pre-failed ErrClosed tasks.
 func (e *Engine) SubmitBatch(cells []BatchCell) []*Task {
 	out := make([]*Task, len(cells))
 	pprof.Do(context.Background(), pprof.Labels("engine", "submit-batch"), func(context.Context) {
@@ -122,8 +126,8 @@ func (e *Engine) SubmitBatch(cells []BatchCell) []*Task {
 }
 
 func (e *Engine) submitBatch(cells []BatchCell, out []*Task) {
-	e.batchedCells.Add(uint64(len(cells)))
 	cz := e.canonicalizer()
+	dedup := cz != nil && !e.noDedup
 	sl := e.secondLevel()
 	bsl, _ := sl.(BatchSecondLevel)
 	links, _ := sl.(LinkRecorder)
@@ -145,9 +149,10 @@ func (e *Engine) submitBatch(cells []BatchCell, out []*Task) {
 	// provably unscheduled until enqueueBatch at the bottom (no scope, in
 	// no queue), so their followers can share the leader's done channel —
 	// no per-follower channel allocation, no snapshot lock — and finish()
-	// is guaranteed to copy their values before its single close.
+	// is guaranteed to copy their values before its single close. A
+	// one-cell batch has no later cell to fold and needs no map.
 	var inBatch map[Key]*Task
-	if e.dedup && cz != nil {
+	if dedup && len(cells) > 1 {
 		// Sized to the expected class count of a highly-deduped grid
 		// (~1 class per 32 cells): growing a map to thousands of
 		// entries from zero costs several rehashes of string keys.
@@ -167,7 +172,7 @@ func (e *Engine) submitBatch(cells []BatchCell, out []*Task) {
 		if cz != nil {
 			ckey = cz(c.Key)
 		}
-		if e.dedup && cz != nil {
+		if dedup {
 			if lead, ok := inBatch[ckey]; ok {
 				// Batch-local fold: the leader cannot finish before
 				// enqueueBatch, so the follower shares its done channel.
@@ -212,7 +217,7 @@ func (e *Engine) submitBatch(cells []BatchCell, out []*Task) {
 					continue
 				}
 				// Class scheduled by an earlier submission and still
-				// running: a conventional follower, as Submit would create.
+				// running: a conventional follower with its own channel.
 				t := &slab[i]
 				t.eng, t.key, t.keyed, t.done = e, ckey, true, make(chan struct{})
 				if old, loaded := e.cache.LoadOrStore(c.Key, t); loaded {
@@ -241,7 +246,7 @@ func (e *Engine) submitBatch(cells []BatchCell, out []*Task) {
 			continue
 		}
 		e.misses.Add(1)
-		if e.dedup && cz != nil {
+		if dedup {
 			if v, loaded := e.classes.LoadOrStore(ckey, t); loaded {
 				// Raced with a concurrent submitter of the same class.
 				e.classHits.Add(1)
@@ -252,7 +257,9 @@ func (e *Engine) submitBatch(cells []BatchCell, out []*Task) {
 				out[i] = t
 				continue
 			}
-			inBatch[ckey] = t
+			if inBatch != nil {
+				inBatch[ckey] = t
+			}
 		}
 		if links != nil && ckey != c.Key {
 			folds = append(folds, LinkPair{Display: c.Key, Canonical: ckey})
@@ -271,11 +278,14 @@ func (e *Engine) submitBatch(cells []BatchCell, out []*Task) {
 		}
 	}
 
-	// Batched second-level replay for the class leaders. A hit completes
-	// the task in place, exactly as Submit's inline store hit does; the
-	// publication via cache/classes LoadOrStore above ordered the task's
-	// fields, and finish() publishes the result to any follower that
-	// attached meanwhile.
+	// Batched second-level replay for the class leaders, keyed
+	// canonically. A hit completes the task in place — value and
+	// simulated-cycle cost replayed exactly as a fresh run would have
+	// produced them — without ever scheduling it. It still counted as a
+	// first-level miss above, so rendered output is byte-identical
+	// between cold and warm stores. The publication via cache/classes
+	// LoadOrStore above ordered the task's fields, and finish()
+	// publishes the result to any follower that attached meanwhile.
 	if len(leaders) > 0 && sl != nil {
 		keys := make([]Key, len(leaders))
 		for i, t := range leaders {
@@ -306,7 +316,8 @@ func (e *Engine) submitBatch(cells []BatchCell, out []*Task) {
 
 	// The survivors simulate: allocate their determinism scopes (fault
 	// seed = canonical key hash, activation/budget from the submitter's
-	// scope — identical to Submit) and enqueue them as one planner unit.
+	// scope, or the process globals for an unmanaged submitter) and
+	// enqueue them as one planner unit.
 	for _, t := range leaders {
 		sc := &simscope.Scope{FaultSeed: t.key.Hash()}
 		if parent != nil {
@@ -329,9 +340,9 @@ type BatchGo struct {
 }
 
 // GoBatch schedules a slice of unkeyed tasks — all under the
-// submitter's current scope, exactly as Go — with one queue lock
-// acquisition and one wakeup instead of per-task rounds. The harness
-// uses it to enqueue a whole supervised batch's experiments at once.
+// submitter's current scope — with one queue lock acquisition and one
+// wakeup instead of per-task rounds. The harness uses it to enqueue a
+// whole supervised batch's experiments at once.
 func (e *Engine) GoBatch(items []BatchGo) []*Task {
 	out := make([]*Task, len(items))
 	if e.closed.Load() {
@@ -356,43 +367,42 @@ func (s *shard) pushAll(ts []*Task) {
 	s.mu.Unlock()
 }
 
-// enqueueBatch is enqueue for a slice: tasks land in their queues under
-// one lock acquisition per destination, then one publication bump and
-// one broadcast wake the pool. The same closed-engine re-check as
-// enqueue closes the Close race.
+// enqueueBatch places tasks where their consumers will find them, under
+// one lock acquisition per destination: keyed cells into the planner's
+// prefix buckets, unkeyed tasks onto the submitting worker's own deque
+// (tail = hottest) or the global queue for outside submitters. Then one
+// publication bump and one broadcast wake the pool, starting the
+// workers on first use.
 func (e *Engine) enqueueBatch(ts []*Task, gid uint64) {
 	if len(ts) == 0 {
 		return
 	}
 	e.startOnce.Do(e.start)
-	direct := ts
-	if e.plan != nil {
-		var planned []*Task
-		direct = nil
-		for _, t := range ts {
-			if t.keyed {
-				planned = append(planned, t)
-			} else {
-				direct = append(direct, t)
-			}
-		}
-		if len(planned) > 0 {
-			e.plan.addBatch(planned)
-		}
+	// SubmitBatch passes only cells, GoBatch only unkeyed tasks.
+	if ts[0].keyed {
+		e.plan.addBatch(ts)
+	} else if w, ok := e.workerOf.Load(gid); ok {
+		e.shards[w.(int)].pushAll(ts)
+	} else {
+		e.global.pushAll(ts)
 	}
-	if len(direct) > 0 {
-		if w, ok := e.workerOf.Load(gid); ok {
-			e.shards[w.(int)].pushAll(direct)
-		} else {
-			e.global.pushAll(direct)
-		}
-	}
+	// Publication handshake: the tasks are visible in their queues
+	// before the sequence bump, and the bump happens before the sleeper
+	// check (see the package doc).
 	e.pushSeq.Add(1)
 	if e.sleepers.Load() > 0 {
 		e.idleMu.Lock()
-		e.cond.Broadcast()
+		if len(ts) == 1 {
+			e.cond.Signal()
+		} else {
+			e.cond.Broadcast()
+		}
 		e.idleMu.Unlock()
 	}
+	// A Close that raced this submission may have drained the queues
+	// before our push became visible to it; re-checking here closes the
+	// window — whichever side runs second sees the other's write and
+	// fails the tasks instead of stranding them.
 	if e.closed.Load() {
 		e.failPending()
 	}

@@ -26,9 +26,6 @@ func TestDedupFoldsEquivalenceClasses(t *testing.T) {
 	e := New(2)
 	defer e.Close()
 	e.SetCanonicalizer(foldConfig)
-	if !e.DedupEnabled() {
-		t.Fatal("dedup should default on")
-	}
 
 	var runs atomic.Int64
 	fn := func() (any, error) {
@@ -80,19 +77,16 @@ func TestDedupFoldsEquivalenceClasses(t *testing.T) {
 	}
 }
 
-// TestDedupOffKeepsCanonicalSeeds: with dedup disabled every display
-// key runs its own simulation, but fault seeds still derive from the
-// canonical key — the property that makes -dedup an output-identical
-// ablation rather than a behaviour change.
+// TestDedupOffKeepsCanonicalSeeds: in the no-dedup reference mode
+// every display key runs its own simulation, but fault seeds still
+// derive from the canonical key — the property that makes folding a
+// class onto one simulation output-identical rather than a behaviour
+// change.
 func TestDedupOffKeepsCanonicalSeeds(t *testing.T) {
-	SetDedupDefault(false)
-	defer SetDedupDefault(true)
 	e := New(2)
 	defer e.Close()
+	e.noDedup = true
 	e.SetCanonicalizer(foldConfig)
-	if e.DedupEnabled() {
-		t.Fatal("dedup should be off")
-	}
 
 	var runs atomic.Int64
 	fn := func() (any, error) {
@@ -137,11 +131,12 @@ func TestDedupErrorsPropagateToFollowers(t *testing.T) {
 	}
 }
 
-// TestPlanOffMatchesPlanOn: the planner is a scheduling policy, not a
-// semantics change — a batch of interdependent cells completes with
-// identical values either way, including Waits issued from inside
-// cells (the helping path must reach planner buckets or deadlock).
-func TestPlanOffMatchesPlanOn(t *testing.T) {
+// TestPlannerServesNestedWaits: every keyed cell goes through the
+// planner's prefix buckets, so a Wait issued from inside a cell must be
+// able to help through them — at -jobs 1 the only worker is the waiter,
+// and a bucket it cannot reach deadlocks the pool. Interdependent cells
+// must complete with the same values at every worker count.
+func TestPlannerServesNestedWaits(t *testing.T) {
 	run := func(t *testing.T, e *Engine) map[int]uint64 {
 		t.Helper()
 		defer e.Close()
@@ -172,19 +167,11 @@ func TestPlanOffMatchesPlanOn(t *testing.T) {
 		return out
 	}
 
-	withPlan := run(t, New(4))
-
-	SetPlanDefault(false)
-	defer SetPlanDefault(true)
-	e := New(4)
-	if e.PlanEnabled() {
-		t.Fatal("plan should be off")
-	}
-	withoutPlan := run(t, e)
-
-	for i, v := range withPlan {
-		if withoutPlan[i] != v {
-			t.Errorf("cell %d: plan=on %d, plan=off %d", i, v, withoutPlan[i])
+	serial := run(t, New(1))
+	parallel := run(t, New(4))
+	for i := 0; i < 32; i++ {
+		if want := uint64(i) * 3; serial[i] != want || parallel[i] != want {
+			t.Errorf("cell %d: jobs=1 %d, jobs=4 %d, want %d", i, serial[i], parallel[i], want)
 		}
 	}
 }

@@ -35,10 +35,10 @@
 // receive the class result when it completes. Hit/miss totals stay
 // display-keyed (a display key's first sight is a miss even when it
 // folds onto an existing class), so rendered cache notes are identical
-// whether dedup is on or off; ClassHits counts the folds. When a
-// canonicalizer is installed the cell's fault seed and second-level
-// store key are the canonical key in BOTH dedup modes, so output and
-// persisted state are byte-identical across the dedup ablation.
+// to those of an engine that simulates every display key; ClassHits
+// counts the folds. When a canonicalizer is installed the cell's fault
+// seed and second-level store key are the canonical key, so a folded
+// cell's value is exactly the one it would have simulated itself.
 //
 // # Scheduling
 //
@@ -56,17 +56,15 @@
 //     global injection queue — its own shard — for submissions from
 //     non-worker goroutines. Submission, dequeue and memo lookup never
 //     serialize on a pool-wide lock.
-//   - With the sweep planner on (the default; see SetPlanDefault),
-//     keyed cells are not pushed to deques at all but topologically
-//     bucketed by their warmup prefix — (workload, uarch), the part of
-//     the key that decides which checkpoint snapshots, pooled cores and
-//     assembled programs a cell can reuse. Each worker claims one
+//   - Keyed cells are not pushed to deques at all but bucketed by the
+//     sweep planner by their warmup prefix — (workload, uarch), the
+//     part of the key that decides which checkpoint snapshots, pooled
+//     cores and assembled programs a cell can reuse. Each worker claims one
 //     bucket and drains it before claiming the next, so cells sharing a
 //     prefix run back-to-back and PR 7's checkpointed warmup stays hot
 //     even on million-cell grids. Helping waits may steal from any
-//     bucket (claimed or not), so the liveness argument below is
-//     unchanged; cell purity makes the output byte-identical across
-//     plan on/off.
+//     bucket (claimed or not), so the liveness argument below holds
+//     for planned cells too.
 //   - Idle workers park on a condition variable. Publication uses a
 //     store-buffer-proof handshake: a parking worker registers as a
 //     sleeper and then re-checks the push sequence counter; a submitter
@@ -115,7 +113,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"spectrebench/internal/cpu"
 	"spectrebench/internal/faultinject"
 	"spectrebench/internal/gls"
 	"spectrebench/internal/simscope"
@@ -150,25 +147,6 @@ type SecondLevel interface {
 // It must be pure and total — called on the Submit path for every first
 // sight of a display key.
 type Canonicalizer func(Key) Key
-
-// noPlanDefault / noDedupDefault invert the package defaults so the
-// zero value means "enabled": engines constructed by New bucket cells
-// by warmup prefix and fold canonical equivalence classes unless the
-// CLI ablation flags turned either off before construction.
-var (
-	noPlanDefault  atomic.Bool
-	noDedupDefault atomic.Bool
-)
-
-// SetPlanDefault controls whether engines constructed from now on use
-// the prefix-locality sweep planner (default on). The CLI's -plan flag
-// calls this while parsing flags, before any engine exists.
-func SetPlanDefault(on bool) { noPlanDefault.Store(!on) }
-
-// SetDedupDefault controls whether engines constructed from now on fold
-// canonical equivalence classes onto shared executions (default on; a
-// no-op until a Canonicalizer is installed). The -dedup ablation flag.
-func SetDedupDefault(on bool) { noDedupDefault.Store(!on) }
 
 // Key identifies one simulation cell. Two Submits with equal Keys share
 // one execution; every field therefore must capture everything the
@@ -322,12 +300,6 @@ type shard struct {
 	tasks []*Task
 }
 
-func (s *shard) push(t *Task) {
-	s.mu.Lock()
-	s.tasks = append(s.tasks, t)
-	s.mu.Unlock()
-}
-
 // popTail removes the newest task (owner side, LIFO).
 func (s *shard) popTail() *Task {
 	s.mu.Lock()
@@ -397,29 +369,10 @@ func newPlanner(jobs int) *planner {
 	}
 }
 
-// add enqueues a keyed task into its prefix bucket, making the bucket
-// claimable if no worker is already draining it.
-func (p *planner) add(t *Task) {
-	prefix := t.key.Workload + "\x00" + t.key.Uarch
-	p.mu.Lock()
-	b := p.buckets[prefix]
-	if b == nil {
-		b = &pbucket{claimedBy: -1}
-		p.buckets[prefix] = b
-		p.order = append(p.order, b)
-	}
-	b.tasks = append(b.tasks, t)
-	if !b.queued && b.claimedBy < 0 {
-		b.queued = true
-		p.queue = append(p.queue, b)
-	}
-	p.mu.Unlock()
-}
-
-// addBatch enqueues a whole slice of keyed tasks under one lock
-// acquisition, bucketing each by its prefix exactly as add does. The
-// batch submission path uses it so a grid slice becomes one planner
-// unit instead of len(ts) lock round-trips.
+// addBatch enqueues a slice of keyed tasks under one lock acquisition,
+// each into its prefix bucket, making a bucket claimable if no worker
+// is already draining it. A grid slice is thereby one planner unit
+// instead of len(ts) lock round-trips.
 func (p *planner) addBatch(ts []*Task) {
 	p.mu.Lock()
 	for _, t := range ts {
@@ -503,22 +456,25 @@ type Engine struct {
 	jobs int
 
 	cache         sync.Map // display Key -> *Task
-	classes       sync.Map // canonical Key -> *Task (dedup on + canonicalizer set)
+	classes       sync.Map // canonical Key -> *Task (canonicalizer set)
 	hits, misses  atomic.Uint64
 	classHits     atomic.Uint64 // display first-sights folded onto an existing class
 	slHits        atomic.Uint64 // class executions replayed from the second level
-	inlineFanouts atomic.Uint64 // class hits resolved inline at submit time (SubmitBatch)
-	batchedCells  atomic.Uint64 // cells that entered through SubmitBatch
-	dedup         bool          // fixed at construction (SetDedupDefault)
+	inlineFanouts atomic.Uint64 // class hits resolved inline at submit time
+
+	// noDedup is the reference mode of the dedup tests in this package:
+	// every display key simulates on its own, though still under its
+	// canonical identity. Production engines leave it false.
+	noDedup bool
 
 	// canon is the optional display→canonical key mapping (atomic.Value
 	// of canonBox). Install with SetCanonicalizer before the first
 	// Submit.
 	canon atomic.Value
 
-	shards   []shard  // per-worker deques
-	global   shard    // injection queue for non-worker submitters
-	plan     *planner // prefix-locality cell buckets, nil when -plan=off
+	shards   []shard  // per-worker deques (unkeyed tasks)
+	global   shard    // injection queue for unkeyed tasks of non-worker submitters
+	plan     *planner // prefix-locality buckets of keyed cells
 	workerOf sync.Map // goroutine ID -> worker index
 
 	// second is the optional second-level cell cache (atomic.Value of
@@ -547,10 +503,7 @@ func New(n int) *Engine {
 	e := &Engine{
 		jobs:   n,
 		shards: make([]shard, n),
-		dedup:  !noDedupDefault.Load(),
-	}
-	if !noPlanDefault.Load() {
-		e.plan = newPlanner(n)
+		plan:   newPlanner(n),
 	}
 	e.cond = sync.NewCond(&e.idleMu)
 	return e
@@ -584,8 +537,7 @@ type canonBox struct{ fn Canonicalizer }
 // SetCanonicalizer installs fn as the engine's display→canonical key
 // mapping. Call before the first Submit; keys already resolved through
 // the memo are not re-folded. Installing a canonicalizer switches cell
-// fault seeds and second-level keys to the canonical key (in both dedup
-// modes, so the dedup ablation cannot change a single output byte).
+// fault seeds and second-level keys to the canonical key.
 func (e *Engine) SetCanonicalizer(fn Canonicalizer) {
 	e.canon.Store(canonBox{fn})
 }
@@ -597,13 +549,6 @@ func (e *Engine) canonicalizer() Canonicalizer {
 	}
 	return nil
 }
-
-// DedupEnabled reports whether this engine folds equivalence classes.
-func (e *Engine) DedupEnabled() bool { return e.dedup }
-
-// PlanEnabled reports whether this engine buckets cells by warmup
-// prefix.
-func (e *Engine) PlanEnabled() bool { return e.plan != nil }
 
 // Stats returns the cache hit and miss totals: misses is the number of
 // distinct cells simulated, hits the number of Submits served from the
@@ -621,7 +566,7 @@ type StatsDetail struct {
 	// first sights of a display key.
 	Hits, Misses uint64
 	// ClassHits counts display first-sights folded onto an already
-	// scheduled equivalence class (dedup on + canonicalizer installed).
+	// scheduled equivalence class (canonicalizer installed).
 	ClassHits uint64
 	// SecondLevelHits counts class executions replayed from the
 	// second-level store instead of simulated.
@@ -632,27 +577,20 @@ type StatsDetail struct {
 	// Simulated is the number of cells actually executed on the pool
 	// (Classes - SecondLevelHits).
 	Simulated uint64
-	// InlineFanouts counts class hits resolved inline at SubmitBatch
+	// InlineFanouts counts class hits resolved inline at submission
 	// time — the display key received a finished class's value during
 	// submission instead of taking a task/park/wake round-trip. A subset
 	// of ClassHits; scheduling-dependent (how many classes are already
 	// finished when their followers are submitted varies with timing),
 	// so it is reported on stderr//statsz only, never in output.
 	InlineFanouts uint64
-	// BatchedCells counts cells that entered through SubmitBatch rather
-	// than per-cell Submit.
-	BatchedCells uint64
 }
 
 // String renders the breakdown as the one-line summary `run all -v`
 // and gridbench print to stderr.
 func (d StatsDetail) String() string {
-	s := fmt.Sprintf("cell cache: %d hits, %d misses; %d class hits, %d store hits, %d of %d classes simulated",
-		d.Hits, d.Misses, d.ClassHits, d.SecondLevelHits, d.Simulated, d.Classes)
-	if d.BatchedCells > 0 {
-		s += fmt.Sprintf("; %d batched cells, %d inline fanouts", d.BatchedCells, d.InlineFanouts)
-	}
-	return s
+	return fmt.Sprintf("cell cache: %d hits, %d misses; %d class hits, %d store hits, %d of %d classes simulated; %d inline fanouts",
+		d.Hits, d.Misses, d.ClassHits, d.SecondLevelHits, d.Simulated, d.Classes, d.InlineFanouts)
 }
 
 // StatsDetail returns the full cache breakdown (Stats plus dedup-class
@@ -664,7 +602,6 @@ func (e *Engine) StatsDetail() StatsDetail {
 		ClassHits:       e.classHits.Load(),
 		SecondLevelHits: e.slHits.Load(),
 		InlineFanouts:   e.inlineFanouts.Load(),
-		BatchedCells:    e.batchedCells.Load(),
 	}
 	d.Classes = d.Misses - d.ClassHits
 	d.Simulated = d.Classes - d.SecondLevelHits
@@ -686,83 +623,23 @@ func (d StatsDetail) Sub(prev StatsDetail) StatsDetail {
 		Classes:         d.Classes - prev.Classes,
 		Simulated:       d.Simulated - prev.Simulated,
 		InlineFanouts:   d.InlineFanouts - prev.InlineFanouts,
-		BatchedCells:    d.BatchedCells - prev.BatchedCells,
 	}
 }
 
 // Submit schedules the cell identified by key, or returns the existing
 // task when the key was already submitted. fn must be pure with respect
-// to key. The cell's fault seed, activation snapshot and cycle budget
-// are fixed here, at submission time, from the submitter's scope.
+// to key. A memo hit — every Submit of a warm engine — is answered by
+// one lock-free lookup, counted exactly as SubmitBatch counts it;
+// anything else is a one-cell SubmitBatch, so both share one submission
+// path and one counter contract. The cell's fault seed, activation
+// snapshot and cycle budget are fixed at submission time, from the
+// submitter's scope.
 func (e *Engine) Submit(key Key, fn func() (any, error)) *Task {
 	if v, ok := e.cache.Load(key); ok {
 		e.hits.Add(1)
 		return v.(*Task)
 	}
-	if e.closed.Load() {
-		return e.closedTask("cell " + key.String())
-	}
-	gid := gls.ID()
-	parent := simscope.CurrentG(gid)
-	// With a canonicalizer installed, the cell's identity — fault seed,
-	// second-level key, profile labels — is its canonical key in BOTH
-	// dedup modes, so folding classes cannot change one output byte.
-	ckey := key
-	cz := e.canonicalizer()
-	if cz != nil {
-		ckey = cz(key)
-	}
-	sc := &simscope.Scope{FaultSeed: ckey.Hash()}
-	if parent != nil {
-		sc.Fault = parent.Fault
-		sc.Budget, sc.HasBudget = parent.Budget, parent.HasBudget
-		sc.Tag = parent.Tag
-	} else {
-		// Unmanaged submitter (an experiment invoked directly): capture
-		// the globals the scope would otherwise shadow.
-		sc.Fault = faultinject.Snapshot()
-		sc.Budget, sc.HasBudget = cpu.DefaultCycleBudget(), true
-	}
-	t := &Task{eng: e, key: ckey, keyed: true, fn: fn, scope: sc, done: make(chan struct{})}
-	if v, loaded := e.cache.LoadOrStore(key, t); loaded {
-		// Another submitter raced us to the same key; its task is the
-		// cell. The scope built above is discarded — it was derived from
-		// the canonical key and the same batch-wide activation/budget,
-		// so which racer wins is unobservable.
-		e.hits.Add(1)
-		return v.(*Task)
-	}
-	// First sight of this display key: always a miss, even when it
-	// folds onto an existing class below — the memo statistics stay a
-	// function of the submitted key multiset alone.
-	e.misses.Add(1)
-	if e.dedup && cz != nil {
-		if v, loaded := e.classes.LoadOrStore(ckey, t); loaded {
-			// The class is already scheduled (or done): this display key
-			// becomes a follower of the class task and never runs.
-			e.classHits.Add(1)
-			v.(*Task).follow(t)
-			return t
-		}
-	}
-	// Second-level (store) lookup, keyed canonically. A hit completes
-	// the task in place — value and simulated-cycle cost replayed
-	// exactly as a fresh run would have produced them — without ever
-	// scheduling it. The hit still counts as a first-level miss (see
-	// above), so rendered output is byte-identical between cold and
-	// warm stores; the store keeps its own hit counters for
-	// operational telemetry.
-	if sl := e.secondLevel(); sl != nil {
-		if val, cycles, ok := sl.Get(ckey); ok {
-			e.slHits.Add(1)
-			t.val, t.cycles = val, cycles
-			t.scope.Release()
-			t.finish()
-			return t
-		}
-	}
-	e.enqueue(t, gid)
-	return t
+	return e.SubmitBatch([]BatchCell{{Key: key, Fn: fn}})[0]
 }
 
 // closedTask returns a pre-completed task carrying ErrClosed.
@@ -775,46 +652,10 @@ func (e *Engine) closedTask(label string) *Task {
 // Go schedules an unkeyed task (no memoization) that runs under the
 // submitter's current scope — the building block for fanning one
 // experiment's per-model work across workers while cycle charges and
-// fault attribution keep flowing to the experiment.
+// fault attribution keep flowing to the experiment. It is a one-task
+// GoBatch.
 func (e *Engine) Go(label string, fn func() (any, error)) *Task {
-	if e.closed.Load() {
-		return e.closedTask(label)
-	}
-	gid := gls.ID()
-	t := &Task{eng: e, label: label, fn: fn, scope: simscope.CurrentG(gid), done: make(chan struct{})}
-	e.enqueue(t, gid)
-	return t
-}
-
-// enqueue places t where its consumer will find it — the planner's
-// prefix bucket for keyed cells when planning is on, else the
-// submitting worker's own deque (tail = hottest) or the global queue
-// for outside submitters — starting the workers on first use and waking
-// a parked worker if there is one.
-func (e *Engine) enqueue(t *Task, gid uint64) {
-	e.startOnce.Do(e.start)
-	if e.plan != nil && t.keyed {
-		e.plan.add(t)
-	} else if w, ok := e.workerOf.Load(gid); ok {
-		e.shards[w.(int)].push(t)
-	} else {
-		e.global.push(t)
-	}
-	// Publication handshake: the task is visible in its queue before the
-	// sequence bump, and the bump happens before the sleeper check.
-	e.pushSeq.Add(1)
-	if e.sleepers.Load() > 0 {
-		e.idleMu.Lock()
-		e.cond.Signal()
-		e.idleMu.Unlock()
-	}
-	// A Close that raced this submission may have drained the queues
-	// before our push became visible to it; re-checking here closes the
-	// window — whichever side runs second sees the other's write and
-	// fails the task instead of stranding it.
-	if e.closed.Load() {
-		e.failPending()
-	}
+	return e.GoBatch([]BatchGo{{Label: label, Fn: fn}})[0]
 }
 
 func (e *Engine) start() {
@@ -831,10 +672,8 @@ func (e *Engine) dequeue(w int) *Task {
 	if t := e.shards[w].popTail(); t != nil {
 		return t
 	}
-	if e.plan != nil {
-		if t := e.plan.next(w); t != nil {
-			return t
-		}
+	if t := e.plan.next(w); t != nil {
+		return t
 	}
 	if t := e.global.popHead(); t != nil {
 		return t
@@ -844,12 +683,7 @@ func (e *Engine) dequeue(w int) *Task {
 			return t
 		}
 	}
-	if e.plan != nil {
-		if t := e.plan.steal(); t != nil {
-			return t
-		}
-	}
-	return nil
+	return e.plan.steal()
 }
 
 func (e *Engine) worker(idx int) {
@@ -1019,10 +853,8 @@ func (e *Engine) failPending() {
 			fail(t)
 		}
 	}
-	if e.plan != nil {
-		for _, t := range e.plan.drain() {
-			fail(t)
-		}
+	for _, t := range e.plan.drain() {
+		fail(t)
 	}
 }
 

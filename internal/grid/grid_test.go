@@ -95,20 +95,24 @@ func TestCanonicalizerPassesForeignKeysThrough(t *testing.T) {
 }
 
 // TestEndToEndDedupMatchesNoDedup runs a small grid prefix through two
-// engines — dedup on and off — and requires identical per-cell values:
-// the ablation byte-identity contract at unit-test scale.
+// engines — one folding cells onto their canonical classes, one with no
+// canonicalizer installed, so every display key simulates on its own —
+// and requires identical per-cell values. Without fault injection the
+// cell seeds play no part, so the two must agree exactly.
 func TestEndToEndDedupMatchesNoDedup(t *testing.T) {
 	cells := Cells(24, 0)
-	run := func(e *engine.Engine) []float64 {
+	run := func(canon engine.Canonicalizer) []float64 {
+		e := engine.New(2)
 		defer e.Close()
-		e.SetCanonicalizer(Canonicalizer(cells))
-		var tasks []*engine.Task
-		for _, c := range cells {
-			c := c
-			tasks = append(tasks, e.Submit(c.Display, c.Run))
+		if canon != nil {
+			e.SetCanonicalizer(canon)
 		}
-		out := make([]float64, len(tasks))
-		for i, tk := range tasks {
+		bcells := make([]engine.BatchCell, len(cells))
+		for i, c := range cells {
+			bcells[i] = engine.BatchCell{Key: c.Display, Fn: c.Run}
+		}
+		out := make([]float64, len(cells))
+		for i, tk := range e.SubmitBatch(bcells) {
 			v, err := tk.Wait()
 			if err != nil {
 				t.Fatalf("cell %d: %v", i, err)
@@ -118,13 +122,9 @@ func TestEndToEndDedupMatchesNoDedup(t *testing.T) {
 		return out
 	}
 
-	deduped := run(engine.New(2))
-
-	engine.SetDedupDefault(false)
-	defer engine.SetDedupDefault(true)
-	plain := run(engine.New(2))
-
+	deduped := run(Canonicalizer(cells))
+	plain := run(nil)
 	if !reflect.DeepEqual(deduped, plain) {
-		t.Fatalf("dedup on/off diverge:\n  on:  %v\n  off: %v", deduped, plain)
+		t.Fatalf("deduped and per-display-key runs diverge:\n  deduped: %v\n  plain:   %v", deduped, plain)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"spectrebench/internal/checkpoint"
-	"spectrebench/internal/cpu"
 	"spectrebench/internal/engine"
 )
 
@@ -19,49 +18,43 @@ func renderBatchCSV(t *testing.T, exps []Experiment, jobs int, faults bool) stri
 	return RenderResults(SuperviseAll(exps, cfg), true, eng)
 }
 
-// TestCheckpointMatrixDeterminism is PR7's hard constraint in test form:
-// rendered output and CSV records are byte-identical across -checkpoint
-// on/off × -superblock on/off × -jobs × fault injection on/off. A cell
-// forked from a checkpointed image (shared stub programs, COW page-table
-// templates, reused JIT compiles) must be indistinguishable from a cell
-// simulated cold — including every fault-injection draw, which is why
-// the faults=true arm exists.
+// TestCheckpointMatrixDeterminism pins checkpointed warmup: rendered
+// output and CSV records are byte-identical across -jobs × a cold or
+// warm checkpoint registry × fault injection on/off. A cell forked
+// from a checkpointed image (shared stub programs, COW page-table
+// templates, reused JIT compiles) and run through chained superblocks
+// must be indistinguishable from the cell that built the image —
+// including every fault-injection draw, which is why the faults=true
+// arm exists.
 func TestCheckpointMatrixDeterminism(t *testing.T) {
 	if testing.Short() {
-		t.Skip("ablation matrix batch runs are slow")
+		t.Skip("matrix batch runs are slow")
 	}
 	exps := lookupAll(t, []string{"table3", "fig3", "whatif-v1hw"})
-
-	prevCP := checkpoint.SetDefault(true)
-	prevSB := cpu.DefaultSuperblock()
-	defer func() {
-		checkpoint.SetDefault(prevCP)
-		cpu.SetDefaultSuperblock(prevSB)
-		checkpoint.Clear()
-	}()
+	defer checkpoint.Clear()
 
 	for _, faults := range []bool{false, true} {
-		checkpoint.SetDefault(true)
-		cpu.SetDefaultSuperblock(true)
-		checkpoint.Clear() // reference batch starts from a cold registry
+		checkpoint.Clear() // the reference batch starts from a cold registry
 		want := renderBatch(t, exps, 1, faults)
+		checkpoint.Clear()
 		wantCSV := renderBatchCSV(t, exps, 1, faults)
 		for _, jobs := range []int{1, 4} {
-			for _, cp := range []bool{true, false} {
-				for _, sb := range []bool{true, false} {
-					if jobs == 1 && cp && sb {
-						continue // the reference configuration itself
-					}
-					checkpoint.SetDefault(cp)
-					cpu.SetDefaultSuperblock(sb)
+			for _, registry := range []string{"cold", "warm"} {
+				if jobs == 1 && registry == "cold" {
+					continue // the reference configuration itself
+				}
+				name := fmt.Sprintf("jobs=%d/registry=%s/faults=%v", jobs, registry, faults)
+				if registry == "cold" {
 					checkpoint.Clear()
-					name := fmt.Sprintf("jobs=%d/checkpoint=%v/superblock=%v/faults=%v", jobs, cp, sb, faults)
-					if got := renderBatch(t, exps, jobs, faults); got != want {
-						t.Errorf("%s output differs from the all-on reference\n--- want ---\n%s\n--- got ---\n%s", name, want, got)
-					}
-					if got := renderBatchCSV(t, exps, jobs, faults); got != wantCSV {
-						t.Errorf("%s CSV differs from the all-on reference\n--- want ---\n%s\n--- got ---\n%s", name, wantCSV, got)
-					}
+				}
+				if got := renderBatch(t, exps, jobs, faults); got != want {
+					t.Errorf("%s output differs from the cold jobs=1 reference\n--- want ---\n%s\n--- got ---\n%s", name, want, got)
+				}
+				if registry == "cold" {
+					checkpoint.Clear()
+				}
+				if got := renderBatchCSV(t, exps, jobs, faults); got != wantCSV {
+					t.Errorf("%s CSV differs from the cold jobs=1 reference\n--- want ---\n%s\n--- got ---\n%s", name, wantCSV, got)
 				}
 			}
 		}
@@ -80,12 +73,7 @@ func TestCheckpointWarmRegistryDeterminism(t *testing.T) {
 	}
 	exps := lookupAll(t, []string{"table3", "fig3"})
 
-	prev := checkpoint.SetDefault(true)
-	defer func() {
-		checkpoint.SetDefault(prev)
-		checkpoint.Clear()
-	}()
-
+	defer checkpoint.Clear()
 	checkpoint.Clear()
 	cold := renderBatch(t, exps, 1, true)
 	h0, _ := checkpoint.Stats()
@@ -100,18 +88,14 @@ func TestCheckpointWarmRegistryDeterminism(t *testing.T) {
 }
 
 // TestCheckpointRegistryServesForks sanity-checks coverage inside one
-// batch: a multi-cell experiment list under -checkpoint on must fork at
-// least some state from the registry rather than building every cell
-// cold — otherwise the matrix above proves nothing about forked cells.
+// batch: a multi-cell experiment list must fork at least some state
+// from the registry rather than building every cell cold — otherwise
+// the golden-output tests prove nothing about forked cells.
 func TestCheckpointRegistryServesForks(t *testing.T) {
 	if testing.Short() {
 		t.Skip("batch run is slow")
 	}
-	prev := checkpoint.SetDefault(true)
-	defer func() {
-		checkpoint.SetDefault(prev)
-		checkpoint.Clear()
-	}()
+	defer checkpoint.Clear()
 	checkpoint.Clear()
 
 	eng := engine.New(1)

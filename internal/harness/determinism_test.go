@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"testing"
 
-	"spectrebench/internal/cpu"
 	"spectrebench/internal/engine"
 )
 
@@ -77,64 +76,51 @@ func TestParallelDeterminismWithFaults(t *testing.T) {
 	}
 }
 
-// TestAblationMatrixDeterminism is PR4's hard constraint in test form:
-// the rendered output is byte-identical across the full ablation matrix
-// — every -jobs value × core pooling on/off × fault injection on/off.
-// Core reuse (reinit instead of reconstruct) and the sharded scheduler
-// must both be invisible in the output.
+// TestAblationMatrixDeterminism pins the scaling layer: the rendered
+// output is byte-identical across -jobs 1, 4 and 8 × fault injection
+// on/off. Every core comes from the per-uarch pool (reinit instead of
+// reconstruct) and cells run on the sharded scheduler, so a core
+// recycled on another worker, in another order, must be invisible in
+// the output.
 func TestAblationMatrixDeterminism(t *testing.T) {
 	if testing.Short() {
-		t.Skip("ablation matrix batch runs are slow")
+		t.Skip("matrix batch runs are slow")
 	}
 	exps := lookupAll(t, []string{"table3", "fig3", "whatif-v1hw", "lebench-detail"})
 
-	prev := cpu.DefaultCorePool()
-	defer cpu.SetDefaultCorePool(prev)
-
 	for _, faults := range []bool{false, true} {
-		cpu.SetDefaultCorePool(true)
 		want := renderBatch(t, exps, 1, faults)
-		for _, jobs := range []int{1, 4, 8} {
-			for _, pool := range []bool{true, false} {
-				if jobs == 1 && pool {
-					continue // the reference configuration itself
-				}
-				cpu.SetDefaultCorePool(pool)
-				name := fmt.Sprintf("jobs=%d/corepool=%v/faults=%v", jobs, pool, faults)
-				if got := renderBatch(t, exps, jobs, faults); got != want {
-					t.Errorf("%s output differs from jobs=1/corepool=on\n--- want ---\n%s\n--- got ---\n%s", name, want, got)
-				}
+		for _, jobs := range []int{4, 8} {
+			name := fmt.Sprintf("jobs=%d/faults=%v", jobs, faults)
+			if got := renderBatch(t, exps, jobs, faults); got != want {
+				t.Errorf("%s output differs from jobs=1\n--- want ---\n%s\n--- got ---\n%s", name, want, got)
 			}
 		}
 	}
 }
 
-// TestMemFastMatrixDeterminism is PR5's hard constraint in test form:
-// the rendered output is byte-identical across -memfast on/off × -jobs
-// × fault injection on/off. Epoch-stamped flushes, MRU way hints, and
-// the translation/page caches are host-side accelerators and must be
-// invisible in the output.
+// TestMemFastMatrixDeterminism pins the memory-path caches: the
+// rendered output is byte-identical across -jobs × fault injection
+// on/off, and across a batch run a second time on cores recycled from
+// the first. Recycled cores carry epoch-stamped cache and TLB state,
+// MRU way hints and translation caches through reinit; none of it may
+// leak into a simulated cycle or a fault-injection draw.
 func TestMemFastMatrixDeterminism(t *testing.T) {
 	if testing.Short() {
-		t.Skip("ablation matrix batch runs are slow")
+		t.Skip("matrix batch runs are slow")
 	}
 	exps := lookupAll(t, []string{"table3", "fig3", "whatif-v1hw"})
 
-	prev := cpu.DefaultMemFast()
-	defer cpu.SetDefaultMemFast(prev)
-
 	for _, faults := range []bool{false, true} {
-		cpu.SetDefaultMemFast(true)
 		want := renderBatch(t, exps, 1, faults)
 		for _, jobs := range []int{1, 4} {
-			for _, fast := range []bool{true, false} {
-				if jobs == 1 && fast {
-					continue // the reference configuration itself
+			for _, run := range []string{"first", "recycled"} {
+				if jobs == 1 && run == "first" {
+					continue // the reference batch itself
 				}
-				cpu.SetDefaultMemFast(fast)
-				name := fmt.Sprintf("jobs=%d/memfast=%v/faults=%v", jobs, fast, faults)
+				name := fmt.Sprintf("jobs=%d/%s/faults=%v", jobs, run, faults)
 				if got := renderBatch(t, exps, jobs, faults); got != want {
-					t.Errorf("%s output differs from jobs=1/memfast=on\n--- want ---\n%s\n--- got ---\n%s", name, want, got)
+					t.Errorf("%s output differs from jobs=1\n--- want ---\n%s\n--- got ---\n%s", name, want, got)
 				}
 			}
 		}

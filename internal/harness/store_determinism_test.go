@@ -25,15 +25,15 @@ func renderBatchStore(t *testing.T, exps []Experiment, dir string, faults bool) 
 	return out, st.Stats()
 }
 
-// TestStoreReplayByteIdentical extends the ablation-matrix guarantee to
-// the persistent store: the rendered output of a batch must be
+// TestStoreReplayByteIdentical extends the determinism guarantee to the
+// persistent store: the rendered output of a batch must be
 // byte-identical with no store, with a cold store (every cell
 // simulated and persisted), and with a warm store (every persistable
 // cell replayed from disk). The store may change only where the bytes
 // come from — never what they are.
 func TestStoreReplayByteIdentical(t *testing.T) {
 	if testing.Short() {
-		t.Skip("store ablation batch runs are slow")
+		t.Skip("store batch runs are slow")
 	}
 	exps := lookupAll(t, []string{"table3", "fig3", "whatif-v1hw"})
 

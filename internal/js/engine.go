@@ -72,14 +72,12 @@ func compileSource(src string, jsMit Mitigations) *compiled {
 
 // Run parses, JIT-compiles, and executes src, returning the run result.
 // The parse+JIT product is a pure function of (source, JIT mitigations),
-// so under checkpointed warmup it is compiled once per distinct pair and
-// reused by every cell that runs the same source.
+// so it is compiled once per distinct pair (a checkpoint) and reused by
+// every cell that runs the same source.
 func (e *Engine) Run(src string, maxSteps int) (*Result, error) {
 	key := fmt.Sprintf("js/compile|%+v|", e.jsMit) + src
-	if v, ok := checkpoint.Get(key, func() any { return compileSource(src, e.jsMit) }); ok {
-		return e.runCompiled(v.(*compiled), maxSteps)
-	}
-	return e.runCompiled(compileSource(src, e.jsMit), maxSteps)
+	v := checkpoint.Get(key, func() any { return compileSource(src, e.jsMit) })
+	return e.runCompiled(v.(*compiled), maxSteps)
 }
 
 // RunProgram JIT-compiles and executes an already-parsed (or

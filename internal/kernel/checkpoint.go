@@ -37,9 +37,9 @@ func mitKey(mit Mitigations) string { return mit.CanonicalKey() }
 
 // loadStubs installs the entry/exit stub program and entry points,
 // reusing the frozen image when a kernel with the same mitigation set
-// has booted before and assembling from scratch otherwise.
+// has booted before and assembling it on a scratch kernel otherwise.
 func (k *Kernel) loadStubs() {
-	v, ok := checkpoint.Get("kernel/stubs|"+mitKey(k.Mit), func() any {
+	v := checkpoint.Get("kernel/stubs|"+mitKey(k.Mit), func() any {
 		// Build on a scratch kernel: buildStubs reads only k.Mit and
 		// layout constants, so the builder needs no core.
 		b := &Kernel{Mit: k.Mit}
@@ -50,10 +50,6 @@ func (k *Kernel) loadStubs() {
 			kcallPC: b.kcallPC, kfuncPC: b.kfuncPC,
 		}
 	})
-	if !ok {
-		k.buildStubs()
-		return
-	}
 	img := v.(*stubImage)
 	k.stubs = img.stubs
 	k.entryPC, k.exitPC = img.entryPC, img.exitPC
@@ -72,10 +68,10 @@ type procImage struct {
 // (PTI, codePages, pid, regions): every mapping is derived from layout
 // constants, the pid-keyed physical window, and the region list, so the
 // same key always freezes the same entries.
-func (k *Kernel) procTableImage(pid, codePages int, extra []Region) (*procImage, bool) {
+func (k *Kernel) procTableImage(pid, codePages int, extra []Region) *procImage {
 	key := fmt.Sprintf("kernel/proctab|pti=%t|code=%d|pid=%d|regions=%+v",
 		k.Mit.PTI, codePages, pid, extra)
-	v, ok := checkpoint.Get(key, func() any {
+	v := checkpoint.Get(key, func() any {
 		reg := mem.NewRegistry()
 		kpt := reg.NewTable(0)
 		var upt *mem.PageTable
@@ -89,8 +85,5 @@ func (k *Kernel) procTableImage(pid, codePages int, extra []Region) (*procImage,
 		}
 		return img
 	})
-	if !ok {
-		return nil, false
-	}
-	return v.(*procImage), true
+	return v.(*procImage)
 }

@@ -272,30 +272,15 @@ func (k *Kernel) NewProcessWithRegions(name string, prog *isa.Program, extra []R
 		mmapNext: UserMmapBase,
 	}
 	// Page tables. The mappings are a pure function of (PTI, codePages,
-	// pid), so under checkpointed warmup they are forked from a frozen
-	// template instead of being repopulated entry by entry; the cold
-	// path below builds the identical tables in place.
-	physBase := uint64(pid) << 32
+	// pid), so they are forked from a frozen template instead of being
+	// repopulated entry by entry.
 	codePages := int(prog.SizeBytes()/mem.PageSize) + 1
-	if img, ok := k.procTableImage(pid, codePages, extra); ok {
-		p.KPT = k.C.PTs.NewTableFrom(img.kpt, kpcid)
-		if k.Mit.PTI {
-			p.UPT = k.C.PTs.NewTableFrom(img.upt, upcid)
-		} else {
-			p.UPT = p.KPT
-		}
+	img := k.procTableImage(pid, codePages, extra)
+	p.KPT = k.C.PTs.NewTableFrom(img.kpt, kpcid)
+	if k.Mit.PTI {
+		p.UPT = k.C.PTs.NewTableFrom(img.upt, upcid)
 	} else {
-		p.KPT = k.C.PTs.NewTable(kpcid)
-		var upt *mem.PageTable
-		if k.Mit.PTI {
-			upt = k.C.PTs.NewTable(upcid)
-		}
-		k.populateProcTables(p.KPT, upt, physBase, codePages, extra)
-		if upt != nil {
-			p.UPT = upt
-		} else {
-			p.UPT = p.KPT
-		}
+		p.UPT = p.KPT
 	}
 
 	// FPU save area in kernel data space.

@@ -7,23 +7,7 @@ package mem
 import (
 	"encoding/binary"
 	"fmt"
-	"sync/atomic"
 )
-
-// fastOff is inverted so the zero value means the fast path is on.
-var fastOff atomic.Bool
-
-// SetFastPath enables or disables the last-page pointer cache for
-// subsequently constructed Phys instances, returning the previous
-// setting. The cache is purely host-side — pages are never removed from
-// a Phys, so a cached page pointer can never go stale — and exists
-// behind a switch only so the -memfast ablation exercises the reference
-// map-lookup path.
-func SetFastPath(on bool) (prev bool) { return !fastOff.Swap(!on) }
-
-// FastPath reports whether the fast path is enabled for new Phys
-// instances.
-func FastPath() bool { return !fastOff.Load() }
 
 // PageSize is the architectural page size.
 const PageSize = 4096
@@ -61,17 +45,20 @@ type Phys struct {
 	lastPg   *[PageSize]byte
 	lastBPPN uint64
 	lastBPg  *[PageSize]byte
-	fast     bool
+	// uncached selects the reference implementation: every access
+	// resolves its page through the maps. Only this package's
+	// differential tests set it.
+	uncached bool
 }
 
 // NewPhys returns empty physical memory.
 func NewPhys() *Phys {
-	return &Phys{pages: make(map[uint64]*[PageSize]byte), fast: FastPath()}
+	return &Phys{pages: make(map[uint64]*[PageSize]byte)}
 }
 
 func (p *Phys) page(pa uint64) *[PageSize]byte {
 	ppn := pa >> PageShift
-	if p.fast && p.lastPg != nil && p.lastPPN == ppn {
+	if !p.uncached && p.lastPg != nil && p.lastPPN == ppn {
 		return p.lastPg
 	}
 	pg, ok := p.pages[ppn]
@@ -87,7 +74,7 @@ func (p *Phys) page(pa uint64) *[PageSize]byte {
 		}
 		p.pages[ppn] = pg
 	}
-	if p.fast {
+	if !p.uncached {
 		p.lastPPN, p.lastPg = ppn, pg
 	}
 	return pg
@@ -100,11 +87,11 @@ func (p *Phys) page(pa uint64) *[PageSize]byte {
 // (reads of never-written pages) that returns zero anyway.
 func (p *Phys) lookup(pa uint64) (*[PageSize]byte, bool) {
 	ppn := pa >> PageShift
-	if p.fast && p.lastPg != nil && p.lastPPN == ppn {
+	if !p.uncached && p.lastPg != nil && p.lastPPN == ppn {
 		return p.lastPg, true
 	}
 	if pg, ok := p.pages[ppn]; ok {
-		if p.fast {
+		if !p.uncached {
 			p.lastPPN, p.lastPg = ppn, pg
 		}
 		return pg, ok
@@ -112,11 +99,11 @@ func (p *Phys) lookup(pa uint64) (*[PageSize]byte, bool) {
 	if p.base != nil {
 		// The private layer missed, so a base hit cannot be shadowed;
 		// page() invalidates this cache when it privatises a page.
-		if p.fast && p.lastBPg != nil && p.lastBPPN == ppn {
+		if !p.uncached && p.lastBPg != nil && p.lastBPPN == ppn {
 			return p.lastBPg, true
 		}
 		if pg, ok := p.base[ppn]; ok {
-			if p.fast {
+			if !p.uncached {
 				p.lastBPPN, p.lastBPg = ppn, pg
 			}
 			return pg, true

@@ -49,7 +49,7 @@ func (p *Phys) Snapshot() *PhysImage {
 // into the fork (copy-on-write), so a fork costs one map allocation
 // regardless of image size.
 func NewPhysFrom(img *PhysImage) *Phys {
-	return &Phys{pages: make(map[uint64]*[PageSize]byte), base: img.pages, fast: FastPath()}
+	return &Phys{pages: make(map[uint64]*[PageSize]byte), base: img.pages}
 }
 
 // PTImage is an immutable snapshot of a page table's mappings. Safe to

@@ -10,7 +10,7 @@
 //     kernel.Defaults + BootParams.Apply to an effective Mitigations
 //     value; combos with equal effective sets are one equivalence class
 //     and one simulation. This is grid.Fold, the same fold grid.Cells
-//     and so the sweep's -dedup path use: classes are found by the
+//     and so every sweep use: classes are found by the
 //     packed Mitigations.Index and named by kernel.CanonicalKey, so
 //     optimizer cells share memo and store entries with gridbench
 //     sweeps.
@@ -241,11 +241,12 @@ type Options struct {
 	Uarchs []*model.CPU
 	// Combos restricts the lattice to the first n combos per uarch
 	// (default/0: the full grid.CombosPerUarch) — the reduced-lattice
-	// hook the equivalence tests and CI ablation use.
+	// hook the equivalence tests use.
 	Combos int
-	// Prune disables dominance pruning when false — the exhaustive
-	// baseline the ablation compares against. NOTE: the zero value
-	// means brute force; callers normally set Prune: true.
+	// Prune enables dominance pruning; false is the exhaustive
+	// baseline the equivalence tests compare against. NOTE: the zero
+	// value means brute force; the CLI and the server always set
+	// Prune: true.
 	Prune bool
 	// Seed is stamped into cell keys (nonzero only under fault
 	// injection), keeping fault-run cells distinct in memo and store.

@@ -40,9 +40,6 @@ type OptimizeRequest struct {
 	// Combos restricts the lattice to the first n combos per uarch
 	// (0 = full; negative is rejected).
 	Combos int `json:"combos,omitempty"`
-	// Prune disables dominance pruning when set to false (ablation).
-	// Nil means pruning on.
-	Prune *bool `json:"prune,omitempty"`
 	// Seed/Faults mirror the CLI flags.
 	Seed   uint64 `json:"seed,omitempty"`
 	Faults bool   `json:"faults,omitempty"`
@@ -118,7 +115,7 @@ func (o *optCounters) snapshot() *OptimizeStats {
 
 // resolveOptimize maps an OptimizeRequest onto search options.
 func resolveOptimize(req OptimizeRequest) (optimize.Options, error) {
-	opts := optimize.Options{Combos: req.Combos, Prune: req.Prune == nil || *req.Prune}
+	opts := optimize.Options{Combos: req.Combos, Prune: true}
 	if req.Combos < 0 {
 		return opts, fmt.Errorf("combos must be 0 (full lattice) or positive, got %d", req.Combos)
 	}
@@ -195,8 +192,8 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 
 	s.accepted.Add(1)
 	admitted = true
-	s.logf("server: optimize admitted: require=%s workloads=%d uarchs=%d prune=%v faults=%v timeout=%s",
-		strings.Join(attacks.IDs(opts.Require), ","), len(opts.Workloads), len(opts.Uarchs), opts.Prune, req.Faults, timeout)
+	s.logf("server: optimize admitted: require=%s workloads=%d uarchs=%d faults=%v timeout=%s",
+		strings.Join(attacks.IDs(opts.Require), ","), len(opts.Workloads), len(opts.Uarchs), req.Faults, timeout)
 
 	type outcome struct {
 		res *optimize.Result

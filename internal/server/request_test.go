@@ -101,13 +101,12 @@ func FuzzSweepRequest(f *testing.F) {
 //
 //	go test -fuzz=FuzzOptimizeRequest ./internal/server
 func FuzzOptimizeRequest(f *testing.F) {
-	noPrune := false
 	for _, b := range requestSeeds(
 		OptimizeRequest{Uarchs: []string{"Skylake Client", "Zen 2"}, Combos: 336},
 		OptimizeRequest{Require: "no-such-attack"},
 		OptimizeRequest{Combos: 21, Uarchs: []string{"Zen 2"}},
 		OptimizeRequest{Uarchs: []string{"Zen 2"}, Combos: 336, Faults: true, Seed: 20260808},
-		OptimizeRequest{Require: "all", Workloads: []string{"grid/vm/lfs/smallfile", "getpid"}, Prune: &noPrune, TimeoutMs: 50},
+		OptimizeRequest{Require: "all", Workloads: []string{"grid/vm/lfs/smallfile", "getpid"}, TimeoutMs: 50},
 		OptimizeRequest{Combos: -1},
 	) {
 		f.Add(b)

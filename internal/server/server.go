@@ -141,8 +141,6 @@ type StoreStats struct {
 	Quarantined      uint64 `json:"quarantined"`
 	TmpSwept         int    `json:"tmpSwept"`
 	Segments         int    `json:"segments"`
-	Migrated         int    `json:"migrated"`
-	MigratedV2       int    `json:"migratedV2"`
 	ManifestSegments int    `json:"manifestSegments"`
 	TornTail         int    `json:"tornTail"`
 	DeadRecords      int    `json:"deadRecords"`
@@ -165,7 +163,6 @@ type EngineStats struct {
 	Classes         uint64 `json:"classes"`
 	Simulated       uint64 `json:"simulated"`
 	InlineFanouts   uint64 `json:"inlineFanouts"`
-	BatchedCells    uint64 `json:"batchedCells"`
 }
 
 // ServerStats reports sweep admission outcomes.
@@ -273,7 +270,6 @@ func (s *Server) Stats() StatsSnapshot {
 		Classes:         d.Classes,
 		Simulated:       d.Simulated,
 		InlineFanouts:   d.InlineFanouts,
-		BatchedCells:    d.BatchedCells,
 	}
 	if s.cfg.Store != nil {
 		st := s.cfg.Store.Stats()
@@ -286,8 +282,6 @@ func (s *Server) Stats() StatsSnapshot {
 			Quarantined:      st.Quarantined,
 			TmpSwept:         st.TmpSwept,
 			Segments:         st.Segments,
-			Migrated:         st.Migrated,
-			MigratedV2:       st.MigratedV2,
 			ManifestSegments: st.ManifestSegments,
 			TornTail:         st.TornTail,
 			DeadRecords:      st.DeadRecords,

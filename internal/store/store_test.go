@@ -1,12 +1,9 @@
 package store
 
 import (
-	"bytes"
-	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -61,14 +58,10 @@ func recordOffsets(t *testing.T, path string) [][2]int {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parse := parseRecord
-	if len(data) >= 4 && string(data[:4]) == string(magicV3[:]) {
-		parse = parseRecordV3
-	}
 	var out [][2]int
 	off := 0
 	for off < len(data) {
-		_, _, _, n, err := parse(data, off)
+		_, _, _, n, err := parseRecordV3(data, off)
 		if err != nil {
 			t.Fatalf("%s: record at %d: %v", path, off, err)
 		}
@@ -582,168 +575,4 @@ func killHelperMain(dir string) {
 	for i := 0; ; i++ {
 		s.Put(killKey(i), killVal(i), uint64(i))
 	}
-}
-
-// ---- v1 migration coverage ----
-
-// writeV1Entry builds a v1 (file-per-entry) cell file byte-for-byte the
-// way PR 6's store did: SBC1 magic, CRC32, payload length, then
-// gob(key) gob(cycles) gob(value), under cells/<hash>.cell.
-func writeV1Entry(t *testing.T, dir string, key engine.Key, val any, cycles uint64) string {
-	t.Helper()
-	var payload bytes.Buffer
-	enc := gob.NewEncoder(&payload)
-	if err := enc.Encode(&key); err != nil {
-		t.Fatal(err)
-	}
-	if err := enc.Encode(cycles); err != nil {
-		t.Fatal(err)
-	}
-	if err := enc.Encode(&val); err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, headerLen+payload.Len())
-	copy(buf, magicV1[:])
-	binary.BigEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(payload.Bytes()))
-	binary.BigEndian.PutUint32(buf[8:12], uint32(payload.Len()))
-	copy(buf[headerLen:], payload.Bytes())
-
-	cells := filepath.Join(dir, cellsDirName)
-	if err := os.MkdirAll(cells, 0o777); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(cells, fmt.Sprintf("%016x%s", key.Hash(), cellExt))
-	if err := os.WriteFile(path, buf, 0o666); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
-
-// TestMigrationFromV1 opens a v1 file-per-entry directory with the
-// segmented store: every valid entry must survive into the segment
-// logs, damaged entries must quarantine exactly as v1 recovery did,
-// temp debris is swept, and the cells/ directory is gone afterwards.
-func TestMigrationFromV1(t *testing.T) {
-	dir := t.TempDir()
-	const n = 6
-	vals := map[int]any{
-		0: float64(0.5),
-		1: []string{"a", "b"},
-		2: structVal{Name: "m", Xs: []float64{9}},
-		3: float64(3.5),
-		4: float64(4.5),
-		5: float64(5.5),
-	}
-	files := make([]string, n)
-	for i := 0; i < n; i++ {
-		files[i] = writeV1Entry(t, dir, testKey(i), vals[i], uint64(10+i))
-	}
-	// Damage entry 1 (bit flip) and entry 4 (truncation); leave an
-	// abandoned v1 put temporary.
-	raw, err := os.ReadFile(files[1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw[len(raw)-1] ^= 0x40
-	if err := os.WriteFile(files[1], raw, 0o666); err != nil {
-		t.Fatal(err)
-	}
-	fi, err := os.Stat(files[4])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Truncate(files[4], fi.Size()/2); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, cellsDirName, "put-7-1.tmp"), []byte("partial"), 0o666); err != nil {
-		t.Fatal(err)
-	}
-	damaged := map[int]bool{1: true, 4: true}
-
-	s := openT(t, dir)
-	st := s.Stats()
-	if st.Migrated != n-len(damaged) {
-		t.Errorf("migrated=%d, want %d", st.Migrated, n-len(damaged))
-	}
-	if st.Quarantined != uint64(len(damaged)) {
-		t.Errorf("quarantined=%d, want %d", st.Quarantined, len(damaged))
-	}
-	if st.TmpSwept != 1 {
-		t.Errorf("tmpSwept=%d, want 1", st.TmpSwept)
-	}
-	if s.Len() != n-len(damaged) {
-		t.Errorf("Len=%d, want %d", s.Len(), n-len(damaged))
-	}
-	for i := 0; i < n; i++ {
-		val, cycles, ok := s.Get(testKey(i))
-		if damaged[i] {
-			if ok {
-				t.Errorf("key %d: served despite v1 damage", i)
-			}
-			continue
-		}
-		if !ok {
-			t.Errorf("key %d: lost in migration", i)
-			continue
-		}
-		if !reflect.DeepEqual(val, vals[i]) || cycles != uint64(10+i) {
-			t.Errorf("key %d: got (%#v, %d), want (%#v, %d)", i, val, cycles, vals[i], 10+i)
-		}
-	}
-	// The old layout is gone; the damaged originals are preserved in
-	// quarantine/ for inspection.
-	if _, err := os.Stat(filepath.Join(dir, cellsDirName)); !os.IsNotExist(err) {
-		t.Errorf("cells/ still present after migration")
-	}
-	qents, err := os.ReadDir(filepath.Join(dir, quarantineName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(qents) != len(damaged) {
-		t.Errorf("quarantine/ holds %d files, want %d", len(qents), len(damaged))
-	}
-	s.Close()
-}
-
-// TestMigrationIsIdempotent: a second open after migration finds a pure
-// v2 layout — nothing re-migrated, nothing re-quarantined, every entry
-// still served. It also covers the crash-mid-migration case: an entry
-// present in both a segment and a leftover v1 file is recognised and
-// the file simply removed.
-func TestMigrationIsIdempotent(t *testing.T) {
-	dir := t.TempDir()
-	const n = 4
-	for i := 0; i < n; i++ {
-		writeV1Entry(t, dir, testKey(i), float64(i), uint64(i))
-	}
-	s := openT(t, dir)
-	if s.Stats().Migrated != n {
-		t.Fatalf("migrated=%d, want %d", s.Stats().Migrated, n)
-	}
-	s.Close()
-
-	// Simulate a crash between a migration append and the v1 remove: a
-	// v1 file re-appears for an already-migrated key.
-	writeV1Entry(t, dir, testKey(0), float64(0), 0)
-
-	s2 := openT(t, dir)
-	st := s2.Stats()
-	if st.Migrated != 0 {
-		t.Errorf("second open migrated=%d, want 0", st.Migrated)
-	}
-	if st.Quarantined != 0 || st.TornTail != 0 {
-		t.Errorf("second open quarantined=%d tornTail=%d, want 0/0", st.Quarantined, st.TornTail)
-	}
-	if s2.Len() != n {
-		t.Errorf("Len=%d, want %d", s2.Len(), n)
-	}
-	for i := 0; i < n; i++ {
-		if val, cycles, ok := s2.Get(testKey(i)); !ok || val != float64(i) || cycles != uint64(i) {
-			t.Errorf("key %d: got (%v, %d, %v), want (%v, %d, true)", i, val, cycles, ok, float64(i), i)
-		}
-	}
-	if _, err := os.Stat(filepath.Join(dir, cellsDirName)); !os.IsNotExist(err) {
-		t.Errorf("cells/ still present after second open")
-	}
-	s2.Close()
 }

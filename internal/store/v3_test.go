@@ -1,7 +1,6 @@
 package store
 
 import (
-	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -11,15 +10,6 @@ import (
 
 	"spectrebench/internal/engine"
 )
-
-func openCodec(t *testing.T, dir, codec string) *Store {
-	t.Helper()
-	s, err := Open(dir, Options{NoSync: true, Logf: t.Logf, Codec: codec})
-	if err != nil {
-		t.Fatalf("Open(%s, codec=%s): %v", dir, codec, err)
-	}
-	return s
-}
 
 // TestV3RecordValueCodecs pins the fast-path layout: a float64 cell is
 // stored as 8 raw bytes (vcodecFloat64), anything else as a
@@ -55,151 +45,6 @@ func TestV3RecordValueCodecs(t *testing.T) {
 	v, _, ok := s2.Get(testKey(1))
 	if !ok || !reflect.DeepEqual(v, structVal{Name: "s", Xs: []float64{1, 2}}) {
 		t.Errorf("struct cell: got (%#v, %v)", v, ok)
-	}
-}
-
-// TestMigrationFromV2KeepsQuarantines: opening a v2 directory with the
-// default codec migrates every intact record into v3 segments, and a
-// record damaged in the v2 log is quarantined by the migration scan
-// exactly as a plain v2 open would have done — the span lands in
-// quarantine/ and the key is gone, not silently resurrected.
-func TestMigrationFromV2KeepsQuarantines(t *testing.T) {
-	dir := t.TempDir()
-	const n = 6
-	s := openCodec(t, dir, CodecV2)
-	for i := 0; i < n; i++ {
-		s.Put(testKey(i), float64(i)+0.5, uint64(100+i))
-	}
-	s.Close()
-
-	// Flip a byte inside the third record's payload.
-	seg := segFiles(t, dir)[0]
-	offs := recordOffsets(t, seg)
-	if len(offs) != n {
-		t.Fatalf("v2 segment holds %d records, want %d", len(offs), n)
-	}
-	data, err := os.ReadFile(seg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[offs[2][0]+headerLen+3] ^= 0x01
-	if err := os.WriteFile(seg, data, 0o666); err != nil {
-		t.Fatal(err)
-	}
-
-	s2 := openT(t, dir) // default codec: migrates
-	st := s2.Stats()
-	if st.MigratedV2 != n-1 {
-		t.Errorf("migratedV2=%d, want %d", st.MigratedV2, n-1)
-	}
-	if st.Quarantined != 1 {
-		t.Errorf("quarantined=%d, want 1", st.Quarantined)
-	}
-	if s2.Len() != n-1 {
-		t.Errorf("Len=%d, want %d", s2.Len(), n-1)
-	}
-	for i := 0; i < n; i++ {
-		v, c, ok := s2.Get(testKey(i))
-		if i == 2 {
-			if ok {
-				t.Errorf("key 2: served despite v2 damage")
-			}
-			continue
-		}
-		if !ok || v != float64(i)+0.5 || c != uint64(100+i) {
-			t.Errorf("key %d: got (%v, %d, %v), want (%v, %d, true)", i, v, c, ok, float64(i)+0.5, 100+i)
-		}
-	}
-	// The rebuilt segments carry the v3 magic, and the damaged bytes
-	// survive in quarantine/ for inspection.
-	for _, p := range segFiles(t, dir) {
-		head := make([]byte, 4)
-		f, err := os.Open(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		f.Read(head)
-		f.Close()
-		if string(head) != string(magicV3[:]) {
-			t.Errorf("%s starts with %q after migration, want %q", p, head, magicV3)
-		}
-	}
-	qents, err := os.ReadDir(filepath.Join(dir, quarantineName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(qents) != 1 {
-		t.Errorf("quarantine/ holds %d files, want 1", len(qents))
-	}
-	s2.Close()
-}
-
-// TestMigrationFromV2IsIdempotent: the open after a migration finds a
-// pure v3 layout — nothing re-migrated, nothing re-quarantined, every
-// entry still served, no v2 debris left behind.
-func TestMigrationFromV2IsIdempotent(t *testing.T) {
-	dir := t.TempDir()
-	const n = 5
-	s := openCodec(t, dir, CodecV2)
-	for i := 0; i < n; i++ {
-		s.Put(testKey(i), float64(i), uint64(i))
-	}
-	s.Close()
-
-	s2 := openT(t, dir)
-	if got := s2.Stats().MigratedV2; got != n {
-		t.Fatalf("first open migratedV2=%d, want %d", got, n)
-	}
-	s2.Close()
-
-	s3 := openT(t, dir)
-	defer s3.Close()
-	st := s3.Stats()
-	if st.MigratedV2 != 0 {
-		t.Errorf("second open migratedV2=%d, want 0 (no-op)", st.MigratedV2)
-	}
-	if st.Quarantined != 0 || st.TornTail != 0 {
-		t.Errorf("second open quarantined=%d tornTail=%d, want 0/0", st.Quarantined, st.TornTail)
-	}
-	if s3.Len() != n {
-		t.Errorf("Len=%d, want %d", s3.Len(), n)
-	}
-	for i := 0; i < n; i++ {
-		if v, c, ok := s3.Get(testKey(i)); !ok || v != float64(i) || c != uint64(i) {
-			t.Errorf("key %d: got (%v, %d, %v)", i, v, c, ok)
-		}
-	}
-	if _, err := os.Stat(filepath.Join(dir, segsDirName+".v2old")); !os.IsNotExist(err) {
-		t.Errorf("segments.v2old still present after migration")
-	}
-}
-
-// TestMixedSegmentsRejected: a directory holding both v2 and v3 segment
-// logs is ambiguous — Open refuses it with ErrMixedSegments instead of
-// guessing which half to trust.
-func TestMixedSegmentsRejected(t *testing.T) {
-	dir := t.TempDir()
-	s := openCodec(t, dir, CodecV2)
-	s.Put(testKey(0), 1.0, 1)
-	s.Close()
-	rogue := filepath.Join(dir, segsDirName, segPrefix+"000099"+segExt)
-	if err := os.WriteFile(rogue, magicV3[:], 0o666); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Open(dir, Options{NoSync: true}); !errors.Is(err, ErrMixedSegments) {
-		t.Errorf("Open(mixed dir) = %v, want ErrMixedSegments", err)
-	}
-}
-
-// TestCodecMismatchRejected: the legacy v2 codec never migrates and
-// refuses a directory already rebuilt as v3.
-func TestCodecMismatchRejected(t *testing.T) {
-	dir := t.TempDir()
-	s := openT(t, dir)
-	s.Put(testKey(0), 1.0, 1)
-	s.Close()
-	if _, err := Open(dir, Options{NoSync: true, Codec: CodecV2}); !errors.Is(err, ErrCodecMismatch) {
-		t.Errorf("Open(v3 dir, codec=v2) = %v, want ErrCodecMismatch", err)
 	}
 }
 

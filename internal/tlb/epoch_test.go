@@ -5,28 +5,31 @@ import (
 	"testing"
 )
 
-// withFastPath runs f under both fast-path settings as subtests,
-// restoring the package flag afterwards. Epoch-bump and eager-clear
-// flushes must be observationally identical.
-func withFastPath(t *testing.T, f func(t *testing.T)) {
+// withModes runs f once per implementation as subtests: "fast"
+// (epoch-bump flushes) and "eager" (the reference). The two must be
+// observationally identical.
+func withModes(t *testing.T, f func(t *testing.T, eager bool)) {
 	for _, mode := range []struct {
-		name string
-		on   bool
-	}{{"fast", true}, {"eager", false}} {
-		t.Run(mode.name, func(t *testing.T) {
-			prev := SetFastPath(mode.on)
-			defer SetFastPath(prev)
-			f(t)
-		})
+		name  string
+		eager bool
+	}{{"fast", false}, {"eager", true}} {
+		t.Run(mode.name, func(t *testing.T) { f(t, mode.eager) })
 	}
+}
+
+// newMode returns a TLB running the given implementation.
+func newMode(sets, ways int, eager bool) *TLB {
+	t := New(sets, ways)
+	t.eager = eager
+	return t
 }
 
 // TestEpochFlushAllObservability: after FlushAll every entry — global
 // or not — must be dead to Lookup and Valid, and inserts must reclaim
 // the dead ways.
 func TestEpochFlushAllObservability(t *testing.T) {
-	withFastPath(t, func(t *testing.T) {
-		tl := New(4, 2)
+	withModes(t, func(t *testing.T, eager bool) {
+		tl := newMode(4, 2, eager)
 		tl.Insert(1, 1, pte(0x1000, false))
 		tl.Insert(2, 2, pte(0x2000, true))
 		tl.FlushAll()
@@ -50,8 +53,8 @@ func TestEpochFlushAllObservability(t *testing.T) {
 // kill exactly the non-global entries, leaving globals live — the PCID
 // economics of §5.1 depend on this distinction.
 func TestEpochFlushNonGlobalSparesGlobals(t *testing.T) {
-	withFastPath(t, func(t *testing.T) {
-		tl := New(4, 2)
+	withModes(t, func(t *testing.T, eager bool) {
+		tl := newMode(4, 2, eager)
 		tl.Insert(1, 1, pte(0x1000, false))
 		tl.Insert(2, 1, pte(0x2000, true))
 		tl.Insert(3, 2, pte(0x3000, false))
@@ -88,8 +91,8 @@ func TestEpochFlushNonGlobalSparesGlobals(t *testing.T) {
 // resurrected or double-counted by a later targeted flush, and a
 // same-PCID entry inserted after the bump must still be flushable.
 func TestEpochFlushPCIDOnEpochDeadEntries(t *testing.T) {
-	withFastPath(t, func(t *testing.T) {
-		tl := New(4, 2)
+	withModes(t, func(t *testing.T, eager bool) {
+		tl := newMode(4, 2, eager)
 		tl.Insert(1, 3, pte(0x1000, false))
 		tl.FlushAll()
 		tl.FlushPCID(3) // entry already epoch-dead; must be a no-op
@@ -112,8 +115,8 @@ func TestEpochFlushPCIDOnEpochDeadEntries(t *testing.T) {
 // state — no live entries, zero statistics — and the next insert/lookup
 // sequence must behave exactly as on a new TLB.
 func TestEpochResetObservability(t *testing.T) {
-	withFastPath(t, func(t *testing.T) {
-		tl := New(4, 2)
+	withModes(t, func(t *testing.T, eager bool) {
+		tl := newMode(4, 2, eager)
 		tl.Insert(1, 1, pte(0x1000, false))
 		tl.Insert(2, 1, pte(0x2000, true))
 		tl.Lookup(1, 1)
@@ -126,7 +129,7 @@ func TestEpochResetObservability(t *testing.T) {
 		if tl.Hits != 0 || tl.Misses != 0 || tl.Flushes != 0 {
 			t.Fatalf("stats after Reset = %d/%d/%d, want zeros", tl.Hits, tl.Misses, tl.Flushes)
 		}
-		fresh := New(4, 2)
+		fresh := newMode(4, 2, eager)
 		for _, step := range []struct {
 			vpn  uint64
 			pcid uint16
@@ -144,9 +147,9 @@ func TestEpochResetObservability(t *testing.T) {
 // TLB in exactly the state a second Lookup would — same PTE, same hit
 // count, and the same LRU consequences for later evictions.
 func TestRehitMatchesLookup(t *testing.T) {
-	withFastPath(t, func(t *testing.T) {
+	withModes(t, func(t *testing.T, eager bool) {
 		mk := func() *TLB {
-			tl := New(1, 2)
+			tl := newMode(1, 2, eager)
 			tl.Insert(10, 1, pte(0xa000, false))
 			tl.Insert(20, 1, pte(0xb000, false))
 			return tl
@@ -224,22 +227,12 @@ type tlbObs struct {
 // TestEpochDifferentialFuzz drives random interleavings of Insert,
 // Lookup, all four flushes and Reset through an epoch-stamped and an
 // eager-clear TLB and requires identical observations: every lookup
-// outcome and PTE, Hits/Misses/Flushes, and Valid. Resets on the fast
-// instance flip the package flag at random so mixed histories are
-// covered.
+// outcome and PTE, Hits/Misses/Flushes, and Valid.
 func TestEpochDifferentialFuzz(t *testing.T) {
-	prev := FastPath()
-	defer SetFastPath(prev)
-
-	mk := func(fast bool) *TLB {
-		SetFastPath(fast)
-		return New(4, 2)
-	}
 	for seed := int64(1); seed <= 20; seed++ {
 		r := rand.New(rand.NewSource(seed))
-		ref := mk(false)
-		fast := mk(true)
-		fastMode := true
+		ref := newMode(4, 2, true)
+		fast := newMode(4, 2, false)
 		apply := func(tl *TLB, k int, vpn uint64, pcid uint16, global bool) tlbObs {
 			switch k {
 			case 0:
@@ -281,12 +274,7 @@ func TestEpochDifferentialFuzz(t *testing.T) {
 			default:
 				k = 6 // reset
 			}
-			if k == 6 {
-				fastMode = r.Intn(2) == 0
-			}
-			SetFastPath(false)
 			refObs := apply(ref, k, vpn, pcid, global)
-			SetFastPath(fastMode)
 			fastObs := apply(fast, k, vpn, pcid, global)
 			if refObs != fastObs {
 				t.Fatalf("seed %d step %d: op %d (vpn %d pcid %d global %v): eager %+v fast %+v",

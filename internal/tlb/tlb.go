@@ -8,8 +8,7 @@
 //
 // # Memory-path fast path
 //
-// Like internal/cache, the TLB supports epoch-stamped invalidation
-// behind the package-level fast-path switch (see SetFastPath): each
+// Like internal/cache, the TLB uses epoch-stamped invalidation: each
 // entry records the validity epochs it was inserted under, and the two
 // bulk flushes become O(1) epoch bumps. Two epochs are needed because
 // the TLB has two bulk-invalidation granularities: FlushAll kills
@@ -28,22 +27,7 @@
 // still the first match the scan would find.
 package tlb
 
-import (
-	"sync/atomic"
-
-	"spectrebench/internal/mem"
-)
-
-// fastOff is inverted so the zero value means the fast path is on.
-var fastOff atomic.Bool
-
-// SetFastPath enables or disables epoch-bump flushes for subsequently
-// constructed or Reset TLBs, returning the previous setting. Both modes
-// produce byte-identical simulated state.
-func SetFastPath(on bool) (prev bool) { return !fastOff.Swap(!on) }
-
-// FastPath reports whether the fast path is enabled for new TLBs.
-func FastPath() bool { return !fastOff.Load() }
+import "spectrebench/internal/mem"
 
 // Entry is a cached translation.
 type Entry struct {
@@ -59,11 +43,14 @@ type Entry struct {
 
 // TLB is a set-associative translation cache.
 type TLB struct {
-	sets  int
-	ways  int
-	mask  uint64 // sets-1 when sets is a power of two, else 0 with pow2 false
-	pow2  bool
-	fast  bool // captured from FastPath at New/Reset
+	sets int
+	ways int
+	mask uint64 // sets-1 when sets is a power of two, else 0 with pow2 false
+	pow2 bool
+	// eager selects the reference implementation: bulk flushes clear
+	// valid bits in place. Only this package's differential tests set
+	// it.
+	eager bool
 	lines []Entry
 	clock uint64
 
@@ -72,8 +59,7 @@ type TLB struct {
 	// only for non-global entries. An entry is live iff
 	//   valid && epoch matches && (global || ngEpoch matches).
 	// The eager path clears valid bits instead; the predicate holds in
-	// both modes, so mixed histories (flag flips between Resets) are
-	// safe.
+	// both modes.
 	epoch   uint64
 	ngEpoch uint64
 
@@ -86,7 +72,7 @@ type TLB struct {
 
 // New returns a TLB with the given geometry.
 func New(sets, ways int) *TLB {
-	t := &TLB{sets: sets, ways: ways, lines: make([]Entry, sets*ways), fast: FastPath()}
+	t := &TLB{sets: sets, ways: ways, lines: make([]Entry, sets*ways)}
 	if sets > 0 && sets&(sets-1) == 0 {
 		t.mask = uint64(sets - 1)
 		t.pow2 = true
@@ -238,7 +224,7 @@ func (t *TLB) Insert(vpn uint64, pcid uint16, pte mem.PTE) {
 func (t *TLB) FlushAll() {
 	t.gen++
 	t.Flushes++
-	if t.fast {
+	if !t.eager {
 		t.epoch++
 		return
 	}
@@ -252,7 +238,7 @@ func (t *TLB) FlushAll() {
 func (t *TLB) FlushNonGlobal() {
 	t.gen++
 	t.Flushes++
-	if t.fast {
+	if !t.eager {
 		t.ngEpoch++
 		return
 	}
@@ -305,12 +291,10 @@ func (t *TLB) Valid() int {
 // (epoch bumps on the fast path, in-place zeroing otherwise), the LRU
 // clock and all statistics return to zero. Unlike FlushAll it does not
 // count as a flush — reuse is host-side recycling, not a simulated TLB
-// event. Reset re-captures the package fast-path setting so pooled
-// cores honour an ablation flip at their next checkout.
+// event.
 func (t *TLB) Reset() {
 	t.gen++
-	t.fast = FastPath()
-	if t.fast {
+	if !t.eager {
 		t.epoch++
 		t.ngEpoch++
 	} else {

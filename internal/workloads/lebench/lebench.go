@@ -121,13 +121,10 @@ type assembled struct {
 // the immutable program is shared by every machine that runs it — host
 // and guest alike.
 func benchProgram(b Benchmark) (*isa.Program, error) {
-	v, ok := checkpoint.Get("lebench/prog|"+b.Name, func() any {
+	v := checkpoint.Get("lebench/prog|"+b.Name, func() any {
 		prog, err := assembleBench(b)
 		return &assembled{prog: prog, err: err}
 	})
-	if !ok {
-		return assembleBench(b)
-	}
 	asm := v.(*assembled)
 	return asm.prog, asm.err
 }

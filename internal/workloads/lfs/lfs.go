@@ -93,13 +93,10 @@ type assembled struct {
 // format traffic included) always runs cold, because formatting charges
 // guest cycles and VM exits that appear in the measured output.
 func benchProgram(name string) (*isa.Program, error) {
-	v, ok := checkpoint.Get("lfs/prog|"+name, func() any {
+	v := checkpoint.Get("lfs/prog|"+name, func() any {
 		prog, err := buildProgram(name)
 		return &assembled{prog: prog, err: err}
 	})
-	if !ok {
-		return buildProgram(name)
-	}
 	asm := v.(*assembled)
 	return asm.prog, asm.err
 }

@@ -92,13 +92,10 @@ type assembled struct {
 // when the same kernel has run before — the emitted code depends only
 // on the benchmark name, and the program is immutable once assembled.
 func benchProgram(b *Benchmark) (*isa.Program, error) {
-	v, ok := checkpoint.Get("parsec/prog|"+b.Name, func() any {
+	v := checkpoint.Get("parsec/prog|"+b.Name, func() any {
 		prog, err := assembleBench(b)
 		return &assembled{prog: prog, err: err}
 	})
-	if !ok {
-		return assembleBench(b)
-	}
 	asm := v.(*assembled)
 	return asm.prog, asm.err
 }
