@@ -8,6 +8,9 @@
 // full-grid sweeps, where the caller holds the whole slice of cells up
 // front, SubmitBatch amortizes the toll across the slice:
 //
+//   - One memo section. The whole slice is classified — memo hit,
+//     class fold or new leader — under a single write-lock acquisition
+//     of the memo maps, presized on the first batch.
 //   - One planner unit. All leaders enqueue under a single planner lock
 //     acquisition, one push-sequence bump and one wakeup broadcast,
 //     instead of len(cells) of each.
@@ -136,6 +139,9 @@ func (e *Engine) submitBatch(cells []BatchCell, out []*Task) {
 	// duplicate-tolerant hints, so deferring them is unobservable, and a
 	// cold full-grid sweep records one per aliased cell.
 	var folds []LinkPair
+	if links != nil && cz != nil {
+		folds = make([]LinkPair, 0, len(cells))
+	}
 	gid := gls.ID()
 	parent := simscope.CurrentG(gid)
 
@@ -145,23 +151,31 @@ func (e *Engine) submitBatch(cells []BatchCell, out []*Task) {
 	// batch otherwise pays len(cells) individual allocations.
 	var leaders []*Task
 	slab := make([]Task, len(cells))
-	// inBatch tracks the class leaders created by THIS call. They are
+	var hits, misses, classHits, inline uint64
+
+	// The classification loop runs under one write-lock acquisition of
+	// the memo, so no other submitter can claim a key between its lookup
+	// and its insert. The canonicalizer is called inside it and must not
+	// re-enter the engine.
+	e.memoMu.Lock()
+	if e.cache == nil {
+		// First batch: size the memo for the whole slice (and the class
+		// map for a highly-deduped grid, ~1 class per 32 cells) instead
+		// of growing them through a dozen rehashes of string keys.
+		e.cache = make(map[Key]*Task, len(cells))
+		e.classes = make(map[Key]*Task, 16+len(cells)/32)
+	}
+	// Leaders created by THIS call carry its batch number. They are
 	// provably unscheduled until enqueueBatch at the bottom (no scope, in
 	// no queue), so their followers can share the leader's done channel —
 	// no per-follower channel allocation, no snapshot lock — and finish()
-	// is guaranteed to copy their values before its single close. A
-	// one-cell batch has no later cell to fold and needs no map.
-	var inBatch map[Key]*Task
-	if dedup && len(cells) > 1 {
-		// Sized to the expected class count of a highly-deduped grid
-		// (~1 class per 32 cells): growing a map to thousands of
-		// entries from zero costs several rehashes of string keys.
-		inBatch = make(map[Key]*Task, 16+len(cells)/32)
-	}
+	// is guaranteed to copy their values before its single close.
+	e.batchSeq++
+	batch := e.batchSeq
 	for i, c := range cells {
-		if v, ok := e.cache.Load(c.Key); ok {
-			e.hits.Add(1)
-			out[i] = v.(*Task)
+		if t, ok := e.cache[c.Key]; ok {
+			hits++
+			out[i] = t
 			continue
 		}
 		if e.closed.Load() {
@@ -172,101 +186,51 @@ func (e *Engine) submitBatch(cells []BatchCell, out []*Task) {
 		if cz != nil {
 			ckey = cz(c.Key)
 		}
+		t := &slab[i]
+		t.eng, t.key, t.keyed = e, ckey, true
+		e.cache[c.Key] = t
+		out[i] = t
+		misses++
+		if links != nil && ckey != c.Key {
+			folds = append(folds, LinkPair{Display: c.Key, Canonical: ckey})
+		}
 		if dedup {
-			if lead, ok := inBatch[ckey]; ok {
-				// Batch-local fold: the leader cannot finish before
-				// enqueueBatch, so the follower shares its done channel.
-				t := &slab[i]
-				t.eng, t.key, t.keyed, t.done = e, ckey, true, lead.done
-				if old, loaded := e.cache.LoadOrStore(c.Key, t); loaded {
-					e.hits.Add(1)
-					out[i] = old.(*Task)
-					continue
-				}
-				e.misses.Add(1)
-				e.classHits.Add(1)
-				if links != nil && ckey != c.Key {
-					folds = append(folds, LinkPair{Display: c.Key, Canonical: ckey})
-				}
-				lead.follow(t)
-				out[i] = t
-				continue
-			}
-			if v, ok := e.classes.Load(ckey); ok {
-				ct := v.(*Task)
-				if val, err, cyc, fin := ct.snapshot(); fin {
+			if ct, ok := e.classes[ckey]; ok {
+				classHits++
+				if ct.batch == batch {
+					// Batch-local fold: the leader cannot finish before
+					// enqueueBatch, so the follower shares its done channel.
+					t.done = ct.done
+					ct.follow(t)
+				} else if val, err, cyc, fin := ct.snapshot(); fin {
 					// Inline fan-out: the class already finished, so the
 					// display key's task is born complete — value copied
 					// here, done channel shared and pre-closed, no
 					// follower registration, no wakeup.
-					t := &slab[i]
-					t.eng, t.key, t.keyed = e, ckey, true
 					t.val, t.err, t.cycles, t.finished, t.done = val, err, cyc, true, closedChan
-					if old, loaded := e.cache.LoadOrStore(c.Key, t); loaded {
-						e.hits.Add(1)
-						out[i] = old.(*Task)
-						continue
-					}
-					e.misses.Add(1)
-					e.classHits.Add(1)
-					e.inlineFanouts.Add(1)
-					if links != nil && ckey != c.Key {
-						folds = append(folds, LinkPair{Display: c.Key, Canonical: ckey})
-					}
-					out[i] = t
-					continue
+					inline++
+				} else {
+					// Class scheduled by an earlier submission and still
+					// running: a conventional follower with its own
+					// channel.
+					t.done = make(chan struct{})
+					ct.follow(t)
 				}
-				// Class scheduled by an earlier submission and still
-				// running: a conventional follower with its own channel.
-				t := &slab[i]
-				t.eng, t.key, t.keyed, t.done = e, ckey, true, make(chan struct{})
-				if old, loaded := e.cache.LoadOrStore(c.Key, t); loaded {
-					e.hits.Add(1)
-					out[i] = old.(*Task)
-					continue
-				}
-				e.misses.Add(1)
-				e.classHits.Add(1)
-				if links != nil && ckey != c.Key {
-					folds = append(folds, LinkPair{Display: c.Key, Canonical: ckey})
-				}
-				ct.follow(t)
-				out[i] = t
 				continue
 			}
+			e.classes[ckey] = t
 		}
-		// First sight of the class (or dedup off): candidate leader. The
-		// scope is allocated later, only if the cell survives the store
-		// lookup and actually needs simulating.
-		t := &slab[i]
-		t.eng, t.key, t.keyed, t.fn, t.done = e, ckey, true, c.Fn, make(chan struct{})
-		if old, loaded := e.cache.LoadOrStore(c.Key, t); loaded {
-			e.hits.Add(1)
-			out[i] = old.(*Task)
-			continue
-		}
-		e.misses.Add(1)
-		if dedup {
-			if v, loaded := e.classes.LoadOrStore(ckey, t); loaded {
-				// Raced with a concurrent submitter of the same class.
-				e.classHits.Add(1)
-				if links != nil && ckey != c.Key {
-					folds = append(folds, LinkPair{Display: c.Key, Canonical: ckey})
-				}
-				v.(*Task).follow(t)
-				out[i] = t
-				continue
-			}
-			if inBatch != nil {
-				inBatch[ckey] = t
-			}
-		}
-		if links != nil && ckey != c.Key {
-			folds = append(folds, LinkPair{Display: c.Key, Canonical: ckey})
-		}
-		out[i] = t
+		// First sight of the class (or dedup off): leader. The scope is
+		// allocated later, only if the cell survives the store lookup and
+		// actually needs simulating.
+		t.fn, t.done, t.batch = c.Fn, make(chan struct{}), batch
 		leaders = append(leaders, t)
 	}
+	e.memoMu.Unlock()
+	e.hits.Add(hits)
+	e.misses.Add(misses)
+	e.classHits.Add(classHits)
+	e.inlineFanouts.Add(inline)
 
 	if len(folds) > 0 {
 		if blinks != nil {
@@ -283,8 +247,8 @@ func (e *Engine) submitBatch(cells []BatchCell, out []*Task) {
 	// simulated-cycle cost replayed exactly as a fresh run would have
 	// produced them — without ever scheduling it. It still counted as a
 	// first-level miss above, so rendered output is byte-identical
-	// between cold and warm stores. The publication via cache/classes
-	// LoadOrStore above ordered the task's fields, and finish()
+	// between cold and warm stores. The memo lock ordered the task's
+	// fields before any other submitter could see it, and finish()
 	// publishes the result to any follower that attached meanwhile.
 	if len(leaders) > 0 && sl != nil {
 		keys := make([]Key, len(leaders))

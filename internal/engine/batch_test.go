@@ -309,3 +309,138 @@ func TestSubmitBatchWarmIsAllInline(t *testing.T) {
 		t.Errorf("fresh aliases simulated %d new cells, want 0", d2.Simulated-d.Simulated)
 	}
 }
+
+// TestConcurrentSubmissionMatchesSequential hammers the memo from
+// several goroutines at once: each submits every display key of an
+// overlapping key set — some through SubmitBatch slices of varying
+// length, the rest through Submit — in its own order. Every goroutine
+// must get the same task for a display key, every class must execute
+// once (never, if the second level holds it), and the
+// Hits/Misses/ClassHits/SecondLevelHits ledger must equal that of one
+// goroutine submitting the same multiset alone.
+func TestConcurrentSubmissionMatchesSequential(t *testing.T) {
+	const (
+		goroutines = 8
+		classes    = 12
+		stored     = 3 // classes 0..stored-1 are in the second level
+	)
+	keys := make([]Key, classes*6)
+	for i := range keys {
+		keys[i] = Key{Workload: "w", Uarch: "u", Config: fmt.Sprintf("v=%d,alias=%d", i/6, i%6)}
+	}
+	classOf := func(k Key) int {
+		var c int
+		fmt.Sscanf(foldConfig(k).Config, "v=%d", &c)
+		return c
+	}
+	newSecond := func() *fakeSecond {
+		sl := newFakeSecond()
+		for _, k := range keys {
+			if c := classOf(k); c < stored {
+				sl.Put(foldConfig(k), float64(c), uint64(c))
+			}
+		}
+		return sl
+	}
+	// order returns goroutine g's submission order: a rotation and, for
+	// odd g, a reversal of the key set.
+	order := func(g int) []Key {
+		out := make([]Key, len(keys))
+		for i := range out {
+			j := (i + 7*g) % len(keys)
+			if g%2 == 1 {
+				j = len(keys) - 1 - j
+			}
+			out[i] = keys[j]
+		}
+		return out
+	}
+
+	var runs [classes]atomic.Int64
+	fnFor := func(k Key) func() (any, error) {
+		c := classOf(k)
+		return func() (any, error) {
+			runs[c].Add(1)
+			return float64(c), nil
+		}
+	}
+	// submit pushes ks through e: alternating SubmitBatch slices of
+	// 1..5 cells and single Submits.
+	submit := func(e *Engine, ks []Key) map[Key]*Task {
+		got := map[Key]*Task{}
+		for i, step := 0, 1; i < len(ks); step = step%5 + 1 {
+			if step%2 == 0 {
+				got[ks[i]] = e.Submit(ks[i], fnFor(ks[i]))
+				i++
+				continue
+			}
+			end := min(i+step, len(ks))
+			cells := make([]BatchCell, 0, end-i)
+			for _, k := range ks[i:end] {
+				cells = append(cells, BatchCell{Key: k, Fn: fnFor(k)})
+			}
+			for j, task := range e.SubmitBatch(cells) {
+				got[ks[i+j]] = task
+			}
+			i = end
+		}
+		return got
+	}
+
+	e := New(4)
+	defer e.Close()
+	e.SetCanonicalizer(foldConfig)
+	e.SetSecondLevel(newSecond())
+	results := make([]map[Key]*Task, goroutines)
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for g := range results {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			results[g] = submit(e, order(g))
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for _, k := range keys {
+		task := results[0][k]
+		for g := 1; g < goroutines; g++ {
+			if results[g][k] != task {
+				t.Fatalf("%v: goroutines 0 and %d got different tasks", k, g)
+			}
+		}
+		v, err := waitWithDeadline(t, task)
+		if err != nil || v != float64(classOf(k)) {
+			t.Fatalf("%v: (%v, %v), want its class value %d", k, v, err, classOf(k))
+		}
+	}
+	for c := range runs {
+		want := int64(1)
+		if c < stored {
+			want = 0
+		}
+		if got := runs[c].Load(); got != want {
+			t.Errorf("class %d executed %d times, want %d", c, got, want)
+		}
+	}
+
+	seq := New(1)
+	defer seq.Close()
+	seq.SetCanonicalizer(foldConfig)
+	seq.SetSecondLevel(newSecond())
+	for g := 0; g < goroutines; g++ {
+		submit(seq, order(g))
+	}
+	got, want := e.StatsDetail(), seq.StatsDetail()
+	if got.Hits != want.Hits || got.Misses != want.Misses ||
+		got.ClassHits != want.ClassHits || got.SecondLevelHits != want.SecondLevelHits {
+		t.Errorf("concurrent ledger %+v, sequential %+v", got, want)
+	}
+	if want.Misses != uint64(len(keys)) || want.Hits != uint64((goroutines-1)*len(keys)) ||
+		want.ClassHits != uint64(len(keys)-classes) || want.SecondLevelHits != stored {
+		t.Errorf("sequential ledger %+v: want %d misses, %d hits, %d class hits, %d store hits",
+			want, len(keys), (goroutines-1)*len(keys), len(keys)-classes, stored)
+	}
+}

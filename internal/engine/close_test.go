@@ -215,3 +215,39 @@ func TestSecondLevelErrorsNotPublished(t *testing.T) {
 		t.Errorf("failed cell published to second level (puts=%d)", sl.puts)
 	}
 }
+
+// slowSecond is a fakeSecond whose Put takes a while, like a store
+// append that has to wait for its writer lock or a group-commit fsync.
+type slowSecond struct{ *fakeSecond }
+
+func (s slowSecond) Put(key Key, val any, cycles uint64) {
+	time.Sleep(5 * time.Millisecond)
+	s.fakeSecond.Put(key, val, cycles)
+}
+
+// TestCellsArePublishedBeforeTheyComplete: a computed cell reaches the
+// second level before its task completes, so a caller that waits on
+// every task and then closes the store (gridbench's drain-then-close)
+// finds every cell already written.
+func TestCellsArePublishedBeforeTheyComplete(t *testing.T) {
+	sl := slowSecond{newFakeSecond()}
+	e := New(2)
+	defer e.Close()
+	e.SetSecondLevel(sl)
+	cells := make([]BatchCell, 8)
+	for i := range cells {
+		v := float64(i)
+		cells[i] = BatchCell{Key: Key{Workload: "publish", Seed: uint64(i)}, Fn: func() (any, error) { return v, nil }}
+	}
+	for _, task := range e.SubmitBatch(cells) {
+		if _, err := waitWithDeadline(t, task); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sl.mu.Lock()
+	puts := sl.puts
+	sl.mu.Unlock()
+	if puts != len(cells) {
+		t.Fatalf("only %d of %d cells published", puts, len(cells))
+	}
+}

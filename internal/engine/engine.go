@@ -19,9 +19,9 @@
 //     any worker may run any ready cell; callers gather results in
 //     canonical order via Task.Wait.
 //
-// The cache is keyed by the Key struct itself (sync.Map equality), not
-// by its hash — a hash collision therefore cannot alias two cells. The
-// hash only seeds the cell's deterministic fault-injection stream.
+// The cache is keyed by the Key struct itself (Go map equality), not by
+// its hash — a hash collision therefore cannot alias two cells. The hash
+// only seeds the cell's deterministic fault-injection stream.
 //
 // # Canonical keys and dedup classes
 //
@@ -46,16 +46,20 @@
 // workers contend on a lock unless one is actually stealing from the
 // other:
 //
-//   - The memo cache is a sync.Map consulted lock-free on the Submit
-//     fast path; a racing first submission is resolved by LoadOrStore,
-//     so exactly one task per key is ever scheduled and the hit/miss
-//     totals stay scheduling-independent.
+//   - The memo is two plain maps (display key → task, canonical key →
+//     class task) under one RWMutex. A batch classifies all its cells in
+//     one write section, so a key's lookup and insert can never
+//     interleave with another submitter's: exactly one task per key is
+//     ever scheduled and the hit/miss totals stay
+//     scheduling-independent. A Submit memo hit takes the read lock.
+//     Second-level reads, link recording and enqueueing run after the
+//     write section, outside the lock.
 //   - Each worker owns a deque under its own mutex (LIFO for the owner,
 //     to keep an experiment's freshly spawned cells hot; FIFO for
 //     thieves, to steal the oldest and largest pending work), plus a
 //     global injection queue — its own shard — for submissions from
-//     non-worker goroutines. Submission, dequeue and memo lookup never
-//     serialize on a pool-wide lock.
+//     non-worker goroutines. Dequeue never serializes on a pool-wide
+//     lock.
 //   - Keyed cells are not pushed to deques at all but bucketed by the
 //     sweep planner by their warmup prefix — (workload, uarch), the
 //     part of the key that decides which checkpoint snapshots, pooled
@@ -145,7 +149,8 @@ type SecondLevel interface {
 // equivalence class: two keys with the same canonical form are
 // guaranteed (by the caller) to denote behaviourally identical cells.
 // It must be pure and total — called on the Submit path for every first
-// sight of a display key.
+// sight of a display key, under the engine's memo lock, so it must not
+// call back into the engine.
 type Canonicalizer func(Key) Key
 
 // Key identifies one simulation cell. Two Submits with equal Keys share
@@ -234,6 +239,9 @@ type Task struct {
 	val    any
 	err    error
 	cycles uint64 // keyed tasks: simulated cycles attributed to the cell
+	// batch is the submitBatch call that made a class leader (0 for
+	// followers); guarded by the engine's memoMu.
+	batch uint64
 
 	// Followers are display-key tasks folded onto this class task; they
 	// receive the result when it completes, without a goroutine each.
@@ -450,13 +458,18 @@ func (p *planner) drain() []*Task {
 	return out
 }
 
-// Engine is a sharded work-stealing worker pool with a lock-free
-// memoizing cell cache.
+// Engine is a sharded work-stealing worker pool with a memoizing cell
+// cache.
 type Engine struct {
 	jobs int
 
-	cache         sync.Map // display Key -> *Task
-	classes       sync.Map // canonical Key -> *Task (canonicalizer set)
+	// memoMu guards the memo: cache, classes, batchSeq and every task's
+	// batch field. A batch's whole classification loop is one write
+	// section; a Submit memo hit is one read section.
+	memoMu        sync.RWMutex
+	cache         map[Key]*Task // display Key -> *Task; nil until the first batch
+	classes       map[Key]*Task // canonical Key -> *Task (dedup on)
+	batchSeq      uint64        // submitBatch calls so far
 	hits, misses  atomic.Uint64
 	classHits     atomic.Uint64 // display first-sights folded onto an existing class
 	slHits        atomic.Uint64 // class executions replayed from the second level
@@ -596,13 +609,15 @@ func (d StatsDetail) String() string {
 // StatsDetail returns the full cache breakdown (Stats plus dedup-class
 // and second-level counters).
 func (e *Engine) StatsDetail() StatsDetail {
-	d := StatsDetail{
-		Hits:            e.hits.Load(),
-		Misses:          e.misses.Load(),
-		ClassHits:       e.classHits.Load(),
-		SecondLevelHits: e.slHits.Load(),
-		InlineFanouts:   e.inlineFanouts.Load(),
-	}
+	// A submission adds its misses before its class hits, and a leader's
+	// miss before its second-level hit; loading in the reverse order
+	// keeps the derived counters from going negative mid-batch.
+	var d StatsDetail
+	d.SecondLevelHits = e.slHits.Load()
+	d.ClassHits = e.classHits.Load()
+	d.Misses = e.misses.Load()
+	d.Hits = e.hits.Load()
+	d.InlineFanouts = e.inlineFanouts.Load()
 	d.Classes = d.Misses - d.ClassHits
 	d.Simulated = d.Classes - d.SecondLevelHits
 	return d
@@ -629,15 +644,18 @@ func (d StatsDetail) Sub(prev StatsDetail) StatsDetail {
 // Submit schedules the cell identified by key, or returns the existing
 // task when the key was already submitted. fn must be pure with respect
 // to key. A memo hit — every Submit of a warm engine — is answered by
-// one lock-free lookup, counted exactly as SubmitBatch counts it;
-// anything else is a one-cell SubmitBatch, so both share one submission
-// path and one counter contract. The cell's fault seed, activation
-// snapshot and cycle budget are fixed at submission time, from the
-// submitter's scope.
+// one lookup under the memo's read lock, counted exactly as SubmitBatch
+// counts it; anything else is a one-cell SubmitBatch, so both share one
+// submission path and one counter contract. The cell's fault seed,
+// activation snapshot and cycle budget are fixed at submission time,
+// from the submitter's scope.
 func (e *Engine) Submit(key Key, fn func() (any, error)) *Task {
-	if v, ok := e.cache.Load(key); ok {
+	e.memoMu.RLock()
+	t, ok := e.cache[key]
+	e.memoMu.RUnlock()
+	if ok {
 		e.hits.Add(1)
-		return v.(*Task)
+		return t
 	}
 	return e.SubmitBatch([]BatchCell{{Key: key, Fn: fn}})[0]
 }
@@ -752,12 +770,9 @@ func (e *Engine) run(t *Task, gid uint64) {
 	restore()
 	if t.keyed {
 		t.cycles = t.scope.Cycles()
-	}
-	t.finish()
-	if t.keyed {
-		// The cell owns its scope; unkeyed tasks borrow the submitter's.
-		t.scope.Release()
-		// Publish the freshly computed cell to the second-level store.
+		// Publish the freshly computed cell to the second-level store
+		// before completing the task: a caller that drains every task and
+		// then closes the store must find every cell already written.
 		// Only clean successes are stored: errors, panics and
 		// watchdog-stopped cells must re-run next time.
 		if t.err == nil && t.val != nil {
@@ -765,6 +780,11 @@ func (e *Engine) run(t *Task, gid uint64) {
 				sl.Put(t.key, t.val, t.cycles)
 			}
 		}
+	}
+	t.finish()
+	if t.keyed {
+		// The cell owns its scope; unkeyed tasks borrow the submitter's.
+		t.scope.Release()
 	}
 }
 

@@ -167,3 +167,51 @@ func TestCellsMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// refCanonicalizer is the reference fold: a map from every cell's full
+// display key to its canonical key.
+func refCanonicalizer(cells []Cell) engine.Canonicalizer {
+	fold := make(map[engine.Key]engine.Key, len(cells))
+	for _, c := range cells {
+		fold[c.Display] = c.Canon
+	}
+	return func(k engine.Key) engine.Key {
+		if ck, ok := fold[k]; ok {
+			return ck
+		}
+		return k
+	}
+}
+
+// TestCanonicalizerMatchesReference: the config-chained Canonicalizer
+// folds every cell of a lattice prefix exactly as the map-keyed
+// reference does, and passes through keys that differ from a cell in
+// one field only — another workload, another seed, a combo beyond the
+// prefix, an unknown uarch.
+func TestCanonicalizerMatchesReference(t *testing.T) {
+	for _, n := range []int{0, 1, 7, 9, 12345, MaxCells()} {
+		cells := Cells(n, 3)
+		got, want := Canonicalizer(cells), refCanonicalizer(cells)
+		for _, c := range cells {
+			if g, w := got(c.Display), want(c.Display); g != w {
+				t.Fatalf("n=%d: %v folds to %v, reference %v", n, c.Display, g, w)
+			}
+		}
+		k := engine.Key{Workload: Workload, Uarch: model.All()[0].Uarch, Config: "defaults", Seed: 3}
+		outside := []engine.Key{{}, k}
+		outside[1].Workload = "grid/lebench/read"
+		outside = append(outside, k, k)
+		outside[2].Seed = 4
+		outside[3].Uarch = "no-such-uarch"
+		if n < MaxCells() {
+			_, beyond := ComboAt(n/len(model.All()) + 1)
+			outside = append(outside, k)
+			outside[4].Config = beyond
+		}
+		for _, p := range outside {
+			if g := got(p); g != p {
+				t.Fatalf("n=%d: %v is outside the set but folded to %v", n, p, g)
+			}
+		}
+	}
+}

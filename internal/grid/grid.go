@@ -230,14 +230,34 @@ func Classes(cells []Cell) int {
 // Canonicalizer builds the engine's display-key → class-key fold for a
 // cell set. Keys outside the set (other experiments sharing the
 // engine) pass through unchanged.
+//
+// Cells are indexed by display Config, the one key field that tells the
+// lattice's combos apart: the full lattice's 172,032 cells share 21,504
+// configs, one per combo. Each config heads a chain of the cells that
+// carry it (one per uarch), and a lookup compares the whole Key along
+// the chain, so workload, uarch and seed still have to match. A later
+// cell with the same display key shadows an earlier one. The fold reads
+// cells on every lookup, so the caller must not modify them afterwards.
 func Canonicalizer(cells []Cell) engine.Canonicalizer {
-	fold := make(map[engine.Key]engine.Key, len(cells))
-	for _, c := range cells {
-		fold[c.Display] = c.Canon
+	head := make(map[string]int32, len(cells)/len(model.All())+1)
+	next := make([]int32, len(cells)) // next cell of the same config, or -1
+	for i, c := range cells {
+		j, ok := head[c.Display.Config]
+		if !ok {
+			j = -1
+		}
+		next[i] = j
+		head[c.Display.Config] = int32(i)
 	}
 	return func(k engine.Key) engine.Key {
-		if ck, ok := fold[k]; ok {
-			return ck
+		i, ok := head[k.Config]
+		if !ok {
+			return k
+		}
+		for ; i >= 0; i = next[i] {
+			if cells[i].Display == k {
+				return cells[i].Canon
+			}
 		}
 		return k
 	}

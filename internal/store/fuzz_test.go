@@ -121,7 +121,9 @@ func FuzzStoreSegment(f *testing.F) {
 // FuzzStoreSidecar runs the sidecar and manifest readers over arbitrary
 // bytes: the framed side-log loader, a bare chunk parse and the
 // manifest decoder. None may panic, and a chunk that parses may only
-// link display fingerprints to canonical keys it interned itself.
+// link display fingerprints to canonical keys it interned itself: every
+// link's id must fall inside the interned table, at a table entry one
+// of the chunk's 'C' records produced.
 func FuzzStoreSidecar(f *testing.F) {
 	_, side, manifest := fuzzStoreFiles(f)
 	for _, b := range damaged(side) {
@@ -137,19 +139,22 @@ func FuzzStoreSidecar(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s := &Store{links: map[[2]uint64]engine.Key{}}
+		s := &Store{links: newLinkTable(0)}
 		s.loadSideChunks("fuzz", data)
 
-		s = &Store{links: map[[2]uint64]engine.Key{}}
-		var canon []engine.Key
+		s = &Store{links: newLinkTable(0)}
+		var canon []uint32
 		if s.parseSideChunk(data, &canon) {
-			interned := map[engine.Key]bool{}
-			for _, k := range canon {
-				interned[k] = true
+			interned := map[uint32]bool{}
+			for _, id := range canon {
+				interned[id] = true
 			}
-			for fp, k := range s.links {
-				if !interned[k] {
-					t.Fatalf("link %x points at %v, which the chunk never interned", fp, k)
+			for fp, id := range s.links.byFP {
+				if int(id) >= len(s.links.keys) || !interned[id] {
+					t.Fatalf("link %x points at id %d, which the chunk never interned", fp, id)
+				}
+				if k, ok := s.links.resolve(fp); !ok || s.links.ids[k] != id {
+					t.Fatalf("link %x resolves to %v (%v), not to its interned key", fp, k, ok)
 				}
 			}
 		}

@@ -233,13 +233,13 @@ type Store struct {
 
 	lockFile *os.File
 
-	// mu guards the index, the sidecar link map and every segment's
+	// mu guards the index, the sidecar link table and every segment's
 	// live/dead counters.
 	mu    sync.RWMutex
 	index map[engine.Key]ref
 	// links resolves a display key's fingerprint to its canonical key
 	// (the sidecar).
-	links map[[2]uint64]engine.Key
+	links linkTable
 
 	// wmu serializes writers: appends, rotation, compaction, sidecar
 	// and manifest writes. Lock order: wmu before mu, never the
@@ -250,13 +250,14 @@ type Store struct {
 	// Sidecar write state: links buffer in memory and flush in batches
 	// to the side log — they are replay hints, not committed data, so
 	// losing a tail of them in a crash only costs future lookups a
-	// fallback.
-	canonIDs  map[engine.Key]uint32
-	canonByID []engine.Key
-	side      *os.File
-	sideName  string
-	sideSize  int64
-	sideBuf   []byte
+	// fallback. sideIDs maps a link-table id to its intern id in the
+	// current side file, plus one (0: not interned there yet).
+	sideIDs  []uint32
+	sideNext uint32 // intern ids used in the current side file
+	side     *os.File
+	sideName string
+	sideSize int64
+	sideBuf  []byte
 
 	closed  atomic.Bool
 	stopCh  chan struct{}
@@ -279,12 +280,10 @@ func Open(dir string, opts Options) (*Store, error) {
 			ErrLegacyLayout, dir, what)
 	}
 	s := &Store{
-		dir:      dir,
-		segDir:   filepath.Join(dir, segsDirName),
-		opts:     opts,
-		index:    map[engine.Key]ref{},
-		links:    map[[2]uint64]engine.Key{},
-		canonIDs: map[engine.Key]uint32{},
+		dir:    dir,
+		segDir: filepath.Join(dir, segsDirName),
+		opts:   opts,
+		index:  map[engine.Key]ref{},
 	}
 	if err := os.MkdirAll(dir, 0o777); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
@@ -724,8 +723,8 @@ func (s *Store) lookup(key engine.Key) (ent ref, want engine.Key, found, viaLink
 	if ent, ok := s.index[key]; ok {
 		return ent, key, true, false
 	}
-	if len(s.links) > 0 {
-		if ck, ok := s.links[fingerprint(key)]; ok && ck != key {
+	if len(s.links.byFP) > 0 {
+		if ck, ok := s.links.resolve(fingerprint(key)); ok && ck != key {
 			if ent, ok2 := s.index[ck]; ok2 {
 				return ent, ck, true, true
 			}
@@ -973,7 +972,7 @@ func (s *Store) Stats() Stats {
 	s.mu.RLock()
 	st.Entries = len(s.index)
 	st.Segments = len(s.segs)
-	st.SidecarLinks = len(s.links)
+	st.SidecarLinks = len(s.links.byFP)
 	for _, seg := range s.segs {
 		st.DeadRecords += seg.dead
 	}

@@ -426,7 +426,47 @@ func (s *Store) writeManifestLocked() {
 // ---------------------------------------------------------------------
 // Sidecar: the display→canonical link log.
 
-// scanSideLogs loads every side-*.log into the in-memory link map.
+// linkTable is the in-memory sidecar: each display key's fingerprint
+// maps to an id into a table of interned canonical keys. A full lattice
+// holds ~172k links onto a few thousand canonical keys, so each
+// canonical key is stored once, and the fingerprint map — whose entries
+// hold no pointers — is never scanned by the garbage collector.
+type linkTable struct {
+	byFP map[[2]uint64]uint32  // display fingerprint -> id
+	keys []engine.Key          // id -> canonical key
+	ids  map[engine.Key]uint32 // canonical key -> id
+}
+
+// newLinkTable returns an empty table with room for links links.
+func newLinkTable(links int) linkTable {
+	return linkTable{byFP: make(map[[2]uint64]uint32, links), ids: map[engine.Key]uint32{}}
+}
+
+// resolve returns the canonical key linked to a display fingerprint.
+func (lt *linkTable) resolve(fp [2]uint64) (engine.Key, bool) {
+	id, ok := lt.byFP[fp]
+	if !ok {
+		return engine.Key{}, false
+	}
+	return lt.keys[id], true
+}
+
+// intern returns k's id, adding k to the table on first sight.
+func (lt *linkTable) intern(k engine.Key) uint32 {
+	if id, ok := lt.ids[k]; ok {
+		return id
+	}
+	id := uint32(len(lt.keys))
+	lt.keys = append(lt.keys, k)
+	lt.ids[k] = id
+	return id
+}
+
+// sideLinkLen is the size of one 'L' side-log record: tag, 128-bit
+// display fingerprint, u32 canonical intern id.
+const sideLinkLen = 1 + 16 + 4
+
+// scanSideLogs loads every side-*.log into the in-memory link table.
 // Side files are CRC-framed chunks of 'C' (canonical-key intern) and
 // 'L' (fingerprint→canonical-id link) records; intern ids are local to
 // their file. A torn or corrupt chunk ends that file's useful prefix —
@@ -439,6 +479,7 @@ func (s *Store) scanSideLogs() error {
 	}
 	var names []string
 	var maxSeq uint64
+	var sideBytes int64
 	for _, de := range entries {
 		name := de.Name()
 		if de.IsDir() || !strings.HasPrefix(name, sidePrefix) || !strings.HasSuffix(name, segExt) {
@@ -450,7 +491,14 @@ func (s *Store) scanSideLogs() error {
 		if seq > maxSeq {
 			maxSeq = seq
 		}
+		if fi, err := de.Info(); err == nil {
+			sideBytes += fi.Size()
+		}
 	}
+	// Nearly every side-log byte belongs to a link record: size the
+	// fingerprint map for all of them up front instead of rehashing it
+	// a dozen times on a full lattice.
+	s.links = newLinkTable(int(sideBytes / sideLinkLen))
 	sort.Strings(names)
 	for _, name := range names {
 		raw, err := os.ReadFile(filepath.Join(s.segDir, name))
@@ -465,7 +513,7 @@ func (s *Store) scanSideLogs() error {
 
 // loadSideChunks parses one side file's chunk sequence into s.links.
 func (s *Store) loadSideChunks(name string, raw []byte) {
-	var canon []engine.Key // intern table, ids local to this file
+	var canon []uint32 // this file's intern ids -> link-table ids
 	off := 0
 	for off < len(raw) {
 		if len(raw)-off < headerLen || !bytes.Equal(raw[off:off+4], magicSide[:]) {
@@ -489,9 +537,12 @@ func (s *Store) loadSideChunks(name string, raw []byte) {
 	}
 }
 
-// parseSideChunk applies one CRC-verified chunk's records. Returns
-// false on a malformed record (the chunk is then abandoned).
-func (s *Store) parseSideChunk(chunk []byte, canon *[]engine.Key) bool {
+// parseSideChunk applies one CRC-verified chunk's records: a 'C' record
+// interns its canonical key in the link table and appends the table id
+// to canon, the file's intern ids so far; an 'L' record links its
+// fingerprint through canon. Returns false on a malformed record (the
+// chunk is then abandoned).
+func (s *Store) parseSideChunk(chunk []byte, canon *[]uint32) bool {
 	off := 0
 	for off < len(chunk) {
 		switch chunk[off] {
@@ -516,10 +567,10 @@ func (s *Store) parseSideChunk(chunk []byte, canon *[]engine.Key) bool {
 			k.Config = string(chunk[p : p+int(clen)])
 			p += int(clen)
 			k.Seed = binary.BigEndian.Uint64(chunk[p : p+8])
-			*canon = append(*canon, k)
+			*canon = append(*canon, s.links.intern(k))
 			off = int(end)
 		case 'L':
-			if len(chunk)-off < 1+16+4 {
+			if len(chunk)-off < sideLinkLen {
 				return false
 			}
 			var fp [2]uint64
@@ -529,8 +580,8 @@ func (s *Store) parseSideChunk(chunk []byte, canon *[]engine.Key) bool {
 			if uint64(id) >= uint64(len(*canon)) {
 				return false
 			}
-			s.links[fp] = (*canon)[id]
-			off += 21
+			s.links.byFP[fp] = (*canon)[id]
+			off += sideLinkLen
 		default:
 			return false
 		}
@@ -539,7 +590,7 @@ func (s *Store) parseSideChunk(chunk []byte, canon *[]engine.Key) bool {
 }
 
 // PutLink records the engine's display→canonical fold of a pair of
-// keys (engine.LinkRecorder): the in-memory link map serves this
+// keys (engine.LinkRecorder): the in-memory link table serves this
 // process, the buffered side-log append serves the next one. Never
 // fails; duplicate folds are dropped early.
 func (s *Store) PutLink(display, canonical engine.Key) {
@@ -548,7 +599,7 @@ func (s *Store) PutLink(display, canonical engine.Key) {
 	}
 	fp := fingerprint(display)
 	s.mu.RLock()
-	_, dup := s.links[fp]
+	_, dup := s.links.byFP[fp]
 	s.mu.RUnlock()
 	if dup {
 		return
@@ -558,16 +609,42 @@ func (s *Store) PutLink(display, canonical engine.Key) {
 	if s.closed.Load() {
 		return
 	}
+	s.mu.Lock()
 	s.putLinkLocked(fp, canonical)
+	s.mu.Unlock()
+	if len(s.sideBuf) >= sideFlushBytes {
+		s.flushSideLocked(false)
+	}
 }
 
-// PutLinkBatch records a slice of display→canonical folds under one
-// writer round-trip (engine.BatchLinkRecorder) — a cold deduplicated
-// full-grid sweep records one link per aliased cell, and per-link lock
-// acquisitions are measurable at that volume. Semantically identical
-// to calling PutLink per pair.
+// PutLinkBatch records a slice of display→canonical folds
+// (engine.BatchLinkRecorder) — a full-lattice sweep records one per
+// aliased cell. The folds already linked, all of them on a warm replay,
+// are sifted out under one read lock; the rest go in under one writer
+// round-trip and one index write lock, released only while a full
+// side-log chunk is written. Semantically identical to calling PutLink
+// per pair.
 func (s *Store) PutLinkBatch(pairs []engine.LinkPair) {
 	if s.closed.Load() || len(pairs) == 0 {
+		return
+	}
+	type fresh struct {
+		fp [2]uint64
+		i  int
+	}
+	var todo []fresh
+	s.mu.RLock()
+	for i, p := range pairs {
+		if p.Display == p.Canonical {
+			continue
+		}
+		fp := fingerprint(p.Display)
+		if _, dup := s.links.byFP[fp]; !dup {
+			todo = append(todo, fresh{fp, i})
+		}
+	}
+	s.mu.RUnlock()
+	if len(todo) == 0 {
 		return
 	}
 	s.wmu.Lock()
@@ -575,34 +652,43 @@ func (s *Store) PutLinkBatch(pairs []engine.LinkPair) {
 	if s.closed.Load() {
 		return
 	}
-	for _, p := range pairs {
-		if p.Display == p.Canonical {
-			continue
-		}
-		s.putLinkLocked(fingerprint(p.Display), p.Canonical)
+	s.mu.Lock()
+	if len(s.links.byFP) == 0 {
+		// The first batch into an empty store (a cold sweep) sizes the
+		// table once instead of growing it link by link.
+		s.links.byFP = make(map[[2]uint64]uint32, len(todo))
 	}
+	for _, f := range todo {
+		s.putLinkLocked(f.fp, pairs[f.i].Canonical)
+		if len(s.sideBuf) >= sideFlushBytes {
+			s.mu.Unlock()
+			s.flushSideLocked(false)
+			s.mu.Lock()
+		}
+	}
+	s.mu.Unlock()
 }
 
 // putLinkLocked is the shared core of PutLink and PutLinkBatch: link
-// map insert, canonical-key interning and side-log append. Caller
-// holds wmu.
+// table insert, side-file interning of the canonical key and the
+// side-log append to the buffer. Caller holds wmu and mu, and flushes
+// the buffer once it is full.
 func (s *Store) putLinkLocked(fp [2]uint64, canonical engine.Key) {
-	s.mu.Lock()
-	if _, dup := s.links[fp]; dup {
-		s.mu.Unlock()
+	if _, dup := s.links.byFP[fp]; dup {
 		return
 	}
-	s.links[fp] = canonical
-	s.mu.Unlock()
+	id := s.links.intern(canonical)
+	s.links.byFP[fp] = id
 
-	id, known := s.canonIDs[canonical]
-	if !known {
-		id = uint32(len(s.canonByID))
-		s.canonIDs[canonical] = id
-		s.canonByID = append(s.canonByID, canonical)
+	for int(id) >= len(s.sideIDs) {
+		s.sideIDs = append(s.sideIDs, 0)
+	}
+	if s.sideIDs[id] == 0 {
+		s.sideNext++
+		s.sideIDs[id] = s.sideNext
 		var hdr [17]byte
 		hdr[0] = 'C'
-		binary.BigEndian.PutUint32(hdr[1:5], id)
+		binary.BigEndian.PutUint32(hdr[1:5], s.sideNext-1)
 		binary.BigEndian.PutUint32(hdr[5:9], uint32(len(canonical.Workload)))
 		binary.BigEndian.PutUint32(hdr[9:13], uint32(len(canonical.Uarch)))
 		binary.BigEndian.PutUint32(hdr[13:17], uint32(len(canonical.Config)))
@@ -612,22 +698,19 @@ func (s *Store) putLinkLocked(fp [2]uint64, canonical engine.Key) {
 		s.sideBuf = append(s.sideBuf, canonical.Config...)
 		s.sideBuf = binary.BigEndian.AppendUint64(s.sideBuf, canonical.Seed)
 	}
-	var link [21]byte
+	var link [sideLinkLen]byte
 	link[0] = 'L'
 	binary.BigEndian.PutUint64(link[1:9], fp[0])
 	binary.BigEndian.PutUint64(link[9:17], fp[1])
-	binary.BigEndian.PutUint32(link[17:21], id)
+	binary.BigEndian.PutUint32(link[17:21], s.sideIDs[id]-1)
 	s.sideBuf = append(s.sideBuf, link[:]...)
-	if len(s.sideBuf) >= sideFlushBytes {
-		s.flushSideLocked(false)
-	}
 }
 
 // Resolve maps a display key to its recorded canonical key, if a
 // sidecar link exists.
 func (s *Store) Resolve(display engine.Key) (engine.Key, bool) {
 	s.mu.RLock()
-	ck, ok := s.links[fingerprint(display)]
+	ck, ok := s.links.resolve(fingerprint(display))
 	s.mu.RUnlock()
 	if !ok {
 		s.sideMisses.Add(1)
@@ -697,8 +780,8 @@ func (s *Store) GetBatch(keys []engine.Key) []engine.BatchGet {
 				reads = append(reads, pending{i: i, ent: ent, want: key})
 				continue
 			}
-			if len(s.links) > 0 {
-				if ck, ok := s.links[fingerprint(key)]; ok && ck != key {
+			if len(s.links.byFP) > 0 {
+				if ck, ok := s.links.resolve(fingerprint(key)); ok && ck != key {
 					if ent, ok2 := s.index[ck]; ok2 {
 						reads = append(reads, pending{i: i, ent: ent, want: ck, viaLink: true})
 						continue

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"spectrebench/internal/engine"
+	"spectrebench/internal/grid"
 )
 
 // TestV3RecordValueCodecs pins the fast-path layout: a float64 cell is
@@ -212,5 +213,85 @@ func TestCloseStopsBackgroundGoroutines(t *testing.T) {
 	}
 	if _, _, ok := s.Get(canon); ok {
 		t.Error("closed store served a Get")
+	}
+}
+
+// TestSidecarFromEarlierLayoutReplays opens a store written before the
+// in-memory link table interned its canonical keys (testdata/sidecar-v3:
+// the first 200 cells of grid.Cells(200, 0), canonical records valued
+// from their key hash, and the display→canonical links of cells 0-99
+// and 100-199 written by two sessions into two side logs). The on-disk
+// format is unchanged, so with no canonicalizer anywhere every display
+// key must resolve through Resolve and GetBatch to the same canonical
+// record as before, and an engine on top must replay all of them from
+// the store.
+func TestSidecarFromEarlierLayoutReplays(t *testing.T) {
+	dir := t.TempDir()
+	src := filepath.Join("testdata", "sidecar-v3", segsDirName)
+	entries, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Join(dir, segsDirName), 0o777); err != nil {
+		t.Fatal(err)
+	}
+	for _, de := range entries {
+		b, err := os.ReadFile(filepath.Join(src, de.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, segsDirName, de.Name()), b, 0o666); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	cells := grid.Cells(200, 0)
+	want := func(c grid.Cell) (float64, uint64) {
+		h := c.Canon.Hash()
+		return float64(h%100000) / 4, h % 1000003
+	}
+	s := openT(t, dir)
+	defer s.Close()
+	if st := s.Stats(); st.SidecarLinks != len(cells) {
+		t.Fatalf("%d sidecar links loaded, want %d", st.SidecarLinks, len(cells))
+	}
+	keys := make([]engine.Key, len(cells))
+	for i, c := range cells {
+		keys[i] = c.Display
+		if ck, ok := s.Resolve(c.Display); !ok || ck != c.Canon {
+			t.Fatalf("Resolve(%v) = (%v, %v), want %v", c.Display, ck, ok, c.Canon)
+		}
+	}
+	for i, g := range s.GetBatch(keys) {
+		v, cyc := want(cells[i])
+		if !g.OK || g.Val != v || g.Cycles != cyc {
+			t.Fatalf("GetBatch %v = %+v, want (%v, %d)", keys[i], g, v, cyc)
+		}
+	}
+	if _, ok := s.Resolve(grid.Cells(201, 0)[200].Display); ok {
+		t.Error("a display key nobody linked resolved")
+	}
+	if st := s.Stats(); st.SidecarHits != uint64(len(cells)) {
+		t.Errorf("sidecarHits=%d, want %d", st.SidecarHits, len(cells))
+	}
+
+	e := engine.New(1)
+	defer e.Close()
+	e.SetSecondLevel(s)
+	bcells := make([]engine.BatchCell, len(cells))
+	for i, c := range cells {
+		bcells[i] = engine.BatchCell{Key: c.Display, Fn: func() (any, error) {
+			t.Errorf("%v simulated despite its sidecar link", c.Display)
+			return nil, nil
+		}}
+	}
+	for i, task := range e.SubmitBatch(bcells) {
+		v, _ := want(cells[i])
+		if got, err := task.Wait(); err != nil || got != v {
+			t.Fatalf("%v replayed (%v, %v), want %v", cells[i].Display, got, err, v)
+		}
+	}
+	if d := e.StatsDetail(); d.SecondLevelHits != uint64(len(cells)) || d.Simulated != 0 {
+		t.Errorf("engine over the earlier store: %v", d)
 	}
 }
