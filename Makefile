@@ -20,7 +20,7 @@ test-short:
 	$(GO) test -short ./...
 
 test-race:
-	$(GO) test -race ./...
+	$(GO) test -race -timeout 40m ./...
 
 # Regenerate every table and figure as testing.B benchmarks.
 bench:

@@ -20,6 +20,7 @@ import (
 	"spectrebench/internal/isa"
 	"spectrebench/internal/kernel"
 	"spectrebench/internal/model"
+	"spectrebench/internal/simscope"
 	"spectrebench/internal/stats"
 	"spectrebench/internal/workloads/lebench"
 	"spectrebench/internal/workloads/lfs"
@@ -33,10 +34,16 @@ func runExperiment(b *testing.B, id string) *harness.Table {
 	if !ok {
 		b.Fatalf("unknown experiment %q", id)
 	}
+	// Each iteration runs the way a supervised attempt does, under a
+	// scope carrying a fresh engine, so it simulates every cell anew.
 	var tbl *harness.Table
 	for i := 0; i < b.N; i++ {
+		eng := engine.New(0)
+		restore := simscope.Enter(&simscope.Scope{Tag: eng})
 		var err error
 		tbl, err = e.Run()
+		restore()
+		eng.Close()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -101,6 +108,8 @@ func BenchmarkTable8Lfence(b *testing.B) {
 // BenchmarkFig2LEBench regenerates Figure 2: the LEBench overhead
 // decomposition across all eight CPUs.
 func BenchmarkFig2LEBench(b *testing.B) {
+	eng := engine.New(0)
+	defer eng.Close()
 	for i := 0; i < b.N; i++ {
 		wl := func(m *model.CPU, mit kernel.Mitigations) (float64, error) {
 			res, err := lebench.Run(m, mit)
@@ -114,7 +123,7 @@ func BenchmarkFig2LEBench(b *testing.B) {
 			return stats.GeoMean(vals), nil
 		}
 		cfg := core.Config{MinRuns: 2, MaxRuns: 2, RelCI: 0.05}
-		attrs, err := core.Sweep(wl, core.OSLadder(), cfg)
+		attrs, err := core.Sweep(eng, wl, core.OSLadder(), cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -398,7 +407,7 @@ func BenchmarkAblationEngineJobs(b *testing.B) {
 		b.Run(fmt.Sprintf("jobs=%d", jobs), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				eng := engine.New(jobs)
-				results := harness.SuperviseAll(exps, harness.RunConfig{Engine: eng})
+				results := harness.SuperviseEach(exps, harness.RunConfig{Engine: eng}, nil)
 				if n := harness.Failed(results); n != 0 {
 					b.Fatalf("%d experiments failed", n)
 				}
@@ -424,12 +433,12 @@ func BenchmarkAblationEngineCacheWarm(b *testing.B) {
 	eng := engine.New(1)
 	defer eng.Close()
 	cfg := harness.RunConfig{Engine: eng}
-	if res := harness.Supervise(e, cfg); res.Status != harness.StatusOK {
+	if res := harness.SuperviseEach([]harness.Experiment{e}, cfg, nil)[0]; res.Status != harness.StatusOK {
 		b.Fatalf("warmup: %s: %v", res.Status, res.Err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if res := harness.Supervise(e, cfg); res.Status != harness.StatusOK {
+		if res := harness.SuperviseEach([]harness.Experiment{e}, cfg, nil)[0]; res.Status != harness.StatusOK {
 			b.Fatalf("warm run: %s: %v", res.Status, res.Err)
 		}
 	}

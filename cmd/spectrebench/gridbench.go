@@ -13,6 +13,7 @@ import (
 	"spectrebench/internal/gls"
 	"spectrebench/internal/grid"
 	"spectrebench/internal/harness"
+	"spectrebench/internal/simscope"
 	"spectrebench/internal/store"
 )
 
@@ -22,6 +23,19 @@ type gridOptions struct {
 	cfg      harness.RunConfig
 	storeDir string
 	verbose  bool
+}
+
+// enterFaultScope enters a root scope carrying a fault activation when
+// cfg asks for faults: every cell submitted from the calling goroutine
+// inherits it. It returns the seed to stamp into cell keys (0 without
+// faults, so faulted runs neither pollute nor replay fault-free store
+// entries) and the function that leaves the scope.
+func enterFaultScope(cfg harness.RunConfig) (seed uint64, restore func()) {
+	if !cfg.Faults {
+		return 0, func() {}
+	}
+	sc := &simscope.Scope{Fault: faultinject.NewActivation(faultinject.Config{})}
+	return cfg.Seed, simscope.Enter(sc)
 }
 
 // gridbench runs the synthetic boot-param configuration grid — the
@@ -35,15 +49,11 @@ func gridbench(w io.Writer, opts gridOptions) int {
 		fmt.Fprintln(os.Stderr, "spectrebench: gridbench: -cells must be positive")
 		return 2
 	}
-	var seed uint64
-	if opts.cfg.Faults {
-		seed = opts.cfg.Seed
-		faultinject.Activate(faultinject.Config{Seed: opts.cfg.Seed})
-		defer faultinject.Deactivate()
-	}
+	seed, restore := enterFaultScope(opts.cfg)
+	defer restore()
 	cells := grid.Cells(opts.cells, seed)
 
-	eng := engine.Default()
+	eng := opts.cfg.Engine
 	// The canonicalizer folds cells onto shared class tasks and keys each
 	// cell's fault seed and store identity canonically.
 	eng.SetCanonicalizer(grid.Canonicalizer(cells))

@@ -101,7 +101,6 @@ func mainExitCode() int {
 	flag.Usage = usage
 	flag.Parse()
 
-	engine.SetDefaultJobs(*jobs)
 	if *gzipHTTP != "on" && *gzipHTTP != "off" {
 		fmt.Fprintf(os.Stderr, "spectrebench: -gzip must be on or off, got %q\n", *gzipHTTP)
 		return 2
@@ -152,6 +151,11 @@ func mainExitCode() int {
 		usage()
 		return 2
 	}
+	// One engine for the whole process, handed to whichever subcommand
+	// schedules cells. Workers start on first submission.
+	eng := engine.New(*jobs)
+	defer eng.Close()
+	cfg.Engine = eng
 	switch args[0] {
 	case "list":
 		list()
@@ -180,7 +184,7 @@ func mainExitCode() int {
 			verbose:   *verbose,
 		})
 	case "serve":
-		return serve(serveOptions{
+		return serve(eng, serveOptions{
 			storeDir:       *storeDir,
 			addr:           *addr,
 			maxInflight:    *maxInflight,
@@ -261,7 +265,7 @@ func run(w io.Writer, ids []string, csv bool, cfg harness.RunConfig, storeDir st
 			fmt.Fprintf(os.Stderr, "spectrebench: -store: %v\n", err)
 			return 2
 		}
-		engine.Default().SetSecondLevel(st)
+		cfg.Engine.SetSecondLevel(st)
 		defer func() {
 			fmt.Fprintln(os.Stderr, "spectrebench: "+st.Note())
 			if err := st.Close(); err != nil {
@@ -270,13 +274,13 @@ func run(w io.Writer, ids []string, csv bool, cfg harness.RunConfig, storeDir st
 		}()
 	}
 
-	results := harness.SuperviseAll(exps, cfg)
+	results := harness.SuperviseEach(exps, cfg, nil)
 	// Rendered with a nil engine — the same bytes the HTTP serving path
 	// streams — and the cache note on stderr with the other stats.
 	io.WriteString(w, harness.RenderResults(results, csv, nil))
-	fmt.Fprintf(os.Stderr, "spectrebench: %s\n", harness.CacheNote(engine.Default()))
+	fmt.Fprintf(os.Stderr, "spectrebench: %s\n", harness.CacheNote(cfg.Engine))
 	if verbose {
-		fmt.Fprintf(os.Stderr, "spectrebench: engine: %s\n", engine.Default().StatsDetail())
+		fmt.Fprintf(os.Stderr, "spectrebench: engine: %s\n", cfg.Engine.StatsDetail())
 	}
 	if harness.Failed(results) > 0 {
 		return 1
@@ -297,7 +301,7 @@ type serveOptions struct {
 // drains: no new sweeps are admitted, in-flight sweeps get
 // drain-timeout to finish, and the engine and store shut down cleanly
 // so every committed cell is readable by the next daemon.
-func serve(opts serveOptions) int {
+func serve(eng *engine.Engine, opts serveOptions) int {
 	logf := func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, "spectrebench: "+format+"\n", args...)
 	}
@@ -310,12 +314,12 @@ func serve(opts serveOptions) int {
 			fmt.Fprintf(os.Stderr, "spectrebench: -store: %v\n", err)
 			return 2
 		}
-		engine.Default().SetSecondLevel(st)
+		eng.SetSecondLevel(st)
 		logf("%s", st.Note())
 	}
 
 	srv := server.New(server.Config{
-		Engine:         engine.Default(),
+		Engine:         eng,
 		Store:          st,
 		MaxInflight:    opts.maxInflight,
 		RequestTimeout: opts.requestTimeout,
@@ -357,7 +361,7 @@ func serve(opts serveOptions) int {
 	shutCtx, cancel2 := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel2()
 	httpSrv.Shutdown(shutCtx)
-	engine.CloseDefault()
+	eng.Close()
 	closeStore(st, logf)
 	logf("shut down cleanly")
 	return 0

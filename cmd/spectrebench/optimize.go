@@ -8,8 +8,6 @@ import (
 	"time"
 
 	"spectrebench/internal/attacks"
-	"spectrebench/internal/engine"
-	"spectrebench/internal/faultinject"
 	"spectrebench/internal/grid"
 	"spectrebench/internal/harness"
 	"spectrebench/internal/optimize"
@@ -60,17 +58,10 @@ func optimizeCmd(w io.Writer, opts optimizeOptions) int {
 		return 2
 	}
 
-	// Fault activation follows gridbench exactly: the global activation
-	// plus the seed stamped into every cell key, so faulted searches
-	// neither pollute nor replay fault-free store entries.
-	var seed uint64
-	if opts.cfg.Faults {
-		seed = opts.cfg.Seed
-		faultinject.Activate(faultinject.Config{Seed: opts.cfg.Seed})
-		defer faultinject.Deactivate()
-	}
+	seed, restore := enterFaultScope(opts.cfg)
+	defer restore()
 
-	eng := engine.Default()
+	eng := opts.cfg.Engine
 	if opts.storeDir != "" {
 		st, err := store.Open(opts.storeDir, store.Options{
 			Logf: func(format string, args ...any) {

@@ -15,7 +15,7 @@ import (
 // and the CI determinism diffs built on them.
 func TestRunStdoutIsPipeClean(t *testing.T) {
 	var buf bytes.Buffer
-	if code := run(&buf, []string{"table2"}, false, harness.RunConfig{}, "", true); code != 0 {
+	if code := run(&buf, []string{"table2"}, false, withEngine(t, harness.RunConfig{}), "", true); code != 0 {
 		t.Fatalf("run returned %d", code)
 	}
 	out := buf.String()
@@ -40,7 +40,7 @@ func TestGridbenchStdoutIsPipeClean(t *testing.T) {
 	var buf bytes.Buffer
 	code := gridbench(&buf, gridOptions{
 		cells:    200,
-		cfg:      harness.RunConfig{},
+		cfg:      withEngine(t, harness.RunConfig{}),
 		storeDir: t.TempDir(),
 		verbose:  true,
 	})

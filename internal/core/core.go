@@ -18,7 +18,6 @@ import (
 	"spectrebench/internal/engine"
 	"spectrebench/internal/kernel"
 	"spectrebench/internal/model"
-	"spectrebench/internal/simscope"
 	"spectrebench/internal/stats"
 )
 
@@ -204,12 +203,12 @@ func merge(a, b kernel.BootParams) kernel.BootParams {
 
 // Sweep runs the attribution for every CPU in the registry against one
 // workload — the full Figure 2 / Figure 3 data set. Each CPU's
-// attribution runs as its own engine task, fanning out across the
+// attribution runs as its own task on eng, fanning out across the
 // worker pool; results are gathered in registry order so the output is
 // independent of scheduling. A sweep with Noise set stays serial: the
 // noise source is a single mutable RNG stream whose draws must happen
 // in a fixed order to stay reproducible.
-func Sweep(wl Workload, ladder []Step, cfg Config) ([]*Attribution, error) {
+func Sweep(eng *engine.Engine, wl Workload, ladder []Step, cfg Config) ([]*Attribution, error) {
 	if cfg.Noise != nil {
 		out := make([]*Attribution, 0, len(model.All()))
 		for _, m := range model.All() {
@@ -222,7 +221,6 @@ func Sweep(wl Workload, ladder []Step, cfg Config) ([]*Attribution, error) {
 		return out, nil
 	}
 
-	eng := sweepEngine()
 	tasks := make([]*engine.Task, 0, len(model.All()))
 	for _, m := range model.All() {
 		m := m
@@ -243,15 +241,4 @@ func Sweep(wl Workload, ladder []Step, cfg Config) ([]*Attribution, error) {
 		out = append(out, v.(*Attribution))
 	}
 	return out, nil
-}
-
-// sweepEngine resolves the scheduling engine: the one the surrounding
-// supervised attempt carries, else the process default.
-func sweepEngine() *engine.Engine {
-	if sc := simscope.Current(); sc != nil {
-		if eng, ok := sc.Tag.(*engine.Engine); ok {
-			return eng
-		}
-	}
-	return engine.Default()
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"spectrebench/internal/engine"
 	"spectrebench/internal/kernel"
 	"spectrebench/internal/model"
 	"spectrebench/internal/stats"
@@ -143,7 +144,9 @@ func syntheticWorkload(m *model.CPU, mit kernel.Mitigations) (float64, error) {
 }
 
 func TestSweepAllCPUs(t *testing.T) {
-	attrs, err := Sweep(syntheticWorkload, OSLadder(), Config{MinRuns: 2, MaxRuns: 2, RelCI: 0.1})
+	eng := engine.New(2)
+	defer eng.Close()
+	attrs, err := Sweep(eng, syntheticWorkload, OSLadder(), Config{MinRuns: 2, MaxRuns: 2, RelCI: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}

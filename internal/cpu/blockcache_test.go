@@ -9,6 +9,7 @@ import (
 	"spectrebench/internal/isa"
 	"spectrebench/internal/mem"
 	"spectrebench/internal/model"
+	"spectrebench/internal/simscope"
 )
 
 // jitThunkPC is the magic address the differential fuzzer's programs
@@ -350,8 +351,12 @@ func TestResetClearsLeakAndKernelEntries(t *testing.T) {
 
 // TestTelemetryCadence checks the flush schedule: nothing is published
 // on the very first step (Instret == 0), and the accrued cycles appear
-// once 4096 instructions have retired.
+// once 4096 instructions have retired. The core publishes into the
+// scope it was constructed under.
 func TestTelemetryCadence(t *testing.T) {
+	sc := &simscope.Scope{}
+	restore := simscope.Enter(sc)
+	defer restore()
 	c := newUserCore(t, model.SkylakeClient())
 	a := isa.NewAsm()
 	a.Label("loop")
@@ -361,11 +366,10 @@ func TestTelemetryCadence(t *testing.T) {
 	c.PC = codeBase
 
 	c.Charge(1000) // pre-charged cost that the first step must not publish
-	before := TotalCycles()
 	if err := c.Step(); err != nil {
 		t.Fatal(err)
 	}
-	if d := TotalCycles() - before; d != 0 {
+	if d := sc.Cycles(); d != 0 {
 		t.Fatalf("first step published %d cycles; cadence must skip Instret == 0", d)
 	}
 	// Run up to (but not past) the 4096th retirement boundary and check
@@ -373,13 +377,13 @@ func TestTelemetryCadence(t *testing.T) {
 	if err := c.Run(4096 - int(c.Instret)); err != nil {
 		t.Fatal(err)
 	}
-	if TotalCycles()-before != 0 {
+	if sc.Cycles() != 0 {
 		t.Fatal("flush fired before 4096 instructions retired")
 	}
 	if err := c.Step(); err != nil { // Instret == 4096 at entry: flush
 		t.Fatal(err)
 	}
-	if TotalCycles()-before == 0 {
+	if sc.Cycles() == 0 {
 		t.Fatal("flush did not fire at the 4096-instruction boundary")
 	}
 }

@@ -181,14 +181,14 @@ type Core struct {
 
 	// FI, when non-nil, is consulted at the core's fault-injection
 	// points (spurious evictions, TLB glitches, drain delays, timing
-	// jitter). cpu.New attaches one automatically while a
-	// faultinject activation is installed; nil means no injection.
+	// jitter). cpu.New attaches one automatically when the current
+	// scope carries a faultinject activation; nil means no injection.
 	FI *faultinject.Injector
 
 	// CycleBudget, when nonzero, is the watchdog limit: Step returns an
 	// error wrapping ErrCycleBudget once Cycles exceeds it, so runaway
 	// experiments abort instead of hanging their caller. New cores copy
-	// the package default set via SetDefaultCycleBudget.
+	// the current scope's budget.
 	CycleBudget uint64
 
 	// interrupted is the Core.Interrupt flag (async abort hook).
@@ -201,7 +201,7 @@ type Core struct {
 	scope *simscope.Scope
 
 	// flushedCycles tracks how much of Cycles has been published to the
-	// package-wide telemetry counter.
+	// scope's cycle accumulator.
 	flushedCycles uint64
 
 	// Hooks installed by the kernel / hypervisor / harness.

@@ -7,6 +7,7 @@ import (
 	"spectrebench/internal/faultinject"
 	"spectrebench/internal/isa"
 	"spectrebench/internal/model"
+	"spectrebench/internal/simscope"
 )
 
 func TestAlignmentFaultOnPageStraddle(t *testing.T) {
@@ -102,19 +103,18 @@ func TestInterruptStopsCore(t *testing.T) {
 }
 
 func TestInjectorDerivedAtCoreCreation(t *testing.T) {
-	faultinject.Activate(faultinject.Config{Seed: 42})
-	defer faultinject.Deactivate()
+	restore := simscope.Enter(&simscope.Scope{FaultSeed: 42, Fault: faultinject.NewActivation(faultinject.Config{})})
 	c := New(model.Broadwell())
+	restore()
 	if c.FI == nil {
-		t.Fatal("core created under an active config must carry an injector")
+		t.Fatal("core created under a faulted scope must carry an injector")
 	}
 	// SMT siblings share the physical core's injector.
 	sib := NewSMTSibling(c)
 	if sib.FI != c.FI {
 		t.Error("SMT sibling must share the injector")
 	}
-	faultinject.Deactivate()
 	if New(model.Broadwell()).FI != nil {
-		t.Error("core created with injection off must have a nil injector")
+		t.Error("core created outside a faulted scope must have a nil injector")
 	}
 }

@@ -61,11 +61,11 @@ func dirtyCore(t *testing.T, c *Core, seed uint64) {
 	c.interrupted.Store(true)
 }
 
-// newScope returns a scope carrying the given fault seed and the
-// current fault activation snapshot, mirroring what the engine builds
-// for a cell.
-func newScope(seed uint64) *simscope.Scope {
-	return &simscope.Scope{FaultSeed: seed, Fault: faultinject.Snapshot()}
+// newScope returns a scope carrying the given fault seed and fault
+// activation (nil = faults off), mirroring what the engine builds for a
+// cell.
+func newScope(seed uint64, fault any) *simscope.Scope {
+	return &simscope.Scope{FaultSeed: seed, Fault: fault}
 }
 
 // compareCores fails the test when fresh and recycled differ in any
@@ -181,22 +181,21 @@ func comparePooledCores(t *testing.T, fresh, recycled *Core) {
 // execute a program to the exact same architectural and accounting
 // state.
 func TestRecycledCoreMatchesFresh(t *testing.T) {
-	faultinject.Activate(faultinject.Config{Seed: 77})
-	defer faultinject.Deactivate()
+	act := faultinject.NewActivation(faultinject.Config{})
 
 	models := []*model.CPU{model.Broadwell(), model.SkylakeClient(), model.IceLakeClient()}
 	for _, m := range models {
 		for seed := uint64(1); seed <= 8; seed++ {
 			t.Run(fmt.Sprintf("%s/dirty=%d", m.Uarch, seed), func(t *testing.T) {
 				// Reference: a genuinely fresh core under scope seed 1000+seed.
-				fresh := construct(m, newScope(1000+seed))
+				fresh := construct(m, newScope(1000+seed, act))
 
 				// Candidate: a fresh core under an unrelated scope, driven
 				// through a dirty cell, then reinitialised for a scope
 				// equivalent to the reference's.
-				victim := construct(m, newScope(555))
+				victim := construct(m, newScope(555, act))
 				dirtyCore(t, victim, seed)
-				victim.reinit(m, newScope(1000+seed))
+				victim.reinit(m, newScope(1000+seed, act))
 
 				comparePooledCores(t, fresh, victim)
 
@@ -361,7 +360,7 @@ func TestReinitClearsChainLinksAndSuperblock(t *testing.T) {
 	a.Hlt()
 	run(t, c, a.MustAssemble(codeBase))
 
-	c.reinit(m, newScope(4242))
+	c.reinit(m, newScope(4242, nil))
 	if len(c.blocks) != 0 {
 		t.Errorf("reinit left %d decoded blocks cached", len(c.blocks))
 	}

@@ -2,7 +2,6 @@ package cpu
 
 import (
 	"errors"
-	"sync/atomic"
 
 	"spectrebench/internal/simscope"
 )
@@ -17,50 +16,21 @@ var ErrCycleBudget = errors.New("cpu: simulated-cycle budget exhausted")
 // watchdog goroutine).
 var ErrInterrupted = errors.New("cpu: interrupted")
 
-// defaultCycleBudget seeds Core.CycleBudget at construction time
-// (0 = unlimited). Installed by the experiment supervisor so budgets
-// reach cores created deep inside experiment code without threading a
-// parameter through every constructor.
-var defaultCycleBudget atomic.Uint64
-
-// SetDefaultCycleBudget sets the watchdog budget copied into every
-// subsequently constructed core and returns the previous value.
-func SetDefaultCycleBudget(n uint64) (prev uint64) {
-	return defaultCycleBudget.Swap(n)
-}
-
-// DefaultCycleBudget returns the budget new cores start with.
-func DefaultCycleBudget() uint64 { return defaultCycleBudget.Load() }
-
 // scopeCycleBudget resolves the watchdog budget for a core constructed
-// under sc: the budget captured when the scope was scheduled, or the
-// process default outside managed runs. Capturing at scheduling time
-// means a queued cell keeps its budget even if the default is swapped
-// for a later batch.
+// under sc: the budget the scope was scheduled with, or unlimited
+// outside any scope.
 func scopeCycleBudget(sc *simscope.Scope) uint64 {
-	if sc != nil && sc.HasBudget {
-		return sc.Budget
+	if sc == nil {
+		return 0
 	}
-	return defaultCycleBudget.Load()
+	return sc.Budget
 }
-
-// totalCycles aggregates simulated cycles across every core in the
-// process. Cores flush into it periodically (and on halt or watchdog
-// expiry), so readings trail the exact sum by at most a few thousand
-// cycles per live core — good enough for the supervisor's per-experiment
-// cost accounting, and deterministic for a deterministic simulation.
-var totalCycles atomic.Uint64
-
-// TotalCycles returns the process-wide simulated cycle counter.
-func TotalCycles() uint64 { return totalCycles.Load() }
 
 // flushCycleTelemetry publishes this core's not-yet-published cycles to
-// the process-wide counter and, when the core was constructed under a
-// simulation scope, to that scope's accumulator (the supervisor's
+// the scope it was constructed under (the supervisor's
 // order-independent per-experiment cost attribution).
 func (c *Core) flushCycleTelemetry() {
 	if d := c.Cycles - c.flushedCycles; d > 0 {
-		totalCycles.Add(d)
 		c.scope.AddCycles(d)
 		c.flushedCycles = c.Cycles
 	}

@@ -38,8 +38,6 @@ import (
 	"context"
 	"runtime/pprof"
 
-	"spectrebench/internal/cpu"
-	"spectrebench/internal/faultinject"
 	"spectrebench/internal/gls"
 	"spectrebench/internal/simscope"
 )
@@ -279,18 +277,13 @@ func (e *Engine) submitBatch(cells []BatchCell, out []*Task) {
 	}
 
 	// The survivors simulate: allocate their determinism scopes (fault
-	// seed = canonical key hash, activation/budget from the submitter's
-	// scope, or the process globals for an unmanaged submitter) and
-	// enqueue them as one planner unit.
+	// seed = canonical key hash, activation, budget and tag from the
+	// submitter's scope; an unscoped submitter's cells run fault-free
+	// and unbudgeted) and enqueue them as one planner unit.
 	for _, t := range leaders {
 		sc := &simscope.Scope{FaultSeed: t.key.Hash()}
 		if parent != nil {
-			sc.Fault = parent.Fault
-			sc.Budget, sc.HasBudget = parent.Budget, parent.HasBudget
-			sc.Tag = parent.Tag
-		} else {
-			sc.Fault = faultinject.Snapshot()
-			sc.Budget, sc.HasBudget = cpu.DefaultCycleBudget(), true
+			sc.Fault, sc.Budget, sc.Tag = parent.Fault, parent.Budget, parent.Tag
 		}
 		t.scope = sc
 	}

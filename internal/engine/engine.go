@@ -12,7 +12,7 @@
 //   - Memoization. Submit deduplicates by key, so a cell shared by
 //     several experiments (the OS-ladder sweeps of fig2/fig3/table9,
 //     the LEBench runs shared by fig2 and lebench-detail) simulates
-//     exactly once per process. The first Submit of a key counts as a
+//     exactly once per engine. The first Submit of a key counts as a
 //     miss, every later one as a hit — totals that depend only on the
 //     submitted key multiset, never on scheduling.
 //   - Parallelism. Cells have no ordering constraints between them, so
@@ -92,10 +92,12 @@
 // # Determinism
 //
 // Each keyed task runs under its own simscope.Scope whose fault seed is
-// the key hash and whose activation snapshot and cycle budget were
-// captured at Submit time. Injector streams, fired-fault attribution and
-// cycle accounting are therefore functions of the cell key — independent
-// of worker count, steal order and submission interleaving.
+// the key hash and whose fault activation, cycle budget and tag are
+// copied from the submitter's scope at Submit time (a submitter outside
+// any scope gets none of them). Injector streams, fired-fault
+// attribution and cycle accounting are therefore functions of the cell
+// key — independent of worker count, steal order and submission
+// interleaving.
 //
 // # Resource recycling
 //
@@ -875,49 +877,5 @@ func (e *Engine) failPending() {
 	}
 	for _, t := range e.plan.drain() {
 		fail(t)
-	}
-}
-
-// The process-default engine, used by any managed run that does not
-// carry an explicit engine. Size it with SetDefaultJobs before first
-// use.
-var (
-	defaultMu     sync.Mutex
-	defaultEngine *Engine
-	defaultJobs   int
-)
-
-// SetDefaultJobs fixes the worker count of the process-default engine.
-// It must be called before the first Default call (the CLI does so while
-// parsing flags); afterwards it has no effect.
-func SetDefaultJobs(n int) {
-	defaultMu.Lock()
-	defer defaultMu.Unlock()
-	if defaultEngine == nil {
-		defaultJobs = n
-	}
-}
-
-// Default returns the lazily constructed process-default engine.
-func Default() *Engine {
-	defaultMu.Lock()
-	defer defaultMu.Unlock()
-	if defaultEngine == nil {
-		defaultEngine = New(defaultJobs)
-	}
-	return defaultEngine
-}
-
-// CloseDefault closes the process-default engine if it has been
-// constructed. The closed engine stays installed: later Default()
-// callers get an engine whose submissions fail with ErrClosed — the
-// deterministic daemon-shutdown behaviour — rather than a fresh pool
-// resurrecting behind the shutdown path's back. Idempotent.
-func CloseDefault() {
-	defaultMu.Lock()
-	e := defaultEngine
-	defaultMu.Unlock()
-	if e != nil {
-		e.Close()
 	}
 }

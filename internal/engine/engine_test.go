@@ -253,18 +253,3 @@ func TestParallelMatchesSerial(t *testing.T) {
 		t.Fatalf("stats = %d hits, %d misses; want 32, 16", h1, m1)
 	}
 }
-
-func TestDefaultEngineJobs(t *testing.T) {
-	// SetDefaultJobs after Default() must be a no-op; before, it sizes
-	// the pool. The default engine is process-global, so only check the
-	// invariant that holds regardless of test order.
-	SetDefaultJobs(3)
-	e := Default()
-	if e == nil || e.Jobs() < 1 {
-		t.Fatalf("Default() = %+v", e)
-	}
-	SetDefaultJobs(7)
-	if Default() != e {
-		t.Fatal("Default() changed identity after SetDefaultJobs")
-	}
-}

@@ -10,27 +10,24 @@
 // seeded from (scope fault seed, per-core salt, per-scope creation
 // sequence). No wall-clock or math/rand state is ever consulted, so two
 // runs with the same seed fire exactly the same faults at exactly the
-// same points. When a simscope.Scope is current (the parallel engine and
-// the supervisor always install one), derivation is keyed entirely by
-// the scope — the simulation-cell identity — so the streams a cell sees
-// do not depend on which other cells ran first or on which worker ran
-// them. Without a scope, the legacy process-global derivation counter
-// applies (standalone tests and tools).
+// same points. Derivation is keyed entirely by the simscope.Scope the
+// core is constructed under — the simulation-cell identity — so the
+// streams a cell sees do not depend on which other cells ran first or
+// on which worker ran them.
 //
 // The package has two layers:
 //
-//   - A process-global activation (Activate/Deactivate) installed by the
-//     experiment supervisor. While active, cpu.New attaches a derived
-//     Injector to every core it constructs; while inactive, cores carry
-//     a nil Injector and every fault point is dead (all Injector methods
-//     are nil-receiver safe, so call sites stay unconditional).
+//   - An activation (NewActivation) carried in simscope.Scope.Fault.
+//     Cores constructed under a scope holding one attach a derived
+//     Injector; under any other scope, or none, cores carry a nil
+//     Injector and every fault point is dead (all Injector methods are
+//     nil-receiver safe, so call sites stay unconditional).
 //   - The Injector itself, which can also be constructed directly with
 //     New for tests and standalone tools.
 package faultinject
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"spectrebench/internal/simscope"
 )
@@ -106,25 +103,20 @@ var defaultRates = [numPoints]float64{
 	StoreWrite:   1.0 / 64,
 }
 
-// Config describes one fault-injection activation.
+// Config describes one fault-injection activation. The injector streams'
+// seeds come from the scopes that carry the activation, not from here.
 type Config struct {
-	// Seed is the root of every derived Injector's PRNG stream.
-	Seed uint64
 	// Rates overrides the default firing probability per point
 	// (probability per consultation, in [0, 1]). Nil entries keep the
 	// defaults.
 	Rates map[Point]float64
 }
 
-// activation is the immutable global state plus its derivation counter.
+// activation is the immutable per-point firing thresholds of one
+// Config.
 type activation struct {
-	seed       uint64
 	thresholds [numPoints]uint64
-	seq        atomic.Uint64 // per-activation injector creation counter
-	lastFired  atomic.Uint32 // 1+Point of the most recent fire, 0 = none
 }
-
-var active atomic.Pointer[activation]
 
 // threshold converts a probability to a compare threshold for a uniform
 // 64-bit draw.
@@ -138,17 +130,12 @@ func threshold(rate float64) uint64 {
 	return uint64(rate * float64(^uint64(0)))
 }
 
-// NewActivation builds an activation snapshot from cfg without
-// installing anything globally, returning an opaque handle suitable for
-// simscope.Scope.Fault. This is the daemon-safe entry point: a server
-// supervising several concurrently running batches gives each batch its
-// own activation through its scopes, so two sweeps with different seeds
-// or rates cannot interfere through process state. Scoped injector
-// derivation reads only the activation's thresholds (the stream seed
-// comes from the scope), so an activation built here is
-// indistinguishable from one installed by Activate with the same cfg.
+// NewActivation builds an activation from cfg, returning an opaque
+// handle for simscope.Scope.Fault. Every run that wants faults carries
+// its own activation in its scopes, so two batches with different
+// seeds or rates running side by side cannot interfere.
 func NewActivation(cfg Config) any {
-	a := &activation{seed: cfg.Seed}
+	a := &activation{}
 	for p := Point(0); p < numPoints; p++ {
 		rate := defaultRates[p]
 		if r, ok := cfg.Rates[p]; ok {
@@ -159,59 +146,6 @@ func NewActivation(cfg Config) any {
 	return a
 }
 
-// Activate installs cfg as the process-global fault-injection state.
-// Cores constructed afterwards derive their Injector from it. The
-// derivation counter restarts at zero, so activating the same config
-// again reproduces the previous run exactly.
-func Activate(cfg Config) {
-	active.Store(NewActivation(cfg).(*activation))
-}
-
-// Deactivate removes the global activation; subsequently constructed
-// cores carry a nil Injector.
-func Deactivate() { active.Store(nil) }
-
-// Snapshot returns the current activation as an opaque handle suitable
-// for simscope.Scope.Fault, or nil when fault injection is inactive.
-// Capturing the snapshot when a cell is scheduled (rather than reading
-// the global when it runs) keeps a queued cell's weather fixed even if
-// the activation is replaced or removed before a worker picks it up.
-func Snapshot() any {
-	a := active.Load()
-	if a == nil {
-		return nil
-	}
-	return a
-}
-
-// Enabled reports whether a global activation is installed.
-func Enabled() bool { return active.Load() != nil }
-
-// ActiveSeed returns the installed activation's root seed, if any.
-func ActiveSeed() (uint64, bool) {
-	a := active.Load()
-	if a == nil {
-		return 0, false
-	}
-	return a.seed, true
-}
-
-// LastFired returns the most recently fired point across the current
-// activation and whether any point has fired at all. The supervisor
-// stamps it into ExperimentErrors so a failure names the weather that
-// likely provoked it.
-func LastFired() (Point, bool) {
-	a := active.Load()
-	if a == nil {
-		return 0, false
-	}
-	v := a.lastFired.Load()
-	if v == 0 {
-		return 0, false
-	}
-	return Point(v - 1), true
-}
-
 // Injector is a deterministic fault source for one core. It is not safe
 // for concurrent use; each core owns its own instance.
 type Injector struct {
@@ -219,12 +153,11 @@ type Injector struct {
 	thresholds [numPoints]uint64
 	checks     [numPoints]uint64
 	fired      [numPoints]uint64
-	act        *activation     // nil for standalone and scoped injectors
 	scope      *simscope.Scope // owning scope for fire attribution, or nil
 }
 
 // New returns a standalone Injector with the default rates. Intended for
-// tests; simulator cores obtain theirs via FromActive.
+// tests; simulator cores obtain theirs via FromActiveScope.
 func New(seed uint64) *Injector {
 	in := &Injector{state: mix(seed, 0x9e3779b97f4a7c15)}
 	for p := Point(0); p < numPoints; p++ {
@@ -233,53 +166,28 @@ func New(seed uint64) *Injector {
 	return in
 }
 
-// FromActive derives an Injector for a newly constructed core, or
-// returns nil when fault injection is off. salt (typically the CPU model
-// name) and a creation sequence decorrelate the streams of multiple
-// cores within one experiment while keeping the derivation reproducible.
-//
-// When the calling goroutine carries a simscope.Scope, the derivation is
-// fully scope-local: the seed is the scope's FaultSeed, the sequence is
-// the scope's own counter, and the activation is the snapshot captured
-// when the scope was scheduled (a nil snapshot means faults are off for
-// this scope regardless of the global activation). That makes a cell's
-// injector streams a pure function of the cell identity — the property
-// the parallel engine needs for order-independent replay. Without a
-// scope, the legacy global activation and its process-wide counter
-// apply.
-func FromActive(salt string) *Injector {
-	return FromActiveScope(simscope.Current(), salt)
-}
-
-// FromActiveScope is FromActive with the caller's scope already
-// resolved. Core construction resolves its scope once and passes it to
-// every scope-dependent derivation, instead of paying a goroutine-ID
-// parse per consult; the derivation itself is identical to FromActive,
-// so pooled-core reinitialisation draws the same injector stream a
-// fresh construction would.
+// FromActiveScope derives an Injector for a core constructed under sc,
+// or returns nil when sc is nil or carries no activation. The seed is
+// the scope's FaultSeed, salt (typically the CPU model name) and the
+// scope's own creation sequence decorrelate the streams of several
+// cores within one cell, so a cell's injector streams are a pure
+// function of the cell identity — the property the parallel engine
+// needs for order-independent replay. Core construction resolves its
+// scope once and passes it here, so pooled-core reinitialisation draws
+// the same stream a fresh construction would.
 func FromActiveScope(sc *simscope.Scope, salt string) *Injector {
-	if sc != nil {
-		a, _ := sc.Fault.(*activation)
-		if a == nil {
-			return nil
-		}
-		return &Injector{
-			state:      mix(mix(sc.FaultSeed, hashString(salt)), sc.NextSeq()),
-			thresholds: a.thresholds,
-			scope:      sc,
-		}
+	if sc == nil {
+		return nil
 	}
-	a := active.Load()
+	a, _ := sc.Fault.(*activation)
 	if a == nil {
 		return nil
 	}
-	n := a.seq.Add(1)
-	in := &Injector{
-		state:      mix(mix(a.seed, hashString(salt)), n),
+	return &Injector{
+		state:      mix(mix(sc.FaultSeed, hashString(salt)), sc.NextSeq()),
 		thresholds: a.thresholds,
-		act:        a,
+		scope:      sc,
 	}
-	return in
 }
 
 // Reseed restarts the injector's PRNG stream (the supervisor's
@@ -302,11 +210,7 @@ func (in *Injector) Fire(p Point) bool {
 		return false
 	}
 	in.fired[p]++
-	if in.scope != nil {
-		in.scope.NoteFired(uint8(p))
-	} else if in.act != nil {
-		in.act.lastFired.Store(uint32(p) + 1)
-	}
+	in.scope.NoteFired(uint8(p))
 	return true
 }
 

@@ -1,6 +1,10 @@
 package faultinject
 
-import "testing"
+import (
+	"testing"
+
+	"spectrebench/internal/simscope"
+)
 
 func TestDeterministicStreams(t *testing.T) {
 	a, b := New(42), New(42)
@@ -23,12 +27,11 @@ func TestDeterministicStreams(t *testing.T) {
 }
 
 func TestRates(t *testing.T) {
-	Activate(Config{Seed: 7, Rates: map[Point]float64{
+	sc := &simscope.Scope{FaultSeed: 7, Fault: NewActivation(Config{Rates: map[Point]float64{
 		CacheEvict:   0,
 		SyscallEINTR: 1,
-	}})
-	defer Deactivate()
-	in := FromActive("test")
+	}})}
+	in := FromActiveScope(sc, "test")
 	for i := 0; i < 1000; i++ {
 		if in.Fire(CacheEvict) {
 			t.Fatal("rate-0 point fired")
@@ -41,18 +44,17 @@ func TestRates(t *testing.T) {
 		t.Errorf("counter mismatch: checks=%d fired=%d",
 			in.Checks(CacheEvict), in.Fired(SyscallEINTR))
 	}
-	if p, ok := LastFired(); !ok || p != SyscallEINTR {
+	if p, ok := sc.LastFired(); !ok || Point(p) != SyscallEINTR {
 		t.Errorf("LastFired = %v, %v; want syscall-eintr, true", p, ok)
 	}
 }
 
 func TestActivationReproducible(t *testing.T) {
 	run := func() []bool {
-		Activate(Config{Seed: 99})
-		defer Deactivate()
+		sc := &simscope.Scope{FaultSeed: 99, Fault: NewActivation(Config{})}
 		var out []bool
 		for c := 0; c < 3; c++ { // three "cores", like one experiment
-			in := FromActive("Broadwell")
+			in := FromActiveScope(sc, "Broadwell")
 			for i := 0; i < 5000; i++ {
 				out = append(out, in.Fire(CacheEvict))
 			}
@@ -62,7 +64,7 @@ func TestActivationReproducible(t *testing.T) {
 	a, b := run(), run()
 	for i := range a {
 		if a[i] != b[i] {
-			t.Fatalf("re-activation diverged at draw %d", i)
+			t.Fatalf("re-derivation diverged at draw %d", i)
 		}
 	}
 }
@@ -79,12 +81,11 @@ func TestNilSafety(t *testing.T) {
 		t.Error("nil injector has counters")
 	}
 	in.Reseed(1) // must not panic
-	Deactivate()
-	if FromActive("x") != nil {
-		t.Error("FromActive returned an injector while inactive")
+	if FromActiveScope(nil, "x") != nil {
+		t.Error("FromActiveScope returned an injector without a scope")
 	}
-	if _, ok := LastFired(); ok {
-		t.Error("LastFired reported a point while inactive")
+	if FromActiveScope(&simscope.Scope{FaultSeed: 1}, "x") != nil {
+		t.Error("FromActiveScope returned an injector for a scope without an activation")
 	}
 }
 

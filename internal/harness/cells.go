@@ -3,9 +3,7 @@ package harness
 import (
 	"fmt"
 
-	"spectrebench/internal/cpu"
 	"spectrebench/internal/engine"
-	"spectrebench/internal/faultinject"
 	"spectrebench/internal/kernel"
 	"spectrebench/internal/model"
 	"spectrebench/internal/simscope"
@@ -27,27 +25,21 @@ type cellSet struct {
 	budget uint64
 }
 
-// declareCells reads the current supervised scope. Experiments invoked
-// outside a supervisor (tests calling Run directly) fall back to the
-// process-default engine, seed 0 (unless a global fault activation is
-// installed) and the process-default budget.
+// declareCells reads the current supervised scope. Experiments run
+// only under one (SuperviseEach installs it); outside it there is no
+// engine to schedule on, and declareCells panics.
 func declareCells() *cellSet {
-	cs := &cellSet{budget: cpu.DefaultCycleBudget()}
-	if sc := simscope.Current(); sc != nil {
-		if sc.Fault != nil {
-			cs.seed = sc.FaultSeed
-		}
-		if sc.HasBudget {
-			cs.budget = sc.Budget
-		}
-		if eng, ok := sc.Tag.(*engine.Engine); ok {
-			cs.eng = eng
-		}
-	} else if s, on := faultinject.ActiveSeed(); on {
-		cs.seed = s
+	sc := simscope.Current()
+	var eng *engine.Engine
+	if sc != nil {
+		eng, _ = sc.Tag.(*engine.Engine)
 	}
-	if cs.eng == nil {
-		cs.eng = engine.Default()
+	if eng == nil {
+		panic("harness: experiment run outside a supervised scope")
+	}
+	cs := &cellSet{eng: eng, budget: sc.Budget}
+	if sc.Fault != nil {
+		cs.seed = sc.FaultSeed
 	}
 	return cs
 }

@@ -15,7 +15,7 @@ func renderBatchCSV(t *testing.T, exps []Experiment, jobs int, faults bool) stri
 	eng := engine.New(jobs)
 	defer eng.Close()
 	cfg := RunConfig{Seed: 7, Faults: faults, Retries: DefaultRetries, Engine: eng}
-	return RenderResults(SuperviseAll(exps, cfg), true, eng)
+	return RenderResults(SuperviseEach(exps, cfg, nil), true, eng)
 }
 
 // TestCheckpointMatrixDeterminism pins checkpointed warmup: rendered
@@ -101,7 +101,7 @@ func TestCheckpointRegistryServesForks(t *testing.T) {
 	eng := engine.New(1)
 	defer eng.Close()
 	cfg := RunConfig{Retries: DefaultRetries, Engine: eng}
-	res := SuperviseAll(lookupAll(t, []string{"fig3"}), cfg)
+	res := SuperviseEach(lookupAll(t, []string{"fig3"}), cfg, nil)
 	for _, r := range res {
 		if r.Status != StatusOK {
 			t.Fatalf("%s: %s: %v", r.ID, r.Status, r.Err)

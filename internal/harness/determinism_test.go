@@ -30,7 +30,7 @@ func renderBatch(t *testing.T, exps []Experiment, jobs int, faults bool) string 
 	eng := engine.New(jobs)
 	defer eng.Close()
 	cfg := RunConfig{Seed: 7, Faults: faults, Retries: DefaultRetries, Engine: eng}
-	return RenderResults(SuperviseAll(exps, cfg), false, eng)
+	return RenderResults(SuperviseEach(exps, cfg, nil), false, eng)
 }
 
 // TestParallelDeterminism is the PR's headline guarantee: the rendered
@@ -137,7 +137,7 @@ func TestCellCacheDedupesSharedCells(t *testing.T) {
 	eng := engine.New(1)
 	defer eng.Close()
 	cfg := RunConfig{Retries: DefaultRetries, Engine: eng}
-	res := SuperviseAll(lookupAll(t, []string{"fig3", "whatif-v1hw"}), cfg)
+	res := SuperviseEach(lookupAll(t, []string{"fig3", "whatif-v1hw"}), cfg, nil)
 	for _, r := range res {
 		if r.Status != StatusOK {
 			t.Fatalf("%s: %s: %v", r.ID, r.Status, r.Err)

@@ -414,7 +414,7 @@ func runFig2() (*Table, error) {
 	// simulation, shared further with lebench-detail.
 	cs := declareCells()
 	cfg := core.Config{MinRuns: 2, MaxRuns: 3, RelCI: 0.05}
-	attrs, err := core.Sweep(cs.lebenchGeo, core.OSLadder(), cfg)
+	attrs, err := core.Sweep(cs.eng, cs.lebenchGeo, core.OSLadder(), cfg)
 	if err != nil {
 		return nil, err
 	}

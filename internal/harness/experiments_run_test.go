@@ -16,7 +16,7 @@ func TestEveryExperimentRuns(t *testing.T) {
 			if testing.Short() && slow[e.ID] {
 				t.Skip("slow experiment skipped in -short mode")
 			}
-			tbl, err := e.Run()
+			tbl, err := runScoped(e.Run)
 			if err != nil {
 				t.Fatalf("%s: %v", e.ID, err)
 			}
@@ -43,7 +43,7 @@ func TestEveryExperimentRuns(t *testing.T) {
 // unexpected NO-LEAK cell — that would mean a mitigation stopped working
 // or an attack regressed.
 func TestSecurityMatrixClean(t *testing.T) {
-	tbl, err := runSecurity()
+	tbl, err := runScoped(runSecurity)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestWhatIfV1HW(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
 	}
-	tbl, err := runWhatIfV1HW()
+	tbl, err := runScoped(runWhatIfV1HW)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,7 +48,7 @@ func TestGoldenRunAll(t *testing.T) {
 			eng := engine.New(tc.jobs)
 			defer eng.Close()
 			cfg.Engine = eng
-			got := RenderResults(SuperviseAll(All(), cfg), tc.csv, nil)
+			got := RenderResults(SuperviseEach(All(), cfg, nil), tc.csv, nil)
 			if want := string(raw); got != want {
 				t.Errorf("output differs from testdata/%s\n%s", tc.file, lineDiff(want, got))
 			}

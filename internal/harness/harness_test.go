@@ -65,7 +65,7 @@ func parseNum(t *testing.T, s string) float64 {
 // Table 3: measured syscall/sysret must match the paper values closely
 // (the simulator executes the same instructions the model prices).
 func TestTable3MatchesPaper(t *testing.T) {
-	tb, err := runTable3()
+	tb, err := runScoped(runTable3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestTable3MatchesPaper(t *testing.T) {
 }
 
 func TestTable4MatchesPaper(t *testing.T) {
-	tb, err := runTable4()
+	tb, err := runScoped(runTable4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestTable4MatchesPaper(t *testing.T) {
 }
 
 func TestTable6MatchesPaper(t *testing.T) {
-	tb, err := runTable6()
+	tb, err := runScoped(runTable6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestTable6MatchesPaper(t *testing.T) {
 }
 
 func TestTable8MatchesPaper(t *testing.T) {
-	tb, err := runTable8()
+	tb, err := runScoped(runTable8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestTable8MatchesPaper(t *testing.T) {
 // Table 5: the AMD retpoline delta is calibrated exactly; the generic
 // retpoline is emergent and must land within a plausible band.
 func TestTable5Sanity(t *testing.T) {
-	tb, err := runTable5()
+	tb, err := runScoped(runTable5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestTable5Sanity(t *testing.T) {
 
 // Table 1 must reproduce the paper's checkmark pattern.
 func TestTable1Pattern(t *testing.T) {
-	tb, err := runTable1()
+	tb, err := runScoped(runTable1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestTable1Pattern(t *testing.T) {
 // Fig 2 totals must track the paper's shape: big on old Intel, small on
 // new Intel and AMD.
 func TestFig2Shape(t *testing.T) {
-	tb, err := runFig2()
+	tb, err := runScoped(runFig2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestFig2Shape(t *testing.T) {
 }
 
 func TestProbeTablesRender(t *testing.T) {
-	t9, err := runProbeTable("table9", false)
+	t9, err := runScoped(func() (*Table, error) { return runProbeTable("table9", false) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ func TestProbeTablesRender(t *testing.T) {
 			t.Errorf("table9 Zen 3 col %d = %q", i, zen3[i])
 		}
 	}
-	t10, err := runProbeTable("table10", true)
+	t10, err := runScoped(func() (*Table, error) { return runProbeTable("table10", true) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +263,7 @@ func TestProbeTablesRender(t *testing.T) {
 // Golden render of Table 1: the full checkmark grid is the paper's most
 // recognisable artifact; lock its shape.
 func TestTable1GoldenRender(t *testing.T) {
-	tb, err := runTable1()
+	tb, err := runScoped(runTable1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +284,7 @@ func TestTable1GoldenRender(t *testing.T) {
 
 // CSV output round-trips the same cell count as the text renderer.
 func TestCSVCellCounts(t *testing.T) {
-	tb, err := runTable2()
+	tb, err := runScoped(runTable2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,7 @@ func renderBatchStore(t *testing.T, exps []Experiment, dir string, faults bool) 
 	defer eng.Close()
 	eng.SetSecondLevel(st)
 	cfg := RunConfig{Seed: 7, Faults: faults, Retries: DefaultRetries, Engine: eng}
-	out := RenderResults(SuperviseAll(exps, cfg), false, eng)
+	out := RenderResults(SuperviseEach(exps, cfg, nil), false, eng)
 	return out, st.Stats()
 }
 

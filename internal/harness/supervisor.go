@@ -91,18 +91,9 @@ type RunConfig struct {
 	// CycleBudget is the per-core watchdog in simulated cycles; 0 means
 	// DefaultCycleBudget, NoCycleBudget disables the watchdog.
 	CycleBudget uint64
-	// Engine schedules the run's simulation cells and experiment tasks;
-	// nil means the process-default engine. Tests pass throwaway engines
-	// so cache statistics are isolated per run.
+	// Engine schedules the run's simulation cells and experiment tasks.
+	// Required.
 	Engine *engine.Engine
-}
-
-// engine returns the scheduling engine for this config.
-func (cfg RunConfig) engine() *engine.Engine {
-	if cfg.Engine != nil {
-		return cfg.Engine
-	}
-	return engine.Default()
 }
 
 // NoCycleBudget disables the watchdog when placed in
@@ -141,31 +132,17 @@ type Result struct {
 	Cycles uint64
 }
 
-// Supervise runs one experiment crash-safely: panics become typed
+// supervise runs one experiment crash-safely: panics become typed
 // *ExperimentError values, every core the experiment constructs is
 // bounded by the watchdog cycle budget, and inconclusive probe readings
 // are retried with a reseeded fault injector before being reported. The
 // process never dies on a failing experiment — that is the contract that
-// lets `run all` degrade gracefully and, later, lets experiments shard
-// across workers.
-func Supervise(e Experiment, cfg RunConfig) Result {
-	cfg = cfg.withDefaults()
-	prevBudget := cpu.SetDefaultCycleBudget(cfg.CycleBudget)
-	defer cpu.SetDefaultCycleBudget(prevBudget)
-	if cfg.Faults {
-		faultinject.Activate(faultinject.Config{Seed: cfg.Seed})
-		defer faultinject.Deactivate()
-	}
-	return supervise(e, cfg, cfg.engine(), faultinject.Snapshot())
-}
-
-// supervise runs the attempt loop for one experiment. snap is the
-// fault-injection activation snapshot for this batch (nil when faults
-// are off); each attempt gets its own simulation scope carrying the
-// attempt's fault seed, the snapshot, the budget, and the engine —
-// everything experiment code and the cells it declares need, with no
-// reads of mutable process state from inside the attempt.
-func supervise(e Experiment, cfg RunConfig, eng *engine.Engine, snap any) Result {
+// lets `run all` degrade gracefully.
+// act is the batch's fault-injection activation (nil when faults are
+// off); each attempt gets its own simulation scope carrying the
+// attempt's fault seed, the activation, the budget and the engine —
+// everything experiment code and the cells it declares need.
+func supervise(e Experiment, cfg RunConfig, act any) Result {
 	res := Result{ID: e.ID, Paper: e.Paper, Title: e.Title}
 
 	for attempt := 0; ; attempt++ {
@@ -175,12 +152,9 @@ func supervise(e Experiment, cfg RunConfig, eng *engine.Engine, snap any) Result
 		// behaviour.
 		sc := &simscope.Scope{
 			FaultSeed: attemptSeed(cfg.Seed, e.ID, attempt),
+			Fault:     act,
 			Budget:    cfg.CycleBudget,
-			HasBudget: true,
-			Tag:       eng,
-		}
-		if cfg.Faults {
-			sc.Fault = snap
+			Tag:       cfg.Engine,
 		}
 		restore := simscope.Enter(sc)
 		tbl, err := runProtected(e, attempt, sc)
@@ -233,8 +207,7 @@ func attemptSeed(seed uint64, id string, attempt int) uint64 {
 // runProtected invokes e.Run with panic isolation. A panic's FaultPoint
 // comes from the attempt scope's last-fired register (cells carry their
 // own scopes, so a fault inside a cell surfaces through the cell's
-// PanicError instead), with the legacy global register as a fallback for
-// injectors constructed outside any scope.
+// PanicError instead).
 func runProtected(e Experiment, attempt int, sc *simscope.Scope) (tbl *Table, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -247,8 +220,6 @@ func runProtected(e Experiment, attempt int, sc *simscope.Scope) (tbl *Table, er
 			}
 			if p, ok := sc.LastFired(); ok {
 				ee.FaultPoint = faultinject.Point(p).String()
-			} else if p, ok := faultinject.LastFired(); ok {
-				ee.FaultPoint = p.String()
 			}
 			err = ee
 		}
@@ -256,62 +227,37 @@ func runProtected(e Experiment, attempt int, sc *simscope.Scope) (tbl *Table, er
 	return e.Run()
 }
 
-// SuperviseAll supervises every experiment concurrently on the engine's
-// worker pool, never stopping at a failure, and returns the results in
-// input order. Each experiment is an unkeyed engine task; the cells it
-// declares fan out further across the same pool. Gathering in input
-// order (not completion order) is what keeps rendered output
-// byte-identical for any worker count.
-func SuperviseAll(exps []Experiment, cfg RunConfig) []Result {
-	cfg = cfg.withDefaults()
-	prevBudget := cpu.SetDefaultCycleBudget(cfg.CycleBudget)
-	defer cpu.SetDefaultCycleBudget(prevBudget)
-	if cfg.Faults {
-		faultinject.Activate(faultinject.Config{Seed: cfg.Seed})
-		defer faultinject.Deactivate()
-	}
-	return superviseBatch(exps, cfg, faultinject.Snapshot(), nil)
-}
-
-// SuperviseEach is SuperviseAll for daemons: it supervises every
-// experiment concurrently on the engine pool without touching any
-// process-global state (no fault activation install, no default-budget
-// swap), so concurrent batches with different seeds, rates or budgets
-// cannot interfere — every determinism parameter travels in the
-// attempt scopes. Scoped code paths (everything the supervisor and
-// engine run) read only the scope; output for a given cfg is
-// byte-identical to a CLI run with the same cfg.
+// SuperviseEach supervises every experiment concurrently on
+// cfg.Engine's worker pool, never stopping at a failure, and returns the
+// results in input order. Each experiment is an unkeyed engine task;
+// the cells it declares fan out further across the same pool. Every
+// determinism parameter — fault activation, seed, budget, engine —
+// travels in the attempt scopes, so concurrent batches with different
+// configs cannot interfere, and gathering in input order (not
+// completion order) keeps rendered output byte-identical for any
+// worker count.
 //
 // done, when non-nil, is invoked as each experiment completes — in
 // completion order, from worker goroutines — which is what lets a
-// server stream results while the batch is still running. The returned
-// slice is always in input order.
+// server stream results while the batch is still running.
 func SuperviseEach(exps []Experiment, cfg RunConfig, done func(int, Result)) []Result {
 	cfg = cfg.withDefaults()
-	var snap any
+	var act any
 	if cfg.Faults {
-		snap = faultinject.NewActivation(faultinject.Config{Seed: cfg.Seed})
+		act = faultinject.NewActivation(faultinject.Config{})
 	}
-	return superviseBatch(exps, cfg, snap, done)
-}
-
-// superviseBatch fans the experiments out as unkeyed engine tasks and
-// gathers the results in input order (the ordering that keeps rendered
-// output byte-identical for any worker count).
-func superviseBatch(exps []Experiment, cfg RunConfig, snap any, done func(int, Result)) []Result {
-	eng := cfg.engine()
 	items := make([]engine.BatchGo, len(exps))
 	for i, e := range exps {
 		i, e := i, e
 		items[i] = engine.BatchGo{Label: "experiment/" + e.ID, Fn: func() (any, error) {
-			r := supervise(e, cfg, eng, snap)
+			r := supervise(e, cfg, act)
 			if done != nil {
 				done(i, r)
 			}
 			return r, nil
 		}}
 	}
-	tasks := eng.GoBatch(items)
+	tasks := cfg.Engine.GoBatch(items)
 	out := make([]Result, len(exps))
 	for i, t := range tasks {
 		v, err := t.Wait()

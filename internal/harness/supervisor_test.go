@@ -7,19 +7,39 @@ import (
 	"testing"
 
 	"spectrebench/internal/cpu"
+	"spectrebench/internal/engine"
 	"spectrebench/internal/isa"
 	"spectrebench/internal/model"
+	"spectrebench/internal/simscope"
 )
 
 func exp(id string, run func() (*Table, error)) Experiment {
 	return Experiment{ID: id, Paper: "test", Title: "synthetic " + id, Run: run}
 }
 
+// superviseOne supervises e alone on a throwaway engine.
+func superviseOne(t *testing.T, e Experiment, cfg RunConfig) Result {
+	t.Helper()
+	cfg.Engine = engine.New(1)
+	defer cfg.Engine.Close()
+	return SuperviseEach([]Experiment{e}, cfg, nil)[0]
+}
+
+// runScoped runs fn the way a supervised attempt runs an experiment:
+// under a scope carrying a throwaway engine for the cells it declares.
+func runScoped(fn func() (*Table, error)) (*Table, error) {
+	eng := engine.New(0)
+	defer eng.Close()
+	restore := simscope.Enter(&simscope.Scope{Tag: eng})
+	defer restore()
+	return fn()
+}
+
 func TestSupervisePanicBecomesExperimentError(t *testing.T) {
 	e := exp("panicky", func() (*Table, error) {
 		panic("deliberate out-of-bounds in simulator")
 	})
-	res := Supervise(e, RunConfig{Retries: 0})
+	res := superviseOne(t, e, RunConfig{Retries: 0})
 	if res.Status != StatusFailed {
 		t.Fatalf("status = %q, want %q", res.Status, StatusFailed)
 	}
@@ -55,7 +75,7 @@ func TestSuperviseCycleBudgetTimeout(t *testing.T) {
 			}
 		}
 	})
-	res := Supervise(e, RunConfig{CycleBudget: 100_000, Retries: 0})
+	res := superviseOne(t, e, RunConfig{CycleBudget: 100_000, Retries: 0})
 	if res.Status != StatusTimeout {
 		t.Fatalf("status = %q (err %v), want %q", res.Status, res.Err, StatusTimeout)
 	}
@@ -78,7 +98,7 @@ func TestSuperviseRetriesInconclusive(t *testing.T) {
 		}
 		return &Table{ID: "flaky", Title: "ok now"}, nil
 	})
-	res := Supervise(e, RunConfig{Retries: 2})
+	res := superviseOne(t, e, RunConfig{Retries: 2})
 	if res.Status != StatusOK {
 		t.Fatalf("status = %q (err %v), want ok", res.Status, res.Err)
 	}
@@ -96,7 +116,7 @@ func TestSuperviseAlwaysInconclusive(t *testing.T) {
 		calls++
 		return nil, fmt.Errorf("reading: %w", ErrInconclusive)
 	})
-	res := Supervise(e, RunConfig{Retries: 2})
+	res := superviseOne(t, e, RunConfig{Retries: 2})
 	if res.Status != StatusInconclusive {
 		t.Fatalf("status = %q, want inconclusive", res.Status)
 	}
@@ -114,7 +134,7 @@ func TestSuperviseDeterministicFailureNotRetriedWithoutFaults(t *testing.T) {
 		calls++
 		return nil, errors.New("deterministic failure")
 	})
-	res := Supervise(e, RunConfig{Retries: 2})
+	res := superviseOne(t, e, RunConfig{Retries: 2})
 	if res.Status != StatusFailed {
 		t.Fatalf("status = %q, want failed", res.Status)
 	}
@@ -129,7 +149,9 @@ func TestSuperviseAllGracefulDegradation(t *testing.T) {
 		exp("b-ok", func() (*Table, error) { return &Table{ID: "b-ok"}, nil }),
 		exp("c-fails", func() (*Table, error) { return nil, errors.New("nope") }),
 	}
-	results := SuperviseAll(exps, RunConfig{Retries: 0})
+	eng := engine.New(2)
+	defer eng.Close()
+	results := SuperviseEach(exps, RunConfig{Retries: 0, Engine: eng}, nil)
 	if len(results) != 3 {
 		t.Fatalf("got %d results, want one per experiment", len(results))
 	}
@@ -162,8 +184,8 @@ func TestSuperviseSeedStability(t *testing.T) {
 		t.Fatal("table3 experiment not registered")
 	}
 	cfg := RunConfig{Seed: 1, Faults: true}
-	first := Supervise(e, cfg)
-	second := Supervise(e, cfg)
+	first := superviseOne(t, e, cfg)
+	second := superviseOne(t, e, cfg)
 	if first.Status != second.Status {
 		t.Fatalf("statuses differ across identical runs: %q vs %q", first.Status, second.Status)
 	}

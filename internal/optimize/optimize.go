@@ -383,9 +383,9 @@ type evalUnit struct {
 }
 
 // Search runs the optimizer on the given engine. The caller owns fault
-// activation: either the global faultinject.Activate (CLI) or an
-// entered simscope carrying an activation snapshot (server), exactly
-// as with engine.Submit-based experiments.
+// activation: cells inherit it from the simscope the caller entered
+// (a scope whose Fault is a faultinject.NewActivation), exactly as
+// with engine.Submit-based experiments.
 func Search(eng *engine.Engine, opts Options) (*Result, error) {
 	require := opts.Require
 	if len(require) == 0 {

@@ -12,6 +12,7 @@ import (
 	"spectrebench/internal/grid"
 	"spectrebench/internal/kernel"
 	"spectrebench/internal/model"
+	"spectrebench/internal/simscope"
 )
 
 // reducedUarchs is the equivalence-matrix pair: one Intel part with the
@@ -124,8 +125,8 @@ func TestPrunedMatchesBruteForce(t *testing.T) {
 func TestPrunedMatchesBruteForceUnderFaults(t *testing.T) {
 	const seed = 20260808
 	run := func(prune bool) *Result {
-		faultinject.Activate(faultinject.Config{Seed: seed})
-		defer faultinject.Deactivate()
+		restore := simscope.Enter(&simscope.Scope{Fault: faultinject.NewActivation(faultinject.Config{})})
+		defer restore()
 		return runSearch(t, prune, seed, 4)
 	}
 	pruned := run(true)

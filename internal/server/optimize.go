@@ -3,8 +3,8 @@
 // NDJSON streaming with gzip negotiation, drain awareness — but runs
 // the dominance-pruned optimizer instead of an experiment batch. Fault
 // injection is carried in a simscope entered around the search
-// goroutine (never the process-global activation), so concurrent
-// optimize and sweep requests with different seeds cannot interfere.
+// goroutine, so concurrent optimize and sweep requests with different
+// seeds cannot interfere.
 package server
 
 import (
@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"spectrebench/internal/attacks"
-	"spectrebench/internal/cpu"
 	"spectrebench/internal/faultinject"
 	"spectrebench/internal/grid"
 	"spectrebench/internal/optimize"
@@ -204,16 +203,13 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	go func() {
 		defer s.work.Done()
 		defer func() { <-s.sem }()
-		// Fault activation rides in a scope, not the process global:
-		// Submit derives each cell's scope from this parent, so two
-		// concurrent searches (or a search next to a faulted sweep) with
-		// different seeds stay independent.
-		sc := &simscope.Scope{
-			Budget:    cpu.DefaultCycleBudget(),
-			HasBudget: true,
-		}
+		// Fault activation rides in a scope: Submit derives each cell's
+		// scope from this parent, so two concurrent searches (or a
+		// search next to a faulted sweep) with different seeds stay
+		// independent.
+		sc := &simscope.Scope{}
 		if req.Faults {
-			sc.Fault = faultinject.NewActivation(faultinject.Config{Seed: req.Seed})
+			sc.Fault = faultinject.NewActivation(faultinject.Config{})
 		}
 		restore := simscope.Enter(sc)
 		res, err := optimize.Search(s.cfg.Engine, opts)

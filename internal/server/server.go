@@ -24,10 +24,10 @@
 //     oversubscribe the pool.
 //   - Isolation. Sweeps run through harness.SuperviseEach, which
 //     carries every determinism parameter (seed, fault activation,
-//     cycle budget) in per-attempt scopes instead of process globals —
-//     two concurrent sweeps with different seeds cannot perturb each
-//     other, and a result served over HTTP is byte-identical to the
-//     same configuration run locally.
+//     cycle budget, engine) in per-attempt scopes — two concurrent
+//     sweeps with different seeds cannot perturb each other, and a
+//     result served over HTTP is byte-identical to the same
+//     configuration run locally.
 //   - Drain. BeginDrain flips /healthz to 503 and refuses new sweeps;
 //     WaitIdle blocks until in-flight work completes. The daemon's
 //     SIGTERM path is drain → http shutdown → engine close → store
@@ -55,8 +55,7 @@ import (
 
 // Config configures a Server.
 type Config struct {
-	// Engine schedules the sweeps' cells. nil means the process-default
-	// engine.
+	// Engine schedules the sweeps' cells. Required.
 	Engine *engine.Engine
 	// Store is the persistent cell store backing the engine's second
 	// level, reported in /statsz. May be nil (memo-only serving).
@@ -188,11 +187,9 @@ type Server struct {
 	opt                                     optCounters
 }
 
-// New returns a Server with cfg's zero fields defaulted.
+// New returns a Server with cfg's zero fields (other than the required
+// Engine) defaulted.
 func New(cfg Config) *Server {
-	if cfg.Engine == nil {
-		cfg.Engine = engine.Default()
-	}
 	if cfg.MaxInflight <= 0 {
 		cfg.MaxInflight = 4
 	}

@@ -3,20 +3,17 @@
 // constructor in the simulator.
 //
 // A Scope travels implicitly with a goroutine (Enter/Current, keyed by
-// goroutine ID) and holds everything that used to live in process-global
-// state and therefore broke determinism the moment two experiments ran
-// concurrently:
+// goroutine ID) and is the one carrier of the state that decides a
+// run's result, so concurrent runs with different parameters cannot
+// interfere:
 //
-//   - the fault-injection seed and the activation snapshot captured when
-//     the cell was scheduled, so injector streams derive from the cell's
-//     identity instead of global creation order;
-//   - the watchdog cycle budget the cell was scheduled under, so a
-//     budget change for a later batch cannot leak into a still-queued
-//     cell;
-//   - a cycle accumulator, replacing the process-wide counter for
-//     per-experiment cost attribution;
-//   - the most recently fired fault point, replacing the global
-//     last-fired register for failure attribution.
+//   - the fault-injection seed and activation, so injector streams
+//     derive from the cell's identity instead of creation order;
+//   - the watchdog cycle budget the cell was scheduled under;
+//   - the scheduling engine (Tag), for experiment code that fans out
+//     cells of its own;
+//   - a cycle accumulator for per-experiment cost attribution;
+//   - the most recently fired fault point, for failure attribution.
 //
 // The package sits below faultinject and cpu in the dependency order and
 // imports nothing but gls, so every simulator layer can consult it.
@@ -39,15 +36,12 @@ type Scope struct {
 	// this scope. For a cell it is the hash of the cell key; for an
 	// experiment attempt it is the (seed, id, attempt) derivation.
 	FaultSeed uint64
-	// Fault is the opaque fault-injection activation snapshot captured
-	// when the scope was created (nil = faults off for this scope, even
-	// if a global activation appears later).
+	// Fault is the opaque fault-injection activation
+	// (faultinject.NewActivation); nil = faults off for this scope.
 	Fault any
 	// Budget is the watchdog cycle budget for cores constructed under
-	// this scope (0 = unlimited). Only consulted when HasBudget is set;
-	// otherwise cores fall back to the process default.
-	Budget    uint64
-	HasBudget bool
+	// this scope (0 = unlimited).
+	Budget uint64
 	// Tag carries an arbitrary scheduler handle (the harness stores its
 	// engine here so experiment code finds it without a global).
 	Tag any
