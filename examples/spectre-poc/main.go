@@ -9,55 +9,28 @@ import (
 	"log"
 
 	"spectrebench/internal/attacks"
+	"spectrebench/internal/kernel"
 	"spectrebench/internal/model"
 )
 
 func main() {
-	fmt.Println("== Spectre V1 (bounds check bypass) on Zen 3 ==")
-	m := model.Zen3()
-	leaked, ok, err := attacks.SpectreV1(m, attacks.V1None)
-	must(err)
-	fmt.Printf("  unmitigated:    leaked byte %#02x (success=%v)\n", leaked, ok)
-	leaked, ok, err = attacks.SpectreV1(m, attacks.V1IndexMask)
-	must(err)
-	fmt.Printf("  index masking:  leaked byte %#02x (success=%v)\n", leaked, ok)
-	leaked, ok, err = attacks.SpectreV1(m, attacks.V1Lfence)
-	must(err)
-	fmt.Printf("  lfence:         leaked byte %#02x (success=%v)\n\n", leaked, ok)
-
-	fmt.Println("== Meltdown (user reads kernel memory) ==")
-	for _, mm := range []*model.CPU{model.Broadwell(), model.IceLakeServer()} {
-		_, ok, err := attacks.Meltdown(mm, attacks.MeltdownConfig{})
+	// Skylake Client is vulnerable to every attack in the taxonomy.
+	m := model.SkylakeClient()
+	def := kernel.Defaults(m)
+	fmt.Printf("== Every taxonomy PoC on %s: unmitigated, then under the kernel's defaults ==\n", m.Uarch)
+	for _, a := range attacks.Taxonomy {
+		if a.Leaks == nil {
+			fmt.Printf("  %-18s (no PoC)\n", a.ID)
+			continue
+		}
+		open, err := a.Leaks(m, kernel.Mitigations{})
 		must(err)
-		fmt.Printf("  %-16s unmitigated: success=%v\n", mm.Uarch, ok)
+		still, err := a.Leaks(m, def)
+		must(err)
+		fmt.Printf("  %-18s unmitigated: %-8s defaults: %s\n", a.ID, verdict(open), verdict(still))
 	}
-	_, ok, err = attacks.Meltdown(model.Broadwell(), attacks.MeltdownConfig{PTIUnmapped: true})
-	must(err)
-	fmt.Printf("  %-16s with KPTI:   success=%v\n\n", "Broadwell", ok)
-
-	fmt.Println("== Spectre V2 (branch target injection) on Broadwell ==")
-	hit, err := attacks.SpectreV2(model.Broadwell(), attacks.SpectreV2Config{})
-	must(err)
-	fmt.Printf("  BTB poisoned, gadget ran transiently: %v\n", hit)
-	hit, err = attacks.SpectreV2(model.Broadwell(), attacks.SpectreV2Config{IBPBBeforeVictim: true})
-	must(err)
-	fmt.Printf("  with IBPB between train and victim:   %v\n\n", hit)
-
-	fmt.Println("== MDS (fill buffer sampling) on Skylake ==")
-	_, ok, err = attacks.MDS(model.SkylakeClient(), attacks.MDSConfig{})
-	must(err)
-	fmt.Printf("  unmitigated: success=%v\n", ok)
-	_, ok, err = attacks.MDS(model.SkylakeClient(), attacks.MDSConfig{VerwBeforeAttack: true})
-	must(err)
-	fmt.Printf("  after verw:  success=%v\n\n", ok)
-
-	fmt.Println("== Speculative Store Bypass on Ice Lake Server ==")
-	_, ok, err = attacks.SSB(model.IceLakeServer(), false)
-	must(err)
-	fmt.Printf("  unmitigated: success=%v\n", ok)
-	_, ok, err = attacks.SSB(model.IceLakeServer(), true)
-	must(err)
-	fmt.Printf("  with SSBD:   success=%v\n\n", ok)
+	fmt.Println("  (mds-smt needs nosmt and ssb-any needs SSBD everywhere: neither is a default)")
+	fmt.Println()
 
 	fmt.Println("== §6 probe: who can poison whose branch target buffer? ==")
 	for _, mm := range []*model.CPU{model.SkylakeClient(), model.CascadeLake(), model.Zen3()} {
@@ -73,6 +46,13 @@ func main() {
 		}
 		fmt.Println()
 	}
+}
+
+func verdict(leaked bool) string {
+	if leaked {
+		return "leaks"
+	}
+	return "blocked"
 }
 
 func must(err error) {

@@ -1,19 +1,20 @@
 // Package attacks implements working proofs-of-concept of every
 // transient-execution attack the paper studies, running against the
-// simulated CPU. Each PoC returns whether the secret actually leaked,
-// which makes the mitigation claims of Table 1 testable: an attack must
-// succeed on a vulnerable, unmitigated configuration and fail once the
-// corresponding mitigation (or a fixed CPU) is in place.
+// simulated CPU. Each PoC takes the lowered kernel.Mitigations and
+// returns whether the secret actually leaked, which makes the
+// mitigation claims of Table 1 testable: an attack must succeed on a
+// vulnerable, unmitigated configuration and fail once the corresponding
+// mitigation (or a fixed CPU) is in place. The PoCs are reached through
+// the taxonomy's Attack.Leaks.
 //
 // All PoCs use FLUSH+RELOAD over a 256-line probe array as the covert
 // channel, timed in-program with rdtsc like a real attacker would.
 package attacks
 
 import (
-	"fmt"
-
 	"spectrebench/internal/cpu"
 	"spectrebench/internal/isa"
+	"spectrebench/internal/kernel"
 	"spectrebench/internal/mem"
 	"spectrebench/internal/model"
 )
@@ -86,32 +87,22 @@ func emitReload(a *isa.Asm) {
 	a.Store(isa.R6, 0, isa.R12)
 }
 
-// runPoC executes the program and returns the byte recovered via the
-// covert channel.
-func runPoC(c *cpu.Core, p *isa.Program) (byte, error) {
+// leaked executes the program and reports whether the byte recovered
+// via the covert channel is the planted secret.
+func leaked(c *cpu.Core, p *isa.Program, secret byte) (bool, error) {
 	c.LoadProgram(p)
 	c.PC = p.Base
 	c.Regs[isa.SP] = pocStack
 	if err := c.RunUntilHalt(3_000_000); err != nil {
-		return 0, err
+		return false, err
 	}
-	return byte(c.Phys.Read64(pocResult)), nil
+	return byte(c.Phys.Read64(pocResult)) == secret, nil
 }
 
-// SpectreV1Mitigation selects the victim's Spectre V1 hardening.
-type SpectreV1Mitigation int
-
-// Spectre V1 mitigation choices.
-const (
-	V1None SpectreV1Mitigation = iota
-	V1Lfence
-	V1IndexMask
-)
-
-// SpectreV1 runs the bounds-check-bypass attack against a victim using
-// the given mitigation. It returns the recovered byte and whether the
-// recovery matches the planted secret.
-func SpectreV1(m *model.CPU, mit SpectreV1Mitigation) (byte, bool, error) {
+// spectreV1 runs the bounds-check-bypass attack: train a bounds check
+// in-bounds, then strike out-of-bounds. Under the kernel's Spectre V1
+// mitigation the victim masks the index before the dependent load.
+func spectreV1(m *model.CPU, mit kernel.Mitigations) (bool, error) {
 	const secret = 0x5a
 	const secretOff = 400 // elements past the bounds
 	c := pocCore(m)
@@ -133,10 +124,8 @@ func SpectreV1(m *model.CPU, mit SpectreV1Mitigation) (byte, bool, error) {
 	a.MovI(isa.R13, 0) // zero for masking
 	a.Cmp(isa.R1, isa.R3)
 	a.Jge("out_of_bounds")
-	switch mit {
-	case V1Lfence:
-		a.Lfence()
-	case V1IndexMask:
+	if mit.SpectreV1 {
+		// array_index_nospec: clamp the index without a branch.
 		a.Cmp(isa.R1, isa.R3)
 		a.CmovGe(isa.R1, isa.R13)
 	}
@@ -161,27 +150,17 @@ func SpectreV1(m *model.CPU, mit SpectreV1Mitigation) (byte, bool, error) {
 	emitReload(a)
 	a.Hlt()
 
-	got, err := runPoC(c, a.MustAssemble(pocCode))
-	if err != nil {
-		return 0, false, err
-	}
-	return got, got == secret, nil
+	return leaked(c, a.MustAssemble(pocCode), secret)
 }
 
-// MeltdownConfig controls the Meltdown PoC environment.
-type MeltdownConfig struct {
-	// PTIUnmapped emulates page-table isolation: the kernel page is
-	// absent from the user-visible table.
-	PTIUnmapped bool
-}
-
-// Meltdown attempts to read a byte of kernel memory from user mode.
-func Meltdown(m *model.CPU, cfg MeltdownConfig) (byte, bool, error) {
+// meltdown attempts to read a byte of kernel memory from user mode.
+// Under PTI the kernel page is absent from the user-visible table.
+func meltdown(m *model.CPU, mit kernel.Mitigations) (bool, error) {
 	const secret = 0x61
 	c := pocCore(m)
 	defer c.Recycle()
 	c.Phys.Write64(pocKernel, secret)
-	if cfg.PTIUnmapped {
+	if mit.PTI {
 		pt := c.PageTable()
 		for i := uint64(0); i < 4; i++ {
 			pt.Unmap(mem.VPN(pocKernel) + i)
@@ -200,43 +179,35 @@ func Meltdown(m *model.CPU, cfg MeltdownConfig) (byte, bool, error) {
 	emitReload(a)
 	a.Hlt()
 
-	got, err := runPoC(c, a.MustAssemble(pocCode))
-	if err != nil {
-		return 0, false, err
-	}
-	return got, got == secret, nil
+	return leaked(c, a.MustAssemble(pocCode), secret)
 }
 
-// MDSConfig controls the MDS PoC.
-type MDSConfig struct {
-	// VerwBeforeAttack models the kernel clearing buffers on its way
-	// back to user mode.
-	VerwBeforeAttack bool
-	// CrossSMT samples a value deposited by the sibling hyperthread
-	// instead of a same-thread kernel leftover.
-	CrossSMT bool
-}
-
-// MDS samples stale fill-buffer contents through a faulting load.
-func MDS(m *model.CPU, cfg MDSConfig) (byte, bool, error) {
+// mds samples stale fill-buffer contents through a faulting load. The
+// same-thread victim is the kernel, whose activity left the secret in
+// the buffers before the return to user mode clears them (MDSClear).
+// The cross-thread victim is a concurrently running SMT sibling, whose
+// load lands in the shared buffers after the attacker's own verw, so
+// only disabling SMT (no sibling at all) removes it.
+func mds(m *model.CPU, mit kernel.Mitigations, crossSMT bool) (bool, error) {
 	const secret = 0x77
 	c := pocCore(m)
 	defer c.Recycle()
-
-	if cfg.CrossSMT {
-		// The sibling thread's loads deposit into the shared buffers.
-		sib := cpu.NewSMTSibling(c)
-		sib.FB.Deposit(secret)
-	} else {
-		// Kernel-side activity left the value in the buffers.
+	var sib *cpu.Core
+	if !crossSMT {
 		c.FB.Deposit(secret)
+	} else if !mit.NoSMT {
+		sib = cpu.NewSMTSibling(c)
 	}
 
 	a := isa.NewAsm()
 	emitFlushProbe(a)
-	if cfg.VerwBeforeAttack {
+	if mit.MDSClear {
 		a.Verw()
 	}
+	if sib != nil {
+		a.Hlt() // the sibling's load lands here, after the verw
+	}
+	a.Label("sample")
 	a.MovI(isa.R1, 0x7fff_0000) // unmapped: the faulting sampler load
 	a.MovI(isa.R4, pocProbe)
 	a.Load(isa.R2, isa.R1, 0)
@@ -247,20 +218,33 @@ func MDS(m *model.CPU, cfg MDSConfig) (byte, bool, error) {
 	emitReload(a)
 	a.Hlt()
 
-	got, err := runPoC(c, a.MustAssemble(pocCode))
-	if err != nil {
-		return 0, false, err
+	p := a.MustAssemble(pocCode)
+	if sib == nil {
+		return leaked(c, p, secret)
 	}
-	return got, got == secret, nil
+	c.LoadProgram(p)
+	c.PC = p.Base
+	if err := c.RunUntilHalt(3_000_000); err != nil {
+		return false, err
+	}
+	sib.FB.Deposit(secret)
+	c.ClearHalt()
+	c.PC = p.LabelAddr("sample")
+	if err := c.RunUntilHalt(3_000_000); err != nil {
+		return false, err
+	}
+	return byte(c.Phys.Read64(pocResult)) == secret, nil
 }
 
-// SSB runs the Speculative Store Bypass attack: a load transiently
-// bypasses an in-flight store and observes the stale secret.
-func SSB(m *model.CPU, ssbd bool) (byte, bool, error) {
+// ssb runs the Speculative Store Bypass attack: a load transiently
+// bypasses an in-flight store and observes the stale secret. The victim
+// runs with SSBD when the kernel forces it everywhere, or when it is
+// seccomp-sandboxed and the kernel applies SSBD to such tasks.
+func ssb(m *model.CPU, mit kernel.Mitigations, sandboxed bool) (bool, error) {
 	const secret = 0x42
 	c := pocCore(m)
 	defer c.Recycle()
-	if ssbd {
+	if mit.SSBDAlways || sandboxed && mit.SSBDSeccomp {
 		c.SetMSR(cpu.MSRSpecCtrl, cpu.SpecCtrlSSBD)
 	}
 	c.Phys.Write64(pocData+0x100, secret)
@@ -279,16 +263,13 @@ func SSB(m *model.CPU, ssbd bool) (byte, bool, error) {
 	emitReload(a)
 	a.Hlt()
 
-	got, err := runPoC(c, a.MustAssemble(pocCode))
-	if err != nil {
-		return 0, false, err
-	}
-	return got, got == secret, nil
+	return leaked(c, a.MustAssemble(pocCode), secret)
 }
 
-// L1TF exploits a non-present PTE whose frame bits point at data
-// resident in the L1. inversion applies the PTE-inversion mitigation.
-func L1TF(m *model.CPU, inversion bool) (byte, bool, error) {
+// l1tf exploits a non-present PTE whose frame bits point at data
+// resident in the L1. Under PTE inversion the kernel never leaves a
+// cacheable frame in a non-present entry.
+func l1tf(m *model.CPU, mit kernel.Mitigations) (bool, error) {
 	const secret = 0x33
 	c := pocCore(m)
 	defer c.Recycle()
@@ -302,7 +283,7 @@ func L1TF(m *model.CPU, inversion bool) (byte, bool, error) {
 	pt := c.PageTable()
 	evilVA := uint64(0x7000_0000)
 	framePhys := mem.PageBase(secretPA)
-	if inversion {
+	if mit.PTEInversion {
 		framePhys = 0 // inverted: no cacheable frame reachable
 	}
 	pt.Map(mem.VPN(evilVA), mem.PTE{Phys: framePhys, Present: false, User: true})
@@ -321,20 +302,17 @@ func L1TF(m *model.CPU, inversion bool) (byte, bool, error) {
 	emitReload(a)
 	a.Hlt()
 
-	got, err := runPoC(c, a.MustAssemble(pocCode))
-	if err != nil {
-		return 0, false, err
-	}
-	return got, got == secret, nil
+	return leaked(c, a.MustAssemble(pocCode), secret)
 }
 
-// LazyFP leaks the previous FPU owner's register transiently. eager
-// selects the eager-FPU mitigation (state always loaded; no trap).
-func LazyFP(m *model.CPU, eager bool) (byte, bool, error) {
+// lazyFP leaks the previous FPU owner's register transiently. Under
+// eager FPU switching the current process's state is always loaded and
+// no #NM trap opens the window.
+func lazyFP(m *model.CPU, mit kernel.Mitigations) (bool, error) {
 	const secret = 0x2c
 	c := pocCore(m)
 	defer c.Recycle()
-	if eager {
+	if mit.EagerFPU {
 		c.FPUEnabled = true
 		c.FRegs[3] = 0 // current process's state is loaded
 	} else {
@@ -361,34 +339,17 @@ func LazyFP(m *model.CPU, eager bool) (byte, bool, error) {
 	emitReload(a)
 	a.Hlt()
 
-	got, err := runPoC(c, a.MustAssemble(pocCode))
-	if err != nil {
-		return 0, false, err
-	}
-	return got, got == secret, nil
+	return leaked(c, a.MustAssemble(pocCode), secret)
 }
 
-// SpectreV2Config controls the branch-target-injection PoC.
-type SpectreV2Config struct {
-	// IBPBBeforeVictim issues an IBPB between training and the victim
-	// branch (the context-switch mitigation).
-	IBPBBeforeVictim bool
-	// IBRS sets SPEC_CTRL.IBRS for the whole experiment.
-	IBRS bool
-}
-
-// SpectreV2 trains the BTB to hijack an indirect branch into a
-// divide-containing gadget and reports whether the gadget executed
-// transiently (observed via the divider-active counter, §6).
-func SpectreV2(m *model.CPU, cfg SpectreV2Config) (bool, error) {
+// spectreV2User trains the BTB to hijack an indirect branch into a
+// divide-containing gadget, then runs the victim branch as another
+// process would after a context switch, and reports whether the gadget
+// executed transiently (observed via the divider-active counter, §6).
+// Under IBPB the kernel issues the barrier on that switch.
+func spectreV2User(m *model.CPU, mit kernel.Mitigations) (bool, error) {
 	c := pocCore(m)
 	defer c.Recycle()
-	if cfg.IBRS {
-		if !m.Spec.IBRS {
-			return false, fmt.Errorf("attacks: %s does not implement IBRS", m.Uarch)
-		}
-		c.SetMSR(cpu.MSRSpecCtrl, cpu.SpecCtrlIBRS)
-	}
 
 	a := isa.NewAsm()
 	a.Jmp("main")
@@ -419,7 +380,7 @@ func SpectreV2(m *model.CPU, cfg SpectreV2Config) (bool, error) {
 	a.SubI(isa.R9, 1)
 	a.CmpI(isa.R9, 0)
 	a.Jne("train")
-	a.Hlt() // pause for the host to optionally issue IBPB
+	a.Hlt() // the context switch: the host issues IBPB here
 	// Victim run with the benign target; divider delta is the signal.
 	a.Label("victim_run")
 	a.MovLabel(isa.R11, "nop_target")
@@ -437,7 +398,7 @@ func SpectreV2(m *model.CPU, cfg SpectreV2Config) (bool, error) {
 	if err := c.RunUntilHalt(1_000_000); err != nil {
 		return false, err
 	}
-	if cfg.IBPBBeforeVictim {
+	if mit.IBPB {
 		c.SetMSR(cpu.MSRPredCmd, 1)
 	}
 	c.ClearHalt()

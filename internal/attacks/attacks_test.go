@@ -3,28 +3,33 @@ package attacks
 import (
 	"testing"
 
+	"spectrebench/internal/kernel"
 	"spectrebench/internal/model"
 )
 
-// --- Spectre V1: everyone is vulnerable; lfence and masking stop it. ----
+// leaks runs taxonomy entry id's PoC on m under mit.
+func leaks(t *testing.T, id string, m *model.CPU, mit kernel.Mitigations) bool {
+	t.Helper()
+	a, ok := ByID(id)
+	if !ok {
+		t.Fatalf("no taxonomy entry %q", id)
+	}
+	got, err := a.Leaks(m, mit)
+	if err != nil {
+		t.Fatalf("%s on %s: %v", id, m.Uarch, err)
+	}
+	return got
+}
+
+// --- Spectre V1: everyone is vulnerable; index masking stops it. --------
 
 func TestSpectreV1Matrix(t *testing.T) {
 	for _, m := range model.All() {
-		_, leaked, err := SpectreV1(m, V1None)
-		if err != nil {
-			t.Fatalf("%s: %v", m.Uarch, err)
-		}
-		if !leaked {
+		if !leaks(t, "spectre-v1", m, kernel.Mitigations{}) {
 			t.Errorf("%s: Spectre V1 must leak unmitigated", m.Uarch)
 		}
-		for _, mit := range []SpectreV1Mitigation{V1Lfence, V1IndexMask} {
-			_, leaked, err := SpectreV1(m, mit)
-			if err != nil {
-				t.Fatalf("%s: %v", m.Uarch, err)
-			}
-			if leaked {
-				t.Errorf("%s: Spectre V1 leaked despite mitigation %d", m.Uarch, mit)
-			}
+		if leaks(t, "spectre-v1", m, kernel.Mitigations{SpectreV1: true}) {
+			t.Errorf("%s: Spectre V1 leaked despite index masking", m.Uarch)
 		}
 	}
 }
@@ -33,21 +38,11 @@ func TestSpectreV1Matrix(t *testing.T) {
 
 func TestMeltdownMatrix(t *testing.T) {
 	for _, m := range model.All() {
-		_, leaked, err := Meltdown(m, MeltdownConfig{})
-		if err != nil {
-			t.Fatalf("%s: %v", m.Uarch, err)
+		if got := leaks(t, "meltdown", m, kernel.Mitigations{}); got != m.Vulns.Meltdown {
+			t.Errorf("%s: Meltdown leak = %v, vulnerability = %v", m.Uarch, got, m.Vulns.Meltdown)
 		}
-		if leaked != m.Vulns.Meltdown {
-			t.Errorf("%s: Meltdown leak = %v, vulnerability = %v", m.Uarch, leaked, m.Vulns.Meltdown)
-		}
-		if m.Vulns.Meltdown {
-			_, leaked, err := Meltdown(m, MeltdownConfig{PTIUnmapped: true})
-			if err != nil {
-				t.Fatalf("%s: %v", m.Uarch, err)
-			}
-			if leaked {
-				t.Errorf("%s: Meltdown leaked despite PTI", m.Uarch)
-			}
+		if leaks(t, "meltdown", m, kernel.Mitigations{PTI: true}) {
+			t.Errorf("%s: Meltdown leaked despite PTI", m.Uarch)
 		}
 	}
 }
@@ -56,33 +51,28 @@ func TestMeltdownMatrix(t *testing.T) {
 
 func TestMDSMatrix(t *testing.T) {
 	for _, m := range model.All() {
-		_, leaked, err := MDS(m, MDSConfig{})
-		if err != nil {
-			t.Fatalf("%s: %v", m.Uarch, err)
+		if got := leaks(t, "mds", m, kernel.Mitigations{}); got != m.Vulns.MDS {
+			t.Errorf("%s: MDS leak = %v, vulnerability = %v", m.Uarch, got, m.Vulns.MDS)
 		}
-		if leaked != m.Vulns.MDS {
-			t.Errorf("%s: MDS leak = %v, vulnerability = %v", m.Uarch, leaked, m.Vulns.MDS)
-		}
-		if m.Vulns.MDS {
-			_, leaked, err := MDS(m, MDSConfig{VerwBeforeAttack: true})
-			if err != nil {
-				t.Fatalf("%s: %v", m.Uarch, err)
-			}
-			if leaked {
-				t.Errorf("%s: MDS leaked despite verw", m.Uarch)
-			}
+		if leaks(t, "mds", m, kernel.Mitigations{MDSClear: true}) {
+			t.Errorf("%s: MDS leaked despite verw", m.Uarch)
 		}
 	}
 }
 
+// A concurrently running sibling deposits after the attacker's verw, so
+// clearing buffers on the way to user mode does not stop cross-thread
+// sampling; only disabling SMT does.
 func TestMDSCrossSMT(t *testing.T) {
 	m := model.SkylakeClient()
-	_, leaked, err := MDS(m, MDSConfig{CrossSMT: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !leaked {
+	if !leaks(t, "mds-smt", m, kernel.Mitigations{}) {
 		t.Error("cross-hyperthread MDS should leak on Skylake with SMT on")
+	}
+	if !leaks(t, "mds-smt", m, kernel.Mitigations{MDSClear: true}) {
+		t.Error("verw alone must not stop the sibling's deposit")
+	}
+	if leaks(t, "mds-smt", m, kernel.Mitigations{NoSMT: true}) {
+		t.Error("nosmt leaves no sibling to sample")
 	}
 }
 
@@ -90,19 +80,20 @@ func TestMDSCrossSMT(t *testing.T) {
 
 func TestSSBMatrix(t *testing.T) {
 	for _, m := range model.All() {
-		_, leaked, err := SSB(m, false)
-		if err != nil {
-			t.Fatalf("%s: %v", m.Uarch, err)
+		for _, id := range []string{"ssb", "ssb-any"} {
+			if !leaks(t, id, m, kernel.Mitigations{}) {
+				t.Errorf("%s: %s must leak without SSBD", m.Uarch, id)
+			}
+			if leaks(t, id, m, kernel.Mitigations{SSBDAlways: true}) {
+				t.Errorf("%s: %s leaked despite SSBD everywhere", m.Uarch, id)
+			}
 		}
-		if !leaked {
-			t.Errorf("%s: SSB must leak without SSBD", m.Uarch)
+		// Seccomp-scoped SSBD covers the sandboxed victim only.
+		if leaks(t, "ssb", m, kernel.Mitigations{SSBDSeccomp: true}) {
+			t.Errorf("%s: sandboxed victim leaked despite seccomp SSBD", m.Uarch)
 		}
-		_, leaked, err = SSB(m, true)
-		if err != nil {
-			t.Fatalf("%s: %v", m.Uarch, err)
-		}
-		if leaked {
-			t.Errorf("%s: SSB leaked despite SSBD", m.Uarch)
+		if !leaks(t, "ssb-any", m, kernel.Mitigations{SSBDSeccomp: true}) {
+			t.Errorf("%s: seccomp SSBD must not cover an unsandboxed victim", m.Uarch)
 		}
 	}
 }
@@ -111,21 +102,11 @@ func TestSSBMatrix(t *testing.T) {
 
 func TestL1TFMatrix(t *testing.T) {
 	for _, m := range model.All() {
-		_, leaked, err := L1TF(m, false)
-		if err != nil {
-			t.Fatalf("%s: %v", m.Uarch, err)
+		if got := leaks(t, "l1tf", m, kernel.Mitigations{}); got != m.Vulns.L1TF {
+			t.Errorf("%s: L1TF leak = %v, vulnerability = %v", m.Uarch, got, m.Vulns.L1TF)
 		}
-		if leaked != m.Vulns.L1TF {
-			t.Errorf("%s: L1TF leak = %v, vulnerability = %v", m.Uarch, leaked, m.Vulns.L1TF)
-		}
-		if m.Vulns.L1TF {
-			_, leaked, err := L1TF(m, true)
-			if err != nil {
-				t.Fatalf("%s: %v", m.Uarch, err)
-			}
-			if leaked {
-				t.Errorf("%s: L1TF leaked despite PTE inversion", m.Uarch)
-			}
+		if leaks(t, "l1tf", m, kernel.Mitigations{PTEInversion: true}) {
+			t.Errorf("%s: L1TF leaked despite PTE inversion", m.Uarch)
 		}
 	}
 }
@@ -134,50 +115,50 @@ func TestL1TFMatrix(t *testing.T) {
 
 func TestLazyFPMatrix(t *testing.T) {
 	for _, m := range model.All() {
-		_, leaked, err := LazyFP(m, false)
-		if err != nil {
-			t.Fatalf("%s: %v", m.Uarch, err)
+		if got := leaks(t, "lazyfp", m, kernel.Mitigations{}); got != m.Vulns.LazyFPLeak {
+			t.Errorf("%s: LazyFP leak = %v, hw leak = %v", m.Uarch, got, m.Vulns.LazyFPLeak)
 		}
-		if leaked != m.Vulns.LazyFPLeak {
-			t.Errorf("%s: LazyFP leak = %v, hw leak = %v", m.Uarch, leaked, m.Vulns.LazyFPLeak)
-		}
-		_, leaked, err = LazyFP(m, true)
-		if err != nil {
-			t.Fatalf("%s: %v", m.Uarch, err)
-		}
-		if leaked {
+		if leaks(t, "lazyfp", m, kernel.Mitigations{EagerFPU: true}) {
 			t.Errorf("%s: LazyFP leaked despite eager FPU", m.Uarch)
 		}
 	}
 }
 
-// --- Spectre V2 PoC -------------------------------------------------------
+// --- Spectre V2 PoCs -------------------------------------------------------
 
 func TestSpectreV2HijackAndIBPB(t *testing.T) {
 	m := model.Broadwell()
-	hit, err := SpectreV2(m, SpectreV2Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !hit {
+	if !leaks(t, "spectre-v2-user", m, kernel.Mitigations{}) {
 		t.Error("Spectre V2 should hijack on Broadwell")
 	}
-	hit, err = SpectreV2(m, SpectreV2Config{IBPBBeforeVictim: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hit {
+	if leaks(t, "spectre-v2-user", m, kernel.Mitigations{IBPB: true}) {
 		t.Error("IBPB should stop the hijack")
 	}
-	hit, err = SpectreV2(m, SpectreV2Config{IBRS: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hit {
-		t.Error("legacy IBRS should stop speculation entirely on Broadwell")
-	}
-	if _, err := SpectreV2(model.Zen(), SpectreV2Config{IBRS: true}); err == nil {
-		t.Error("IBRS on Zen must report unsupported")
+}
+
+// The user→kernel PoC's victim branch is compiled by the kernel's own
+// Spectre V2 lowering, so each mode is checked as the kernel emits it:
+// lfence; call (retpoline,amd) leaks wherever user→kernel training
+// works, while generic retpolines and (e)IBRS block it.
+func TestSpectreV2KernelLowering(t *testing.T) {
+	for _, tc := range []struct {
+		m    *model.CPU
+		mode kernel.SpectreV2Mode
+		want bool
+	}{
+		{model.SkylakeClient(), kernel.V2Off, true},
+		{model.SkylakeClient(), kernel.V2RetpolineAMD, true},
+		{model.SkylakeClient(), kernel.V2RetpolineGeneric, false},
+		{model.SkylakeClient(), kernel.V2IBRS, false},
+		{model.Zen2(), kernel.V2RetpolineAMD, true},
+		{model.Zen2(), kernel.V2RetpolineGeneric, false},
+		{model.CascadeLake(), kernel.V2Off, false}, // mode-tagged BTB
+		{model.CascadeLake(), kernel.V2EIBRS, false},
+	} {
+		got := leaks(t, "spectre-v2-kernel", tc.m, kernel.Mitigations{SpectreV2: tc.mode})
+		if got != tc.want {
+			t.Errorf("%s spectre_v2=%s: leaked = %v, want %v", tc.m.Uarch, tc.mode, got, tc.want)
+		}
 	}
 }
 
@@ -258,18 +239,10 @@ func TestScenarioStrings(t *testing.T) {
 
 func TestSpectreRSBAndStuffing(t *testing.T) {
 	for _, m := range []*model.CPU{model.Broadwell(), model.Zen3()} {
-		hit, err := SpectreRSB(m, false)
-		if err != nil {
-			t.Fatalf("%s: %v", m.Uarch, err)
-		}
-		if !hit {
+		if !leaks(t, "spectre-rsb", m, kernel.Mitigations{}) {
 			t.Errorf("%s: SpectreRSB did not steer speculation", m.Uarch)
 		}
-		hit, err = SpectreRSB(m, true)
-		if err != nil {
-			t.Fatalf("%s: %v", m.Uarch, err)
-		}
-		if hit {
+		if leaks(t, "spectre-rsb", m, kernel.Mitigations{RSBStuff: true}) {
 			t.Errorf("%s: RSB stuffing failed to stop SpectreRSB", m.Uarch)
 		}
 	}

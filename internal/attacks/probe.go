@@ -74,8 +74,12 @@ func RunProbe(m *model.CPU, ibrs bool) (*ProbeResult, error) {
 		res.Supported = false
 		return res, nil
 	}
+	var sc uint64
+	if ibrs {
+		sc = cpu.SpecCtrlIBRS
+	}
 	for s := Scenario(0); s < numScenarios; s++ {
-		hit, err := runScenario(m, ibrs, s)
+		hit, err := runScenario(m, kernel.V2Off, &sc, s)
 		if err != nil {
 			return nil, fmt.Errorf("probe %s %v: %w", m.Uarch, s, err)
 		}
@@ -87,26 +91,36 @@ func RunProbe(m *model.CPU, ibrs bool) (*ProbeResult, error) {
 // resultSlot is where the probe program accumulates divider deltas.
 const resultSlot = kernel.UserDataBase + 0x3e00
 
+// spectreV2Kernel is the user→kernel column of the probe on a kernel
+// booted with the given Spectre V2 mode: user code poisons the BTB, and
+// the victim branch, compiled through the kernel's own lowering, runs
+// in kernel mode after a syscall.
+func spectreV2Kernel(m *model.CPU, mit kernel.Mitigations) (bool, error) {
+	return runScenario(m, mit.SpectreV2, nil, UserToKernelSyscall)
+}
+
 // runScenario runs one (train-mode, victim-mode, syscall) combination
-// over several attempts. Without fault injection the simulator is
-// deterministic, so three attempts with any positive reading decide the
-// outcome (the original methodology). Under fault injection the probe
-// becomes retry-aware: it escalates to more attempts and requires a
-// clear majority; readings stuck in the bimodal threshold region return
-// an error wrapping ErrInconclusive instead of guessing.
-func runScenario(m *model.CPU, ibrs bool, s Scenario) (bool, error) {
+// over several attempts. The kernel boots with every mitigation off
+// except the Spectre V2 mode v2, which compiles the probed branch;
+// specCtrl, when non-nil, pins IA32_SPEC_CTRL (the Table 10 IBRS
+// setting) instead of the mode's own MSR policy.
+//
+// Without fault injection the simulator is deterministic, so three
+// attempts with any positive reading decide the outcome (the original
+// methodology). Under fault injection the probe becomes retry-aware: it
+// escalates to more attempts and requires a clear majority; readings
+// stuck in the bimodal threshold region return an error wrapping
+// ErrInconclusive instead of guessing.
+func runScenario(m *model.CPU, v2 kernel.SpectreV2Mode, specCtrl *uint64, s Scenario) (bool, error) {
 	c := cpu.New(m)
 	defer c.Recycle()
 	// Mitigations off: the probe studies the hardware, not the kernel.
 	mit := kernel.BootParams{MitigationsOff: true}.Apply(m, kernel.Defaults(m))
+	mit.SpectreV2 = v2
 	k := kernel.New(c, mit)
-	var sc uint64
-	if ibrs {
-		sc = cpu.SpecCtrlIBRS
-	}
-	k.SpecCtrlOverride = &sc
+	k.SpecCtrlOverride = specCtrl
 
-	prog := buildProbeProgram(s)
+	prog := buildProbeProgram(s, v2)
 	attempts := 3
 	if c.FI != nil {
 		attempts = 5
@@ -147,7 +161,9 @@ func classifyHits(hits, attempts int) (hit, conclusive bool) {
 	}
 }
 
-// buildProbeProgram assembles the Figure 6 experiment for one scenario.
+// buildProbeProgram assembles the Figure 6 experiment for one scenario,
+// with the probed indirect call emitted through the kernel's lowering
+// for Spectre V2 mode v2.
 //
 // The probed indirect branch lives at a fixed address reachable from
 // both modes (the kernel enters it through SYS_KMOD; there is no SMEP
@@ -158,7 +174,7 @@ func classifyHits(hits, attempts int) (hit, conclusive bool) {
 //	R13 = driver continuation after the site completes
 //	R6  = saved kernel-exit address inside kernel drivers (the KMOD
 //	      ABI passes it in R10)
-func buildProbeProgram(s Scenario) *isa.Program {
+func buildProbeProgram(s Scenario, v2 kernel.SpectreV2Mode) *isa.Program {
 	a := isa.NewAsm()
 	a.Jmp("driver")
 
@@ -172,9 +188,12 @@ func buildProbeProgram(s Scenario) *isa.Program {
 	a.SubI(isa.R12, 1)
 	a.CmpI(isa.R12, 0)
 	a.Jne("bhb_fill")
-	a.CallInd(isa.R11)
+	kernel.EmitIndirectCall(a, v2, isa.R11)
 	a.Label("site_cont")
 	a.JmpInd(isa.R13)
+	if v2 == kernel.V2RetpolineGeneric {
+		kernel.EmitRetpolineThunk(a, isa.R11)
+	}
 
 	a.Label("victim_target")
 	a.MovI(isa.R1, 12345)

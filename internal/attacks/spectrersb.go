@@ -2,19 +2,20 @@ package attacks
 
 import (
 	"spectrebench/internal/isa"
+	"spectrebench/internal/kernel"
 	"spectrebench/internal/model"
 	"spectrebench/internal/pmc"
 )
 
-// SpectreRSB runs the return-stack-buffer variant (Koruyeh et al.,
+// spectreRSB runs the return-stack-buffer variant (Koruyeh et al.,
 // §5.3 of the paper): the attacker plants a stale RSB entry pointing at
 // a gadget by calling a trampoline that discards its return address, so
 // the victim's next RET consumes the stale prediction and transiently
-// executes the gadget. stuffed applies the kernel's context-switch RSB
-// refill between the planting and the victim return.
+// executes the gadget. Under RSBStuff the kernel's context-switch RSB
+// refill runs between the planting and the victim return.
 //
 // It returns whether the gadget's divide executed transiently.
-func SpectreRSB(m *model.CPU, stuffed bool) (bool, error) {
+func spectreRSB(m *model.CPU, mit kernel.Mitigations) (bool, error) {
 	c := pocCore(m)
 	defer c.Recycle()
 
@@ -47,27 +48,21 @@ func SpectreRSB(m *model.CPU, stuffed bool) (bool, error) {
 	c.PC = p.LabelAddr("main")
 	c.Regs[isa.SP] = pocStack
 
-	if !stuffed {
-		divBefore := c.PMC.Read(pmc.ArithDividerActive)
-		if err := c.RunUntilHalt(100_000); err != nil {
-			return false, err
-		}
-		// The gadget never runs architecturally (R5 is set on the real
-		// path and the divide result registers stay untouched there).
-		return c.PMC.Read(pmc.ArithDividerActive) > divBefore, nil
-	}
-
-	// With stuffing: run until just before the victim's RET, refill the
-	// RSB like the kernel does on a context switch, then continue.
+	// Run until just before the victim's RET, where the kernel refills
+	// the RSB on a context switch under RSBStuff, then continue. The
+	// gadget never runs architecturally (R5 is set on the real path and
+	// the divide result registers stay untouched there).
 	retPC := p.LabelAddr("victim_body") + 1*isa.InstrBytes // the RET
 	for i := 0; i < 100_000 && c.PC != retPC; i++ {
 		if err := c.Step(); err != nil {
 			return false, err
 		}
 	}
-	benign := p.LabelAddr("main") + 1*isa.InstrBytes // the HLT: harmless
-	c.RSB.Fill(benign)
-	c.Charge(m.Costs.RSBFill)
+	if mit.RSBStuff {
+		benign := p.LabelAddr("main") + 1*isa.InstrBytes // the HLT: harmless
+		c.RSB.Fill(benign)
+		c.Charge(m.Costs.RSBFill)
+	}
 	divBefore := c.PMC.Read(pmc.ArithDividerActive)
 	if err := c.RunUntilHalt(100_000); err != nil {
 		return false, err

@@ -1,7 +1,8 @@
 // Taxonomy: the attacks × mitigations × uarch blocking predicate the
 // config optimizer searches against. Each entry pairs a vulnerability
 // test (is this part affected at all, per the model's Table-1 flags)
-// with a blocking test (does this effective mitigation set stop it).
+// with a blocking test (does this effective mitigation set stop it),
+// and with the PoC that checks the blocking test by simulation.
 // The split follows Canella et al.'s systematisation: Spectre-family
 // attacks keyed by the predictor they poison (PHT, BTB same- and
 // cross-process, RSB), Meltdown-family by the buffer they sample.
@@ -39,6 +40,11 @@ type Attack struct {
 	// this part. Only meaningful when Vulnerable; the optimizer treats
 	// invulnerable parts as blocked for free.
 	Blocked func(m *model.CPU, mit kernel.Mitigations) bool
+	// Leaks runs the attack's PoC on the part under the mitigation set
+	// and reports whether the secret leaked. It reads only the fields
+	// Blocked reads, so a simulated leak where Blocked holds is a
+	// predicate bug. Nil for the one entry without a PoC (l1tf-vmm).
+	Leaks func(m *model.CPU, mit kernel.Mitigations) (bool, error)
 }
 
 // Taxonomy lists every attack the optimizer can be asked to block, in
@@ -48,33 +54,42 @@ var Taxonomy = []Attack{
 		ID: "meltdown", Name: "Meltdown (rogue data cache load)", Default: true,
 		Vulnerable: func(m *model.CPU) bool { return m.Vulns.Meltdown },
 		Blocked:    func(_ *model.CPU, mit kernel.Mitigations) bool { return mit.PTI },
+		Leaks:      meltdown,
 	},
 	{
 		ID: "spectre-v1", Name: "Spectre V1 (bounds check bypass)", Default: true,
 		Vulnerable: func(m *model.CPU) bool { return m.Vulns.SpectreV1.SpectreV1 },
 		Blocked:    func(_ *model.CPU, mit kernel.Mitigations) bool { return mit.SpectreV1 },
+		Leaks:      spectreV1,
 	},
 	{
 		ID: "spectre-v2-kernel", Name: "Spectre V2 (branch target injection, user→kernel)", Default: true,
 		Vulnerable: func(m *model.CPU) bool { return m.Vulns.SpectreV2 },
+		// lfence; call *r (retpoline,amd) does not close the window the
+		// poisoned BTB entry opens: it leaks wherever user→kernel
+		// training works at all, which is why Linux withdrew it.
 		Blocked: func(_ *model.CPU, mit kernel.Mitigations) bool {
-			return mit.SpectreV2 != kernel.V2Off
+			return mit.SpectreV2 != kernel.V2Off && mit.SpectreV2 != kernel.V2RetpolineAMD
 		},
+		Leaks: spectreV2Kernel,
 	},
 	{
 		ID: "spectre-v2-user", Name: "Spectre V2 (branch target injection, cross-process)", Default: true,
 		Vulnerable: func(m *model.CPU) bool { return m.Vulns.SpectreV2 },
 		Blocked:    func(_ *model.CPU, mit kernel.Mitigations) bool { return mit.IBPB },
+		Leaks:      spectreV2User,
 	},
 	{
 		ID: "spectre-rsb", Name: "Spectre-RSB (return stack underflow/poisoning)", Default: true,
 		Vulnerable: func(m *model.CPU) bool { return m.Vulns.SpectreV2 },
 		Blocked:    func(_ *model.CPU, mit kernel.Mitigations) bool { return mit.RSBStuff },
+		Leaks:      spectreRSB,
 	},
 	{
 		ID: "l1tf", Name: "L1TF / Foreshadow (process side)", Default: true,
 		Vulnerable: func(m *model.CPU) bool { return m.Vulns.L1TF },
 		Blocked:    func(_ *model.CPU, mit kernel.Mitigations) bool { return mit.PTEInversion },
+		Leaks:      l1tf,
 	},
 	{
 		ID: "l1tf-vmm", Name: "L1TF / Foreshadow-VMM (guest side)", Default: true,
@@ -85,17 +100,24 @@ var Taxonomy = []Attack{
 		ID: "mds", Name: "MDS / RIDL (same-thread buffer sampling)", Default: true,
 		Vulnerable: func(m *model.CPU) bool { return m.Vulns.MDS },
 		Blocked:    func(_ *model.CPU, mit kernel.Mitigations) bool { return mit.MDSClear },
+		Leaks: func(m *model.CPU, mit kernel.Mitigations) (bool, error) {
+			return mds(m, mit, false)
+		},
 	},
 	{
 		ID: "lazyfp", Name: "LazyFP (stale FPU register leak)", Default: true,
 		Vulnerable: func(m *model.CPU) bool { return m.Vulns.LazyFPLeak },
 		Blocked:    func(_ *model.CPU, mit kernel.Mitigations) bool { return mit.EagerFPU },
+		Leaks:      lazyFP,
 	},
 	{
 		ID: "ssb", Name: "Speculative store bypass (seccomp-sandboxed victims)", Default: true,
 		Vulnerable: func(m *model.CPU) bool { return m.Vulns.SSB },
 		Blocked: func(_ *model.CPU, mit kernel.Mitigations) bool {
 			return mit.SSBDSeccomp || mit.SSBDAlways
+		},
+		Leaks: func(m *model.CPU, mit kernel.Mitigations) (bool, error) {
+			return ssb(m, mit, true)
 		},
 	},
 	// Beyond the default threat model: these need mitigations no kernel
@@ -107,11 +129,17 @@ var Taxonomy = []Attack{
 		Blocked: func(_ *model.CPU, mit kernel.Mitigations) bool {
 			return mit.MDSClear && mit.NoSMT
 		},
+		Leaks: func(m *model.CPU, mit kernel.Mitigations) (bool, error) {
+			return mds(m, mit, true)
+		},
 	},
 	{
 		ID: "ssb-any", Name: "Speculative store bypass (unsandboxed victims)", Default: false,
 		Vulnerable: func(m *model.CPU) bool { return m.Vulns.SSB },
 		Blocked:    func(_ *model.CPU, mit kernel.Mitigations) bool { return mit.SSBDAlways },
+		Leaks: func(m *model.CPU, mit kernel.Mitigations) (bool, error) {
+			return ssb(m, mit, false)
+		},
 	},
 }
 

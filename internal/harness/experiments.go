@@ -648,7 +648,10 @@ func runParsecDefault() (*Table, error) {
 func runSecurity() (*Table, error) {
 	t := &Table{
 		ID: "security", Title: "Attack PoCs: leaks without mitigation / blocked with mitigation",
-		Columns: []string{"CPU", "SpectreV1", "SpectreV2", "Meltdown", "MDS", "SSB", "L1TF", "LazyFP"},
+		Columns: []string{"CPU"},
+	}
+	for _, col := range securityColumns {
+		t.Columns = append(t.Columns, col.column)
 	}
 	cs := declareCells()
 	cells := make([]*engine.Task, 0, len(model.All()))
@@ -673,97 +676,55 @@ func runSecurity() (*Table, error) {
 	return t, nil
 }
 
-// securityRow runs every attack PoC on one CPU (one security cell).
+// securityColumns pairs each security-table column with the taxonomy
+// entry whose PoC fills it, in PoC order.
+var securityColumns = []struct{ column, attack string }{
+	{"SpectreV1", "spectre-v1"},
+	{"SpectreV2", "spectre-v2-user"},
+	{"Meltdown", "meltdown"},
+	{"MDS", "mds"},
+	{"SSB", "ssb"},
+	{"L1TF", "l1tf"},
+	{"LazyFP", "lazyfp"},
+}
+
+// allMitigations turns on every mitigation the security PoCs read: the
+// table's "blocked with mitigation" half.
+var allMitigations = kernel.Mitigations{
+	PTI: true, PTEInversion: true, L1TFFlushOnVMEntry: true, EagerFPU: true,
+	SpectreV1: true, SpectreV2: kernel.V2RetpolineGeneric, IBPB: true, RSBStuff: true,
+	MDSClear: true, SSBDSeccomp: true, SSBDAlways: true, NoSMT: true,
+}
+
+// securityRow runs every column's PoC on one CPU, unmitigated and under
+// allMitigations (one security cell).
 func securityRow(m *model.CPU) ([]string, error) {
 	row := []string{m.Uarch}
-	cell := func(vuln, blocked bool, vulnerable bool) string {
-		if !vulnerable {
-			return "fixed"
+	for _, col := range securityColumns {
+		a, _ := attacks.ByID(col.attack)
+		leak, err := a.Leaks(m, kernel.Mitigations{})
+		if err != nil {
+			return nil, err
 		}
-		if vuln && blocked {
-			return "leak/blocked"
+		still, err := a.Leaks(m, allMitigations)
+		if err != nil {
+			return nil, err
 		}
-		if vuln {
-			return "leak/NOT-BLOCKED"
+		switch {
+		case col.column == "SpectreV2" && m.Uarch == "Zen 3":
+			// Zen 3's deep history makes even same-context training
+			// fail in this PoC shape; report what we observe.
+			row = append(row, fmt.Sprintf("poison=%v", leak))
+		case !a.Vulnerable(m):
+			row = append(row, "fixed")
+		case leak && !still:
+			row = append(row, "leak/blocked")
+		case leak:
+			row = append(row, "leak/NOT-BLOCKED")
+		default:
+			row = append(row, "NO-LEAK")
 		}
-		return "NO-LEAK"
 	}
-	_, v1leak, err := attacks.SpectreV1(m, attacks.V1None)
-	if err != nil {
-		return nil, err
-	}
-	_, v1block, err := attacks.SpectreV1(m, attacks.V1IndexMask)
-	if err != nil {
-		return nil, err
-	}
-	row = append(row, cell(v1leak, !v1block, true))
-
-	v2leak, err := attacks.SpectreV2(m, attacks.SpectreV2Config{})
-	if err != nil {
-		return nil, err
-	}
-	v2block, err := attacks.SpectreV2(m, attacks.SpectreV2Config{IBPBBeforeVictim: true})
-	if err != nil {
-		return nil, err
-	}
-	// Zen 3's deep history makes even same-context training fail in
-	// this PoC shape; report what we observe.
-	if m.Uarch == "Zen 3" {
-		row = append(row, fmt.Sprintf("poison=%v", v2leak))
-	} else {
-		row = append(row, cell(v2leak, !v2block, true))
-	}
-
-	_, mdleak, err := attacks.Meltdown(m, attacks.MeltdownConfig{})
-	if err != nil {
-		return nil, err
-	}
-	_, mdblock, err := attacks.Meltdown(m, attacks.MeltdownConfig{PTIUnmapped: true})
-	if err != nil {
-		return nil, err
-	}
-	row = append(row, cell(mdleak, !mdblock, m.Vulns.Meltdown))
-
-	_, mdsleak, err := attacks.MDS(m, attacks.MDSConfig{})
-	if err != nil {
-		return nil, err
-	}
-	_, mdsblock, err := attacks.MDS(m, attacks.MDSConfig{VerwBeforeAttack: true})
-	if err != nil {
-		return nil, err
-	}
-	row = append(row, cell(mdsleak, !mdsblock, m.Vulns.MDS))
-
-	_, ssbleak, err := attacks.SSB(m, false)
-	if err != nil {
-		return nil, err
-	}
-	_, ssbblock, err := attacks.SSB(m, true)
-	if err != nil {
-		return nil, err
-	}
-	row = append(row, cell(ssbleak, !ssbblock, true))
-
-	_, l1leak, err := attacks.L1TF(m, false)
-	if err != nil {
-		return nil, err
-	}
-	_, l1block, err := attacks.L1TF(m, true)
-	if err != nil {
-		return nil, err
-	}
-	row = append(row, cell(l1leak, !l1block, m.Vulns.L1TF))
-
-	_, lfleak, err := attacks.LazyFP(m, false)
-	if err != nil {
-		return nil, err
-	}
-	_, lfblock, err := attacks.LazyFP(m, true)
-	if err != nil {
-		return nil, err
-	}
-	row = append(row, cell(lfleak, !lfblock, m.Vulns.LazyFPLeak))
-
 	return row, nil
 }
 

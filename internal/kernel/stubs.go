@@ -66,7 +66,7 @@ func (k *Kernel) buildStubs() {
 	a.Label("kcall_loop")
 	a.CmpI(isa.R13, 0)
 	a.Jeq("kcall_done")
-	k.emitProtectedIndirectCall(a)
+	EmitIndirectCall(a, k.Mit.SpectreV2, isa.R12)
 	a.SubI(isa.R13, 1)
 	a.Jmp("kcall_loop")
 	a.Label("kcall_done")
@@ -78,15 +78,7 @@ func (k *Kernel) buildStubs() {
 	a.Ret()
 
 	// ---- generic retpoline thunk (__x86_indirect_thunk_r12) -------------
-	a.Label("retp_thunk")
-	a.Call("retp_set")
-	a.Label("retp_capture") // RSB-predicted landing: speculation spins here
-	a.Pause()
-	a.Lfence()
-	a.Jmp("retp_capture")
-	a.Label("retp_set")
-	a.Store(isa.SP, 0, isa.R12) // overwrite return address with real target
-	a.Ret()                     // architectural jump to *R12; RSB mispredicts into the capture loop
+	EmitRetpolineThunk(a, isa.R12)
 
 	// ---- RSB stuffing helper --------------------------------------------
 	// (performed Go-side via RSB.Fill; this label is the benign target.)
@@ -125,19 +117,36 @@ func (k *Kernel) patchJump(what string, fromPC, target uint64) {
 	panic("kernel: no JMP to patch for " + what)
 }
 
-// emitProtectedIndirectCall emits "call *R12" protected per the active
-// Spectre V2 mode.
-func (k *Kernel) emitProtectedIndirectCall(a *isa.Asm) {
-	switch k.Mit.SpectreV2 {
+// EmitIndirectCall emits "call *r" protected per the Spectre V2 mode:
+// the kernel's own lowering of an indirect call, exported so code that
+// runs in kernel mode (the §6 probe's victim branch) is compiled the
+// way the kernel compiles its handlers. Under V2RetpolineGeneric it
+// calls the thunk EmitRetpolineThunk places in the same program.
+func EmitIndirectCall(a *isa.Asm, mode SpectreV2Mode, r isa.Reg) {
+	switch mode {
 	case V2RetpolineGeneric:
 		a.Call("retp_thunk")
 	case V2RetpolineAMD:
 		// lfence; call — the AMD-recommended (later withdrawn) variant.
 		a.Lfence()
-		a.CallInd(isa.R12)
+		a.CallInd(r)
 	default:
 		// V2Off, V2IBRS, V2EIBRS: a plain indirect call; protection (if
 		// any) comes from MSR state.
-		a.CallInd(isa.R12)
+		a.CallInd(r)
 	}
+}
+
+// EmitRetpolineThunk emits the generic retpoline thunk for register r
+// (__x86_indirect_thunk_r) under the label "retp_thunk".
+func EmitRetpolineThunk(a *isa.Asm, r isa.Reg) {
+	a.Label("retp_thunk")
+	a.Call("retp_set")
+	a.Label("retp_capture") // RSB-predicted landing: speculation spins here
+	a.Pause()
+	a.Lfence()
+	a.Jmp("retp_capture")
+	a.Label("retp_set")
+	a.Store(isa.SP, 0, r) // overwrite return address with real target
+	a.Ret()               // architectural jump to *r; RSB mispredicts into the capture loop
 }

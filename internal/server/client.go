@@ -163,6 +163,7 @@ func (c *Client) sweepOnce(ctx context.Context, body []byte) (*SweepResponse, er
 		stream = gz
 	}
 	out := &SweepResponse{}
+	var recs []Record
 	sawSummary := false
 	sc := bufio.NewScanner(stream)
 	sc.Buffer(make([]byte, 0, 64<<10), 16<<20)
@@ -178,16 +179,11 @@ func (c *Client) sweepOnce(ctx context.Context, body []byte) (*SweepResponse, er
 		if c.OnRecord != nil {
 			c.OnRecord(rec)
 		}
-		switch rec.Type {
-		case "summary":
+		if rec.Type == "summary" {
 			out.Summary = rec
 			sawSummary = true
-		default:
-			for len(out.Results) <= rec.Index {
-				out.Results = append(out.Results, nil)
-			}
-			r := rec
-			out.Results[rec.Index] = &r
+		} else {
+			recs = append(recs, rec)
 		}
 	}
 	if err := sc.Err(); err != nil {
@@ -196,6 +192,25 @@ func (c *Client) sweepOnce(ctx context.Context, body []byte) (*SweepResponse, er
 	}
 	if !sawSummary {
 		return nil, &transientError{err: errors.New("response stream ended without summary record")}
+	}
+	if out.Summary.Total < 0 {
+		return nil, fmt.Errorf("malformed summary record: %d experiments", out.Summary.Total)
+	}
+	// The server sends one record per requested experiment, so a valid
+	// index is below both the summary's count and the number of records
+	// received: an index off the wire can size nothing larger than the
+	// stream itself.
+	bound := min(out.Summary.Total, len(recs))
+	for i := range recs {
+		rec := &recs[i]
+		if rec.Index < 0 || rec.Index >= bound {
+			return nil, fmt.Errorf("malformed response record: index %d outside the %d reported experiments",
+				rec.Index, bound)
+		}
+		for len(out.Results) <= rec.Index {
+			out.Results = append(out.Results, nil)
+		}
+		out.Results[rec.Index] = rec
 	}
 	return out, nil
 }
