@@ -22,9 +22,10 @@ test-short:
 test-race:
 	$(GO) test -race -timeout 40m ./...
 
-# Regenerate every table and figure as testing.B benchmarks.
+# The host-side benchmark (bench/, a Go module of its own; see
+# bench/README.md for its workloads and options).
 bench:
-	$(GO) test -bench=. -benchmem
+	sh bench/run.sh
 
 # Run the full experiment registry through the CLI.
 experiments:
@@ -50,10 +51,9 @@ examples:
 cover:
 	$(GO) test -cover ./internal/...
 
-# Reproduce the artifacts the repository ships with.
-test_output.txt bench_output.txt:
+# Reproduce the test log the repository ships with.
+test_output.txt:
 	$(GO) test ./... 2>&1 | tee test_output.txt
-	$(GO) test -bench=. -benchmem ./... 2>&1 | tee bench_output.txt
 
 clean:
 	$(GO) clean ./...

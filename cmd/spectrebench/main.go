@@ -82,8 +82,6 @@ func mainExitCode() int {
 		"optimize: comma-separated uarch names to search (empty = all models)")
 	combos := flag.Int("combos", 0,
 		"optimize: restrict the lattice to the first N boot-param combos per uarch (0 = full lattice)")
-	gzipHTTP := flag.String("gzip", "on",
-		"client: request gzip-compressed sweep streams from the daemon: on|off (transport only; output is byte-identical either way)")
 	verbose := flag.Bool("v", false, "print the engine's cell-cache breakdown to stderr after run/gridbench")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -100,11 +98,6 @@ func mainExitCode() int {
 		"client: max retries of a sweep after a transient error (connection refused, 429, 503)")
 	flag.Usage = usage
 	flag.Parse()
-
-	if *gzipHTTP != "on" && *gzipHTTP != "off" {
-		fmt.Fprintf(os.Stderr, "spectrebench: -gzip must be on or off, got %q\n", *gzipHTTP)
-		return 2
-	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -196,7 +189,7 @@ func mainExitCode() int {
 			fmt.Fprintln(os.Stderr, "client: usage: spectrebench [-addr HOST:PORT] client run <experiment-id>... | all")
 			return 2
 		}
-		return clientRun(args[2:], *csv, cfg, *addr, *httpRetries, *requestTimeout, *gzipHTTP == "on")
+		return clientRun(args[2:], *csv, cfg, *addr, *httpRetries, *requestTimeout)
 	default:
 		usage()
 		return 2
@@ -218,7 +211,7 @@ usage:
                [-request-timeout D] [-drain-timeout D] [-jobs N] serve
   spectrebench [-addr HOST:PORT] [-http-retries N] [-request-timeout D]
                [-csv] [-faults] [-seed N] [-cycle-budget N] [-retries N]
-               [-gzip on|off] client run <experiment-id>... | all
+               client run <experiment-id>... | all
 
 experiments:
 `)
@@ -389,7 +382,7 @@ func closeStore(st *store.Store, logf func(string, ...any)) {
 // order on stdout, the server-rendered summary after them, transport
 // chatter on stderr. Transient failures (daemon restarting, admission
 // control) are retried with exponential backoff.
-func clientRun(ids []string, csv bool, cfg harness.RunConfig, addr string, retries int, timeout time.Duration, gzipOK bool) int {
+func clientRun(ids []string, csv bool, cfg harness.RunConfig, addr string, retries int, timeout time.Duration) int {
 	req := server.SweepRequest{
 		Experiments: ids,
 		Seed:        cfg.Seed,
@@ -405,7 +398,7 @@ func clientRun(ids []string, csv bool, cfg harness.RunConfig, addr string, retri
 	cl := &server.Client{
 		BaseURL:    "http://" + addr,
 		MaxRetries: retries,
-		Gzip:       gzipOK,
+		Gzip:       true, // transport only: the records are byte-identical either way
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, "spectrebench: "+format+"\n", args...)
 		},

@@ -22,9 +22,13 @@
 //     attribution harness; internal/harness — one experiment per table
 //     and figure, runnable via cmd/spectrebench.
 //
-// The benchmarks in bench_test.go regenerate every table and figure:
+// The CLI regenerates every table and figure, and the mechanism
+// ablations the paper argues from:
 //
-//	go test -bench=. -benchmem
+//	go run ./cmd/spectrebench run all
+//
+// The host system's own speed is measured by the benchmark in bench/
+// (sh bench/run.sh).
 //
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 // paper-vs-measured record.

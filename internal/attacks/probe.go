@@ -346,17 +346,3 @@ func emitKmod(a *isa.Asm, label string) {
 	a.MovLabel(isa.R2, label)
 	emitProbeSyscall(a, kernel.SysKMod)
 }
-
-// ProbeMatrix runs the probe across all CPUs for one IBRS setting —
-// the full Table 9 (ibrs=false) or Table 10 (ibrs=true).
-func ProbeMatrix(ibrs bool) ([]*ProbeResult, error) {
-	out := make([]*ProbeResult, 0, len(model.All()))
-	for _, m := range model.All() {
-		r, err := RunProbe(m, ibrs)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}

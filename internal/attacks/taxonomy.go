@@ -216,18 +216,6 @@ func ParseRequirement(spec string) ([]Attack, error) {
 	return out, nil
 }
 
-// Required filters a requirement down to the attacks the part is
-// actually vulnerable to — the ones the blocking predicate must check.
-func Required(m *model.CPU, req []Attack) []Attack {
-	var out []Attack
-	for _, a := range req {
-		if a.Vulnerable(m) {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
 // Secure reports whether the mitigation set blocks every required
 // attack the part is vulnerable to, and returns the IDs of the attacks
 // left open when not.

@@ -94,14 +94,12 @@ type Config struct {
 	MinRuns, MaxRuns int
 	// RelCI is the target relative half-width of the 95% CI.
 	RelCI float64
-	// Noise optionally perturbs each measurement to exercise the
-	// adaptive-sampling path (the simulator itself is deterministic).
-	Noise *stats.Noise
 }
 
 // DefaultConfig mirrors the paper's setup: runs repeat until the 95% CI
-// is within 1% of the mean, with run-to-run variation of a couple
-// percent when noise is enabled.
+// is within 1% of the mean. The simulator is deterministic, so a
+// workload that wants run-to-run variation applies it itself (see
+// stats.Noise).
 func DefaultConfig() Config {
 	return Config{MinRuns: 3, MaxRuns: 40, RelCI: 0.01}
 }
@@ -119,7 +117,7 @@ func Attribute(m *model.CPU, wl Workload, ladder []Step, cfg Config) (*Attributi
 			if e != nil && err == nil {
 				err = e
 			}
-			return cfg.Noise.Perturb(v)
+			return v
 		})
 		return s, err
 	}
@@ -205,22 +203,9 @@ func merge(a, b kernel.BootParams) kernel.BootParams {
 // workload — the full Figure 2 / Figure 3 data set. Each CPU's
 // attribution runs as its own task on eng, fanning out across the
 // worker pool; results are gathered in registry order so the output is
-// independent of scheduling. A sweep with Noise set stays serial: the
-// noise source is a single mutable RNG stream whose draws must happen
-// in a fixed order to stay reproducible.
+// independent of scheduling. The CPUs' attributions run concurrently,
+// so wl must be safe for concurrent use.
 func Sweep(eng *engine.Engine, wl Workload, ladder []Step, cfg Config) ([]*Attribution, error) {
-	if cfg.Noise != nil {
-		out := make([]*Attribution, 0, len(model.All()))
-		for _, m := range model.All() {
-			a, err := Attribute(m, wl, ladder, cfg)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, a)
-		}
-		return out, nil
-	}
-
 	tasks := make([]*engine.Task, 0, len(model.All()))
 	for _, m := range model.All() {
 		m := m

@@ -86,9 +86,17 @@ func TestAttributeIceLakeNearZero(t *testing.T) {
 	}
 }
 
+// TestAttributeWithNoiseConverges: a workload with ±2% run-to-run
+// noise is sampled until each rung's CI is met or its run budget is
+// spent.
 func TestAttributeWithNoiseConverges(t *testing.T) {
-	cfg := Config{MinRuns: 3, MaxRuns: 60, RelCI: 0.01, Noise: stats.NewNoise(1, 0.02)}
-	attr, err := Attribute(model.Zen2(), lebenchGeo, OSLadder(), cfg)
+	noise := stats.NewNoise(1, 0.02)
+	noisy := func(m *model.CPU, mit kernel.Mitigations) (float64, error) {
+		v, err := lebenchGeo(m, mit)
+		return noise.Perturb(v), err
+	}
+	cfg := Config{MinRuns: 3, MaxRuns: 60, RelCI: 0.01}
+	attr, err := Attribute(model.Zen2(), noisy, OSLadder(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

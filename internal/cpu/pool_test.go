@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"fmt"
+	"runtime/debug"
 	"testing"
 
 	"spectrebench/internal/faultinject"
@@ -232,60 +233,73 @@ func TestRecycledCoreMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestScopeReleaseRecyclesCore checks the end-to-end pool path: a core
-// constructed under a scope returns to the pool when the scope is
-// released, and the next construction for the same uarch reuses it.
+// TestScopeReleaseRecyclesCore checks the end-to-end pool path:
+// releasing a core's scope recycles it (its checkout generation
+// advances), and a later construction for the uarch reuses a released
+// core, rebound to the new scope. sync.Pool may not hand back what was
+// just Put (GC empties it, the race detector drops Puts, a goroutine
+// may change P), so bounded release/construct rounds run with GC off
+// until one reuses a released core.
 func TestScopeReleaseRecyclesCore(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	m := model.SkylakeClient()
 	// Drain any cores earlier tests parked for this uarch.
 	for checkoutPooled(m, nil) != nil {
 	}
 
-	sc := &simscope.Scope{FaultSeed: 9}
-	restore := simscope.Enter(sc)
-	c1 := New(m)
-	restore()
-	sc.Release()
-
-	sc2 := &simscope.Scope{FaultSeed: 10}
-	restore = simscope.Enter(sc2)
-	c2 := New(m)
-	restore()
-	if c1 != c2 {
-		t.Fatalf("released core was not reused (fresh construction instead)")
+	released := map[*Core]bool{}
+	for round := uint64(0); round < 64; round++ {
+		sc := &simscope.Scope{FaultSeed: 9 + round}
+		restore := simscope.Enter(sc)
+		c := New(m)
+		restore()
+		if released[c] {
+			if c.scope != sc {
+				t.Fatalf("recycled core not rebound to the new scope")
+			}
+			sc.Release()
+			return
+		}
+		gen := c.poolGen.Load()
+		sc.Release()
+		if got := c.poolGen.Load(); got != gen+1 {
+			t.Fatalf("scope release did not recycle the core: generation %d -> %d", gen, got)
+		}
+		released[c] = true
 	}
-	if c2.scope != sc2 {
-		t.Fatalf("recycled core not rebound to the new scope")
-	}
+	t.Fatal("no released core was reused in 64 release/construct rounds")
 }
 
 // TestRecycleGenerationGuard checks that the scope-deferred recycle
 // becomes a no-op after an explicit Recycle: the core must enter the
-// pool exactly once per checkout, never twice.
+// pool exactly once per checkout, never twice. Reading it back needs a
+// round in which sync.Pool kept the Put (see above).
 func TestRecycleGenerationGuard(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	m := model.Broadwell()
 	for checkoutPooled(m, nil) != nil {
 	}
 
-	c := New(m) // no scope: nothing deferred
-	gen := c.poolGen.Load()
-	c.Recycle()
-	if got := c.poolGen.Load(); got != gen+1 {
-		t.Fatalf("Recycle did not advance generation: %d -> %d", gen, got)
+	for round := 0; round < 64; round++ {
+		c := New(m) // no scope: nothing deferred
+		gen := c.poolGen.Load()
+		c.Recycle()
+		if got := c.poolGen.Load(); got != gen+1 {
+			t.Fatalf("Recycle did not advance generation: %d -> %d", gen, got)
+		}
+		c.recycle(gen) // a stale deferred recycle must not re-pool it
+		if got := c.poolGen.Load(); got != gen+1 {
+			t.Fatalf("stale recycle advanced generation: %d", got)
+		}
+		if checkoutPooled(m, nil) != c {
+			continue // the pool dropped the Put
+		}
+		if second := checkoutPooled(m, nil); second == c {
+			t.Fatalf("core entered the pool twice")
+		}
+		return
 	}
-	// A stale deferred recycle armed with the old generation must not
-	// re-pool the core.
-	c.recycle(gen)
-	if got := c.poolGen.Load(); got != gen+1 {
-		t.Fatalf("stale recycle advanced generation: %d", got)
-	}
-	first := checkoutPooled(m, nil)
-	if first != c {
-		t.Fatalf("explicit Recycle did not pool the core")
-	}
-	if second := checkoutPooled(m, nil); second == c {
-		t.Fatalf("core entered the pool twice")
-	}
+	t.Fatal("explicit Recycle never pooled the core in 64 rounds")
 }
 
 // TestSMTPairNeverPooled checks that creating an SMT sibling excludes

@@ -73,3 +73,35 @@ func TestWhatIfV1HW(t *testing.T) {
 		}
 	}
 }
+
+// Every ablation must move in the direction the paper argues and stay
+// inside a stated band (percent change of the variant arm over the
+// baseline arm): losing PCIDs makes PTI markedly dearer (§5.1), generic
+// retpolines cost Zen 2 a few percent over AMD's (§5.3), lazy FPU
+// switching is a large slowdown for FPU users that reschedule (§3.1),
+// and RSB stuffing is nearly free on LEBench (§5.3).
+func TestAblationsWithinBands(t *testing.T) {
+	tbl, err := runScoped(runAblations)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bands := map[string][2]float64{
+		"PCIDs under PTI":   {10, 40},
+		"retpoline flavour": {1, 10},
+		"FPU switching":     {30, 100},
+		"RSB stuffing":      {0.05, 2},
+	}
+	if len(tbl.Rows) != len(bands) {
+		t.Fatalf("%d rows, want %d", len(tbl.Rows), len(bands))
+	}
+	for _, row := range tbl.Rows {
+		band, ok := bands[row[0]]
+		if !ok {
+			t.Errorf("unexpected ablation %q", row[0])
+			continue
+		}
+		if got := parseNum(t, row[len(row)-1]); got < band[0] || got > band[1] {
+			t.Errorf("%s on %s: %+.2f%%, want within [%+g%%, %+g%%]", row[0], row[2], got, band[0], band[1])
+		}
+	}
+}

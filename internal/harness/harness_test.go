@@ -10,7 +10,7 @@ import (
 
 func TestRegistryComplete(t *testing.T) {
 	want := []string{
-		"fig2", "fig3", "fig5", "lebench-detail", "parsec-default", "security", "smt-cost",
+		"ablations", "fig2", "fig3", "fig5", "lebench-detail", "parsec-default", "security", "smt-cost",
 		"table1", "table10", "table2", "table3", "table4", "table5",
 		"table6", "table7", "table8", "table9",
 		"vm-lebench", "vm-lfs", "whatif-v1hw",

@@ -215,57 +215,6 @@ func (c *Client) sweepOnce(ctx context.Context, body []byte) (*SweepResponse, er
 	return out, nil
 }
 
-// Healthz fetches the daemon's health state.
-func (c *Client) Healthz(ctx context.Context) (status string, err error) {
-	body, _, err := c.get(ctx, "/healthz")
-	if err != nil {
-		return "", err
-	}
-	var h struct {
-		Status string `json:"status"`
-	}
-	if err := json.Unmarshal(body, &h); err != nil {
-		return "", err
-	}
-	return h.Status, nil
-}
-
-// Statsz fetches the daemon's statistics snapshot.
-func (c *Client) Statsz(ctx context.Context) (*StatsSnapshot, error) {
-	body, _, err := c.get(ctx, "/statsz")
-	if err != nil {
-		return nil, err
-	}
-	var s StatsSnapshot
-	if err := json.Unmarshal(body, &s); err != nil {
-		return nil, err
-	}
-	return &s, nil
-}
-
-// get performs a plain GET without retries (health probes are the
-// caller's loop to drive).
-func (c *Client) get(ctx context.Context, path string) ([]byte, int, error) {
-	httpc := c.HTTPClient
-	if httpc == nil {
-		httpc = http.DefaultClient
-	}
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+path, nil)
-	if err != nil {
-		return nil, 0, err
-	}
-	resp, err := httpc.Do(hreq)
-	if err != nil {
-		return nil, 0, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if err != nil {
-		return nil, resp.StatusCode, err
-	}
-	return body, resp.StatusCode, nil
-}
-
 // parseRetryAfter parses a Retry-After header in seconds form; 0 when
 // absent or unparseable.
 func parseRetryAfter(v string) time.Duration {

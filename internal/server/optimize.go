@@ -8,10 +8,7 @@
 package server
 
 import (
-	"bufio"
-	"compress/gzip"
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"strings"
@@ -218,35 +215,8 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		resCh <- outcome{res, err}
 	}()
 
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	var sink = struct {
-		bw *bufio.Writer
-		gz *gzip.Writer
-	}{}
-	if acceptsGzip(r) {
-		w.Header().Set("Content-Encoding", "gzip")
-		sink.gz = gzip.NewWriter(w)
-		sink.bw = bufio.NewWriterSize(sink.gz, 32<<10)
-	} else {
-		sink.bw = bufio.NewWriterSize(w, 32<<10)
-	}
-	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(sink.bw)
-	flush := func() {
-		sink.bw.Flush()
-		if sink.gz != nil {
-			sink.gz.Flush()
-		}
-		if f, ok := w.(http.Flusher); ok {
-			f.Flush()
-		}
-	}
-	defer func() {
-		sink.bw.Flush()
-		if sink.gz != nil {
-			sink.gz.Close()
-		}
-	}()
+	enc, flush, end := ndjsonResponse(w, r)
+	defer end()
 
 	select {
 	case out := <-resCh:

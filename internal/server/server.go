@@ -391,40 +391,8 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		})
 	}()
 
-	// Buffered response stack with explicit flush points: records
-	// accumulate in a bufio layer (one write syscall per flush instead
-	// of per JSON fragment), optionally gzip-compressed when the client
-	// negotiated it. Flushes happen per record and at the end — the
-	// stream stays incremental, the writes stop dominating warm sweeps.
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	var sink = struct {
-		bw *bufio.Writer
-		gz *gzip.Writer
-	}{}
-	if acceptsGzip(r) {
-		w.Header().Set("Content-Encoding", "gzip")
-		sink.gz = gzip.NewWriter(w)
-		sink.bw = bufio.NewWriterSize(sink.gz, 32<<10)
-	} else {
-		sink.bw = bufio.NewWriterSize(w, 32<<10)
-	}
-	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(sink.bw)
-	flush := func() {
-		sink.bw.Flush()
-		if sink.gz != nil {
-			sink.gz.Flush()
-		}
-		if f, ok := w.(http.Flusher); ok {
-			f.Flush()
-		}
-	}
-	defer func() {
-		sink.bw.Flush()
-		if sink.gz != nil {
-			sink.gz.Close()
-		}
-	}()
+	enc, flush, end := ndjsonResponse(w, r)
+	defer end()
 
 	seen := make([]bool, len(exps))
 	results := make([]harness.Result, len(exps))
@@ -522,6 +490,43 @@ func decodeRequest(w http.ResponseWriter, r *http.Request, v any) bool {
 // ErrDeadline is the error recorded for experiments still in flight
 // when a sweep's wall-clock deadline expires.
 var ErrDeadline = errors.New("request deadline exceeded before experiment completed")
+
+// ndjsonResponse starts the 200 NDJSON response /sweep and /optimize
+// stream their records through. Records accumulate in a bufio layer
+// (one write syscall per flush instead of per JSON fragment), gzip-
+// compressed when the client negotiated it. The caller flushes after
+// each record or group of records, so the stream stays incremental
+// while the writes stop dominating warm sweeps, and calls end once,
+// after the last record.
+func ndjsonResponse(w http.ResponseWriter, r *http.Request) (enc *json.Encoder, flush, end func()) {
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	var gz *gzip.Writer
+	var bw *bufio.Writer
+	if acceptsGzip(r) {
+		w.Header().Set("Content-Encoding", "gzip")
+		gz = gzip.NewWriter(w)
+		bw = bufio.NewWriterSize(gz, 32<<10)
+	} else {
+		bw = bufio.NewWriterSize(w, 32<<10)
+	}
+	w.WriteHeader(http.StatusOK)
+	flush = func() {
+		bw.Flush()
+		if gz != nil {
+			gz.Flush()
+		}
+		if f, ok := w.(http.Flusher); ok {
+			f.Flush()
+		}
+	}
+	end = func() {
+		bw.Flush()
+		if gz != nil {
+			gz.Close()
+		}
+	}
+	return json.NewEncoder(bw), flush, end
+}
 
 // acceptsGzip reports whether the request negotiated a gzip response
 // (an Accept-Encoding member "gzip", possibly q-weighted, not q=0).

@@ -1,10 +1,15 @@
 package server
 
 import (
+	"bufio"
+	"compress/gzip"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -315,5 +320,60 @@ func TestHTTPFetchByteIdenticalToLocalRun(t *testing.T) {
 	warm := fetch("warm")
 	if warm != local {
 		t.Errorf("warm HTTP fetch differs from local run\n--- local ---\n%s\n--- http warm ---\n%s", local, warm)
+	}
+}
+
+// TestGzipResponseMatchesIdentity: /sweep and /optimize stream the same
+// records whether the client negotiates gzip or identity. The gzip
+// response is marked Content-Encoding: gzip and decodes, record by
+// record, to the identity response's bytes. Each request gets a fresh
+// daemon; records are compared sorted, because sweep results stream in
+// completion order, and without the stats snapshot, which reports
+// server counters, not results.
+func TestGzipResponseMatchesIdentity(t *testing.T) {
+	lookup, all := synthRegistry(okExp("a"), okExp("b"), okExp("c"))
+	for _, tc := range []struct{ path, body string }{
+		{"/sweep", `{"experiments":["a","b","c"]}`},
+		{"/optimize", `{"uarchs":["Zen 2"],"combos":48}`},
+	} {
+		records := map[string][]string{}
+		for _, encoding := range []string{"gzip", "identity"} {
+			_, hs := newTestServer(t, Config{Lookup: lookup, All: all})
+			req, _ := http.NewRequest(http.MethodPost, hs.URL+tc.path, strings.NewReader(tc.body))
+			// Set explicitly, Accept-Encoding also stops the transport
+			// from decompressing on its own.
+			req.Header.Set("Accept-Encoding", encoding)
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil || resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s %s: %v %v", tc.path, encoding, resp, err)
+			}
+			defer resp.Body.Close()
+			var body io.Reader = resp.Body
+			if resp.Header.Get("Content-Encoding") == "gzip" {
+				if body, err = gzip.NewReader(resp.Body); err != nil {
+					t.Fatalf("%s: gzip body: %v", tc.path, err)
+				}
+			} else if encoding == "gzip" {
+				t.Fatalf("%s: gzip negotiated but the response is not gzip-encoded", tc.path)
+			}
+			sc := bufio.NewScanner(body)
+			sc.Buffer(nil, 1<<24)
+			for sc.Scan() {
+				var rec map[string]json.RawMessage
+				if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
+					t.Fatalf("%s %s: bad NDJSON line %q: %v", tc.path, encoding, sc.Text(), err)
+				}
+				delete(rec, "stats")
+				b, _ := json.Marshal(rec)
+				records[encoding] = append(records[encoding], string(b))
+			}
+			if err := sc.Err(); err != nil {
+				t.Fatalf("%s %s: %v", tc.path, encoding, err)
+			}
+			sort.Strings(records[encoding])
+		}
+		if gz, id := records["gzip"], records["identity"]; len(gz) < 2 || !reflect.DeepEqual(gz, id) {
+			t.Errorf("%s: gzip records differ from identity records\n  gzip     %q\n  identity %q", tc.path, gz, id)
+		}
 	}
 }
