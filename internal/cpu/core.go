@@ -297,6 +297,7 @@ type Core struct {
 	lastStoreRet  uint64      // Instret of the most recent store (SSBD stall model)
 	ssbSeen       map[uint64]uint8
 	inTransient   bool
+	spec          txn // the transient window's shadow context, reused per window
 	halted        bool
 
 	// noPool excludes this core from the recycle pool: SMT siblings

@@ -52,14 +52,16 @@ func (c *Core) speculate(startPC uint64, seed func(*txn)) {
 	c.inTransient = true
 	defer func() { c.inTransient = false }()
 
-	t := txn{
-		regs:  c.Regs,
-		fregs: c.FRegs,
-		eq:    c.FlagEQ,
-		lt:    c.FlagLT,
-	}
+	// The shadow context is the core's own, reset per window: the
+	// inTransient guard above rules out nesting, and stores is only
+	// ever indexed, so reusing its buckets is invisible.
+	t := &c.spec
+	t.regs, t.fregs = c.Regs, c.FRegs
+	t.eq, t.lt = c.FlagEQ, c.FlagLT
+	t.fpuOK = false
+	clear(t.stores)
 	if seed != nil {
-		seed(&t)
+		seed(t)
 	}
 
 	pc := startPC
@@ -81,7 +83,7 @@ func (c *Core) speculate(startPC uint64, seed func(*txn)) {
 		if in.Op.IsSerializing() {
 			return
 		}
-		next, ok := c.transientStep(&t, pc, in)
+		next, ok := c.transientStep(t, pc, in)
 		if !ok {
 			return
 		}

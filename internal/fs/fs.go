@@ -316,22 +316,25 @@ func (fl *File) ReadAt(off int64, buf []byte) (int, error) {
 		buf = buf[:max]
 	}
 	read := 0
-	tmp := make([]byte, BlockSize)
+	var tmp []byte // disk-read scratch, allocated on the first clean block
 	for len(buf) > 0 {
 		bi := int(off / BlockSize)
 		bo := int(off % BlockSize)
-		var src []byte
+		var n int
 		if b, ok := fl.dirty[bi]; ok {
-			src = b
+			n = copy(buf, b[bo:])
 		} else if bi < len(fl.nd.blocks) && fl.nd.blocks[bi] != 0 {
+			if tmp == nil {
+				tmp = make([]byte, BlockSize)
+			}
 			if err := fl.fs.dev.Read(int(fl.nd.blocks[bi]), tmp); err != nil {
 				return read, err
 			}
-			src = tmp
+			n = copy(buf, tmp[bo:])
 		} else {
-			src = make([]byte, BlockSize) // hole (pointer 0 = null)
+			n = min(len(buf), BlockSize-bo) // hole (pointer 0 = null)
+			clear(buf[:n])
 		}
-		n := copy(buf, src[bo:])
 		buf = buf[n:]
 		off += int64(n)
 		read += n

@@ -4,8 +4,8 @@ package kernel
 // blocked=true when the caller must sleep; the object is responsible for
 // waking waiters when state changes.
 type fileLike interface {
-	// read returns up to n bytes, or blocked=true.
-	read(k *Kernel, n int) (data []byte, blocked bool)
+	// read copies up to len(dst) bytes into dst, or returns blocked=true.
+	read(k *Kernel, dst []byte) (n int, blocked bool)
 	// write appends buf, returning bytes written or blocked=true.
 	write(k *Kernel, buf []byte) (n int, blocked bool)
 	// readReady reports whether a read would not block.
@@ -51,26 +51,22 @@ type pipeEnd struct {
 	readEnd bool
 }
 
-func (e *pipeEnd) read(k *Kernel, n int) ([]byte, bool) {
+func (e *pipeEnd) read(k *Kernel, dst []byte) (int, bool) {
 	if !e.readEnd {
-		return nil, false
+		return 0, false
 	}
 	pp := e.p
 	if len(pp.buf) == 0 {
 		if pp.writers == 0 && k != nil {
-			return nil, false // EOF
+			return 0, false // EOF
 		}
 		pp.addWaiter(k.cur)
-		return nil, true
+		return 0, true
 	}
-	if n > len(pp.buf) {
-		n = len(pp.buf)
-	}
-	out := make([]byte, n)
-	copy(out, pp.buf)
+	n := copy(dst, pp.buf)
 	pp.buf = pp.buf[n:]
 	pp.wakeAll(k) // writers may proceed
-	return out, false
+	return n, false
 }
 
 func (e *pipeEnd) write(k *Kernel, buf []byte) (int, bool) {
@@ -128,14 +124,13 @@ type extFile struct {
 	woff int64
 }
 
-func (e *extFile) read(_ *Kernel, n int) ([]byte, bool) {
-	buf := make([]byte, n)
-	got, err := e.f.ReadAt(e.roff, buf)
+func (e *extFile) read(_ *Kernel, dst []byte) (int, bool) {
+	got, err := e.f.ReadAt(e.roff, dst)
 	if err != nil {
-		return nil, false
+		return 0, false
 	}
 	e.roff += int64(got)
-	return buf[:got], false
+	return got, false
 }
 
 func (e *extFile) write(_ *Kernel, buf []byte) (int, bool) {
@@ -151,32 +146,61 @@ func (e *extFile) readReady() bool { return true }
 func (e *extFile) close(*Kernel)   { _ = e.f.Close() }
 func (e *extFile) dup() fileLike   { return e }
 
+// memFileCap bounds a memFile: a write that would push the size past
+// it empties the file instead (long benchmark loops append forever).
+const memFileCap = 1 << 24
+
+// memChunk is the memFile storage granule.
+const memChunk = 64 << 10
+
 // memFile is a seekless in-memory file: reads start at an internal
 // offset, writes append. It never blocks — the LEBench read/write
-// microbenchmarks use it as their hot file.
+// microbenchmarks use it as their hot file. Bytes live in fixed 64 KiB
+// chunks, so an append never copies earlier bytes; a nil (or missing)
+// chunk reads as zeros, so a size hint allocates nothing. Bytes past
+// size are never read, so chunks are kept across a reset and
+// overwritten by later appends.
 type memFile struct {
-	data []byte
-	off  int
+	chunks [][]byte
+	size   int
+	off    int
 }
 
-func (f *memFile) read(_ *Kernel, n int) ([]byte, bool) {
-	if f.off >= len(f.data) {
+func (f *memFile) read(_ *Kernel, dst []byte) (int, bool) {
+	if f.off >= f.size {
 		f.off = 0 // wrap: benchmarks re-read the same file repeatedly
 	}
-	end := f.off + n
-	if end > len(f.data) {
-		end = len(f.data)
+	n := min(len(dst), f.size-f.off)
+	for done := 0; done < n; {
+		ci, co := (f.off+done)/memChunk, (f.off+done)%memChunk
+		part := dst[done:min(n, done+memChunk-co)]
+		if ci < len(f.chunks) && f.chunks[ci] != nil {
+			copy(part, f.chunks[ci][co:])
+		} else {
+			clear(part)
+		}
+		done += len(part)
 	}
-	out := make([]byte, end-f.off)
-	copy(out, f.data[f.off:end])
-	f.off = end
-	return out, false
+	f.off += n
+	return n, false
 }
 
 func (f *memFile) write(_ *Kernel, buf []byte) (int, bool) {
-	f.data = append(f.data, buf...)
-	if len(f.data) > 1<<24 {
-		f.data = f.data[:0] // cap growth in long benchmark loops
+	if f.size+len(buf) > memFileCap {
+		f.size = 0 // cap growth in long benchmark loops
+		return len(buf), false
+	}
+	for src := buf; len(src) > 0; {
+		ci, co := f.size/memChunk, f.size%memChunk
+		for len(f.chunks) <= ci {
+			f.chunks = append(f.chunks, nil)
+		}
+		if f.chunks[ci] == nil {
+			f.chunks[ci] = make([]byte, memChunk)
+		}
+		n := copy(f.chunks[ci][co:], src)
+		src = src[n:]
+		f.size += n
 	}
 	return len(buf), false
 }

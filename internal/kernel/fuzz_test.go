@@ -51,13 +51,13 @@ func buildSyscallFuzz(r *rand.Rand, n int, withPartner bool) *isa.Program {
 				a.MovI(isa.R1, int64(r.Intn(64))) // maybe-bogus fd
 			}
 			a.MovI(isa.R2, UserDataBase+int64(r.Intn(8))*512)
-			a.MovI(isa.R3, int64(r.Intn(4096)))
+			a.MovI(isa.R3, fuzzSize(r, 4096))
 			a.MovI(isa.R7, SysRead)
 			a.Syscall()
 		case 2:
 			a.Mov(isa.R1, isa.R8)
 			a.MovI(isa.R2, UserDataBase+int64(r.Intn(8))*512)
-			a.MovI(isa.R3, int64(r.Intn(2048)))
+			a.MovI(isa.R3, fuzzSize(r, 2048))
 			a.MovI(isa.R7, SysWrite)
 			a.Syscall()
 		case 3:
@@ -103,6 +103,9 @@ func buildSyscallFuzz(r *rand.Rand, n int, withPartner bool) *isa.Program {
 			}
 			a.MovI(isa.R1, int64(r.Intn(999)))
 			a.MovI(isa.R2, int64(r.Intn(999))) // garbage kmod targets get EINVAL
+			if nr == SysOpen {
+				a.MovI(isa.R2, fuzzSize(r, 999)) // size hint
+			}
 			a.MovI(isa.R7, nr)
 			a.Syscall()
 		}
@@ -111,6 +114,17 @@ func buildSyscallFuzz(r *rand.Rand, n int, withPartner bool) *isa.Program {
 	a.MovI(isa.R7, SysExit)
 	a.Syscall()
 	return a.MustAssemble(UserCodeBase)
+}
+
+// fuzzSize draws a byte count or size hint below max, or, one time in
+// eight, a hostile one: negative, or far past any buffer the host could
+// allocate.
+func fuzzSize(r *rand.Rand, max int) int64 {
+	if r.Intn(8) == 0 {
+		bad := []int64{-1, -4096, memFileCap + 1, 1 << 40, 1<<63 - 1}
+		return bad[r.Intn(len(bad))]
+	}
+	return int64(r.Intn(max))
 }
 
 func lbl(i int) string { return string(rune('a'+i%26)) + string(rune('a'+(i/26)%26)) + itoa(i) }
@@ -183,5 +197,51 @@ func TestSyscallAbuse(t *testing.T) {
 	k.NewProcess("eof", a.MustAssemble(UserCodeBase))
 	if err := k.RunProcessToCompletion(5_000_000); err != nil {
 		t.Fatal(err)
+	}
+
+	// Guest-controlled lengths: a negative count or size hint is
+	// EINVAL, an oversized hint is EINVAL, and an oversized count is
+	// clamped to maxRWCount — never a host panic or a host-sized
+	// allocation.
+	_, k = boot(m, Defaults(m))
+	a = isa.NewAsm()
+	const results = UserDataBase + 0x3000
+	cases := []struct {
+		name       string
+		nr         int64
+		r1, r2, r3 int64
+		want       uint64
+	}{
+		{"write count -1", SysWrite, 3, UserDataBase, -1, EINVAL},
+		{"read count -1", SysRead, 3, UserDataBase, -1, EINVAL},
+		{"write count 1<<40", SysWrite, 3, UserDataBase, 1 << 40, EFAULT}, // clamped, then runs off the data region
+		{"read count 1<<40", SysRead, 3, UserDataBase, 1 << 40, 4096},     // clamped, then short at EOF
+		{"write count maxint64", SysWrite, 3, UserDataBase, 1<<63 - 1, EFAULT},
+		{"open hint -1", SysOpen, 1, -1, 0, EINVAL},
+		{"open hint 1<<40", SysOpen, 1, 1 << 40, 0, EINVAL},
+		{"open hint past cap", SysOpen, 1, memFileCap + 1, 0, EINVAL},
+		{"open hint at cap", SysOpen, 1, memFileCap, 0, 4},
+	}
+	a.MovI(isa.R1, 0)
+	a.MovI(isa.R2, 4096)
+	emitSyscall(a, SysOpen) // fd 3: a 4 KiB memFile
+	for i, tc := range cases {
+		a.MovI(isa.R1, tc.r1)
+		a.MovI(isa.R2, tc.r2)
+		a.MovI(isa.R3, tc.r3)
+		emitSyscall(a, tc.nr)
+		a.MovI(isa.R10, results+int64(i)*8)
+		a.Store(isa.R10, 0, isa.R0)
+	}
+	emitExit(a, 0)
+	p := k.NewProcess("lengths", a.MustAssemble(UserCodeBase))
+	if err := k.RunProcessToCompletion(50_000_000); err != nil {
+		t.Fatal(err)
+	}
+	for i, tc := range cases {
+		got := k.C.Phys.Read64(uint64(p.PID)<<32 + results + uint64(i)*8)
+		if got != tc.want {
+			t.Errorf("%s: r0 = %#x, want %#x", tc.name, got, tc.want)
+		}
 	}
 }

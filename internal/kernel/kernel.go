@@ -126,6 +126,10 @@ type Kernel struct {
 	// syscall dispatch context for the thunk continuation.
 	inflight *syscallCtx
 
+	// bounce is the read/write copy buffer (see bounceBuf); it grows to
+	// the largest count seen.
+	bounce []byte
+
 	// Registered kernel modules (supervisor code reachable via SYS_KMOD).
 	nextModBase uint64
 

@@ -225,32 +225,67 @@ func (k *Kernel) sysGetTSC(ctx *syscallCtx) (uint64, bool) {
 	return k.C.Cycles, false
 }
 
+// maxRWCount caps the byte count of one read or write. Like Linux's
+// MAX_RW_COUNT, a larger count is clamped (the call moves at most this
+// many bytes and reports the short count) rather than refused, so a
+// guest cannot make the host allocate an arbitrary bounce buffer. A
+// count with the top bit set is a negative ssize_t and gets EINVAL.
+const maxRWCount = memFileCap
+
+// rwCount decodes a read/write byte count, clamping it to maxRWCount.
+func rwCount(arg uint64) (int, bool) {
+	if int64(arg) < 0 {
+		return 0, false
+	}
+	return int(min(arg, maxRWCount)), true
+}
+
+// bounceBuf returns the kernel's n-byte copy buffer. One buffer serves
+// every read and write: each file copies what it is handed, and a
+// blocked write re-copies from user memory when it retries, so nothing
+// holds on to the bytes across calls.
+func (k *Kernel) bounceBuf(n int) []byte {
+	if cap(k.bounce) < n {
+		k.bounce = make([]byte, n)
+	}
+	return k.bounce[:n]
+}
+
 func (k *Kernel) sysRead(ctx *syscallCtx) (uint64, bool) {
 	p := ctx.proc
-	fd, bufVA, n := int(ctx.args[0]), ctx.args[1], int(ctx.args[2])
+	fd, bufVA := int(ctx.args[0]), ctx.args[1]
 	f, ok := p.fds[fd]
 	if !ok {
 		return EBADF, false
 	}
-	data, blocked := f.read(k, n)
+	n, ok := rwCount(ctx.args[2])
+	if !ok {
+		return EINVAL, false
+	}
+	data := k.bounceBuf(n)
+	got, blocked := f.read(k, data)
 	if blocked {
 		return 0, true
 	}
-	k.C.Charge(k.copyCost(len(data)))
-	if err := k.copyToUser(p, bufVA, data); err != nil {
+	k.C.Charge(k.copyCost(got))
+	if err := k.copyToUser(p, bufVA, data[:got]); err != nil {
 		return EFAULT, false
 	}
-	return uint64(len(data)), false
+	return uint64(got), false
 }
 
 func (k *Kernel) sysWrite(ctx *syscallCtx) (uint64, bool) {
 	p := ctx.proc
-	fd, bufVA, n := int(ctx.args[0]), ctx.args[1], int(ctx.args[2])
+	fd, bufVA := int(ctx.args[0]), ctx.args[1]
 	f, ok := p.fds[fd]
 	if !ok {
 		return EBADF, false
 	}
-	buf := make([]byte, n)
+	n, ok := rwCount(ctx.args[2])
+	if !ok {
+		return EINVAL, false
+	}
+	buf := k.bounceBuf(n)
 	if err := k.copyFromUser(p, bufVA, buf); err != nil {
 		return EFAULT, false
 	}
@@ -476,16 +511,21 @@ func (k *Kernel) sysNanosleep(ctx *syscallCtx) (uint64, bool) {
 
 func (k *Kernel) sysOpen(ctx *syscallCtx) (uint64, bool) {
 	p := ctx.proc
-	// args[0] = file id, args[1] = size hint.
+	// args[0] = file id, args[1] = size hint. No file can outgrow
+	// memFileCap, so a larger (or negative) hint is refused with EINVAL.
+	hint := ctx.args[1]
+	if hint > memFileCap {
+		return EINVAL, false
+	}
 	var f fileLike
 	if k.OpenFileProvider != nil {
-		ext := k.OpenFileProvider(ctx.args[0], ctx.args[1])
+		ext := k.OpenFileProvider(ctx.args[0], hint)
 		if ext == nil {
 			return EBADF, false
 		}
 		f = &extFile{f: ext}
 	} else {
-		f = &memFile{data: make([]byte, ctx.args[1])}
+		f = &memFile{size: int(hint)}
 	}
 	fd := p.nextFD
 	p.nextFD++
