@@ -14,7 +14,6 @@ import (
 	"spectrebench/internal/grid"
 	"spectrebench/internal/harness"
 	"spectrebench/internal/simscope"
-	"spectrebench/internal/store"
 )
 
 // gridOptions carries the gridbench subcommand's flags.
@@ -58,24 +57,11 @@ func gridbench(w io.Writer, opts gridOptions) int {
 	// cell's fault seed and store identity canonically.
 	eng.SetCanonicalizer(grid.Canonicalizer(cells))
 
-	if opts.storeDir != "" {
-		st, err := store.Open(opts.storeDir, store.Options{
-			Logf: func(format string, args ...any) {
-				fmt.Fprintf(os.Stderr, "spectrebench: "+format+"\n", args...)
-			},
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "spectrebench: -store: %v\n", err)
-			return 2
-		}
-		eng.SetSecondLevel(st)
-		defer func() {
-			fmt.Fprintln(os.Stderr, "spectrebench: "+st.Note())
-			if err := st.Close(); err != nil {
-				fmt.Fprintf(os.Stderr, "spectrebench: store close: %v\n", err)
-			}
-		}()
+	_, closeStore, ok := openStore(eng, opts.storeDir)
+	if !ok {
+		return 2
 	}
+	defer closeStore()
 
 	start := time.Now()
 	bcells := make([]engine.BatchCell, len(cells))

@@ -248,24 +248,11 @@ func run(w io.Writer, ids []string, csv bool, cfg harness.RunConfig, storeDir st
 		}
 	}
 
-	if storeDir != "" {
-		st, err := store.Open(storeDir, store.Options{
-			Logf: func(format string, args ...any) {
-				fmt.Fprintf(os.Stderr, "spectrebench: "+format+"\n", args...)
-			},
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "spectrebench: -store: %v\n", err)
-			return 2
-		}
-		cfg.Engine.SetSecondLevel(st)
-		defer func() {
-			fmt.Fprintln(os.Stderr, "spectrebench: "+st.Note())
-			if err := st.Close(); err != nil {
-				fmt.Fprintf(os.Stderr, "spectrebench: store close: %v\n", err)
-			}
-		}()
+	_, closeStore, ok := openStore(cfg.Engine, storeDir)
+	if !ok {
+		return 2
 	}
+	defer closeStore()
 
 	results := harness.SuperviseEach(exps, cfg, nil)
 	// Rendered with a nil engine — the same bytes the HTTP serving path
@@ -295,19 +282,11 @@ type serveOptions struct {
 // drain-timeout to finish, and the engine and store shut down cleanly
 // so every committed cell is readable by the next daemon.
 func serve(eng *engine.Engine, opts serveOptions) int {
-	logf := func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "spectrebench: "+format+"\n", args...)
+	st, closeStore, ok := openStore(eng, opts.storeDir)
+	if !ok {
+		return 2
 	}
-
-	var st *store.Store
-	if opts.storeDir != "" {
-		var err error
-		st, err = store.Open(opts.storeDir, store.Options{Logf: logf})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "spectrebench: -store: %v\n", err)
-			return 2
-		}
-		eng.SetSecondLevel(st)
+	if st != nil {
 		logf("%s", st.Note())
 	}
 
@@ -338,7 +317,7 @@ func serve(eng *engine.Engine, opts serveOptions) int {
 		logf("received %v, draining (timeout %s)", sig, opts.drainTimeout)
 	case err := <-errCh:
 		fmt.Fprintf(os.Stderr, "spectrebench: serve: %v\n", err)
-		closeStore(st, logf)
+		closeStore()
 		return 1
 	}
 
@@ -355,7 +334,7 @@ func serve(eng *engine.Engine, opts serveOptions) int {
 	defer cancel2()
 	httpSrv.Shutdown(shutCtx)
 	eng.Close()
-	closeStore(st, logf)
+	closeStore()
 	logf("shut down cleanly")
 	return 0
 }
@@ -367,14 +346,32 @@ func storeDesc(st *store.Store) string {
 	return st.Dir()
 }
 
-func closeStore(st *store.Store, logf func(string, ...any)) {
-	if st == nil {
-		return
+// logf prints one "spectrebench: "-prefixed line to stderr.
+func logf(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "spectrebench: "+format+"\n", args...)
+}
+
+// openStore opens the -store directory dir as eng's second level. With
+// no directory there is no store: st is nil and closeStore does
+// nothing. On an open error it reports the error and returns ok false,
+// and the caller exits 2. closeStore prints the store's note to stderr
+// and closes it.
+func openStore(eng *engine.Engine, dir string) (st *store.Store, closeStore func(), ok bool) {
+	if dir == "" {
+		return nil, func() {}, true
 	}
-	logf("%s", st.Note())
-	if err := st.Close(); err != nil {
-		logf("store close: %v", err)
+	st, err := store.Open(dir, store.Options{Logf: logf})
+	if err != nil {
+		logf("-store: %v", err)
+		return nil, nil, false
 	}
+	eng.SetSecondLevel(st)
+	return st, func() {
+		logf("%s", st.Note())
+		if err := st.Close(); err != nil {
+			logf("store close: %v", err)
+		}
+	}, true
 }
 
 // clientRun submits one sweep to a daemon and prints the results
@@ -399,9 +396,7 @@ func clientRun(ids []string, csv bool, cfg harness.RunConfig, addr string, retri
 		BaseURL:    "http://" + addr,
 		MaxRetries: retries,
 		Gzip:       true, // transport only: the records are byte-identical either way
-		Logf: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "spectrebench: "+format+"\n", args...)
-		},
+		Logf:       logf,
 	}
 	resp, err := cl.Sweep(context.Background(), req)
 	if err != nil {

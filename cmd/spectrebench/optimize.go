@@ -11,7 +11,6 @@ import (
 	"spectrebench/internal/grid"
 	"spectrebench/internal/harness"
 	"spectrebench/internal/optimize"
-	"spectrebench/internal/store"
 )
 
 // optimizeOptions carries the optimize subcommand's flags.
@@ -62,24 +61,11 @@ func optimizeCmd(w io.Writer, opts optimizeOptions) int {
 	defer restore()
 
 	eng := opts.cfg.Engine
-	if opts.storeDir != "" {
-		st, err := store.Open(opts.storeDir, store.Options{
-			Logf: func(format string, args ...any) {
-				fmt.Fprintf(os.Stderr, "spectrebench: "+format+"\n", args...)
-			},
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "spectrebench: -store: %v\n", err)
-			return 2
-		}
-		eng.SetSecondLevel(st)
-		defer func() {
-			fmt.Fprintln(os.Stderr, "spectrebench: "+st.Note())
-			if err := st.Close(); err != nil {
-				fmt.Fprintf(os.Stderr, "spectrebench: store close: %v\n", err)
-			}
-		}()
+	_, closeStore, ok := openStore(eng, opts.storeDir)
+	if !ok {
+		return 2
 	}
+	defer closeStore()
 
 	start := time.Now()
 	res, err := optimize.Search(eng, optimize.Options{

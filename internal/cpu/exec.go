@@ -715,10 +715,6 @@ func (c *Core) disambiguationBypass(pc uint64) bool {
 	return n == 0
 }
 
-// ResetDisambiguator clears the memory-disambiguation predictor state —
-// what an attacker achieves by re-aligning the conflicting accesses.
-func (c *Core) ResetDisambiguator() { c.ssbSeen = nil }
-
 // swapCR3Cost returns the measured mov-cr3 cost for vulnerable parts
 // (Table 3) or a representative value when PTI is forced on a part the
 // paper did not measure.

@@ -48,6 +48,3 @@ func (c *Core) FlushCycleTelemetry() { c.flushCycleTelemetry() }
 // this is the supervisor-facing hook for killing a runaway core that is
 // not bound by a cycle budget.
 func (c *Core) Interrupt() { c.interrupted.Store(true) }
-
-// ClearInterrupt resets the abort flag (after the error was consumed).
-func (c *Core) ClearInterrupt() { c.interrupted.Store(false) }

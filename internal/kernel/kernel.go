@@ -375,10 +375,6 @@ func (k *Kernel) RegisterKernelModule(build func(a *isa.Asm)) *isa.Program {
 	return prog
 }
 
-// ExitStubPC returns the kernel-exit stub address; kernel modules jump
-// here to return to user space through the full mitigation exit path.
-func (k *Kernel) ExitStubPC() uint64 { return k.exitPC }
-
 // Current returns the currently scheduled process.
 func (k *Kernel) Current() *Proc { return k.cur }
 

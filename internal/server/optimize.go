@@ -13,7 +13,6 @@ import (
 	"net/http"
 	"strings"
 	"sync/atomic"
-	"time"
 
 	"spectrebench/internal/attacks"
 	"spectrebench/internal/faultinject"
@@ -140,32 +139,12 @@ func resolveOptimize(req OptimizeRequest) (optimize.Options, error) {
 }
 
 func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
+	// A search shares the sweeps' inflight budget and admission policy.
+	adm := s.admit(w, r)
+	if adm == nil {
 		return
 	}
-	if s.draining.Load() {
-		w.Header().Set("Retry-After", s.retryAfterSeconds())
-		http.Error(w, "draining", http.StatusServiceUnavailable)
-		return
-	}
-	// Same admission policy as /sweep: a search shares the inflight
-	// budget, and its slot is held until the search's engine work is
-	// actually done even if the handler returns early on deadline.
-	select {
-	case s.sem <- struct{}{}:
-	default:
-		s.rejected.Add(1)
-		w.Header().Set("Retry-After", s.retryAfterSeconds())
-		http.Error(w, "capacity saturated, retry later", http.StatusTooManyRequests)
-		return
-	}
-	admitted := false
-	defer func() {
-		if !admitted {
-			<-s.sem
-		}
-	}()
+	defer adm.release()
 
 	var req OptimizeRequest
 	if !decodeRequest(w, r, &req) {
@@ -177,17 +156,11 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	timeout := s.cfg.RequestTimeout
-	if req.TimeoutMs > 0 {
-		if d := time.Duration(req.TimeoutMs) * time.Millisecond; d < timeout {
-			timeout = d
-		}
-	}
+	timeout := s.requestTimeout(req.TimeoutMs)
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
 
-	s.accepted.Add(1)
-	admitted = true
+	adm.start()
 	s.logf("server: optimize admitted: require=%s workloads=%d uarchs=%d faults=%v timeout=%s",
 		strings.Join(attacks.IDs(opts.Require), ","), len(opts.Workloads), len(opts.Uarchs), req.Faults, timeout)
 

@@ -132,22 +132,19 @@ type StatsSnapshot struct {
 
 // StoreStats mirrors store.Stats for JSON.
 type StoreStats struct {
-	Entries          int    `json:"entries"`
-	Hits             uint64 `json:"hits"`
-	Misses           uint64 `json:"misses"`
-	Puts             uint64 `json:"puts"`
-	PutErrors        uint64 `json:"putErrors"`
-	Quarantined      uint64 `json:"quarantined"`
-	TmpSwept         int    `json:"tmpSwept"`
-	Segments         int    `json:"segments"`
-	ManifestSegments int    `json:"manifestSegments"`
-	TornTail         int    `json:"tornTail"`
-	DeadRecords      int    `json:"deadRecords"`
-	Compactions      uint64 `json:"compactions"`
-	GetBatches       uint64 `json:"getBatches"`
-	SidecarLinks     int    `json:"sidecarLinks"`
-	SidecarHits      uint64 `json:"sidecarHits"`
-	SidecarMisses    uint64 `json:"sidecarMisses"`
+	Entries       int    `json:"entries"`
+	Hits          uint64 `json:"hits"`
+	Misses        uint64 `json:"misses"`
+	Puts          uint64 `json:"puts"`
+	PutErrors     uint64 `json:"putErrors"`
+	Quarantined   uint64 `json:"quarantined"`
+	TmpSwept      int    `json:"tmpSwept"`
+	Segments      int    `json:"segments"`
+	TornTail      int    `json:"tornTail"`
+	GetBatches    uint64 `json:"getBatches"`
+	SidecarLinks  int    `json:"sidecarLinks"`
+	SidecarHits   uint64 `json:"sidecarHits"`
+	SidecarMisses uint64 `json:"sidecarMisses"`
 }
 
 // EngineStats reports the cell cache, level by level: display-keyed
@@ -271,22 +268,19 @@ func (s *Server) Stats() StatsSnapshot {
 	if s.cfg.Store != nil {
 		st := s.cfg.Store.Stats()
 		snap.Store = &StoreStats{
-			Entries:          st.Entries,
-			Hits:             st.Hits,
-			Misses:           st.Misses,
-			Puts:             st.Puts,
-			PutErrors:        st.PutErrors,
-			Quarantined:      st.Quarantined,
-			TmpSwept:         st.TmpSwept,
-			Segments:         st.Segments,
-			ManifestSegments: st.ManifestSegments,
-			TornTail:         st.TornTail,
-			DeadRecords:      st.DeadRecords,
-			Compactions:      st.Compactions,
-			GetBatches:       st.GetBatches,
-			SidecarLinks:     st.SidecarLinks,
-			SidecarHits:      st.SidecarHits,
-			SidecarMisses:    st.SidecarMisses,
+			Entries:       st.Entries,
+			Hits:          st.Hits,
+			Misses:        st.Misses,
+			Puts:          st.Puts,
+			PutErrors:     st.PutErrors,
+			Quarantined:   st.Quarantined,
+			TmpSwept:      st.TmpSwept,
+			Segments:      st.Segments,
+			TornTail:      st.TornTail,
+			GetBatches:    st.GetBatches,
+			SidecarLinks:  st.SidecarLinks,
+			SidecarHits:   st.SidecarHits,
+			SidecarMisses: st.SidecarMisses,
 		}
 	}
 	return snap
@@ -319,33 +313,69 @@ func (s *Server) retryAfterSeconds() string {
 	return strconv.Itoa(secs)
 }
 
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
+// admission is the admission slot a /sweep or /optimize handler holds.
+type admission struct {
+	s      *Server
+	handed bool
+}
+
+// admit applies the admission policy /sweep and /optimize share: POST
+// only (405), nothing new while draining (503), and refusal rather than
+// queueing when every inflight slot is taken (429); both refusals carry
+// a Retry-After hint. It returns nil once it has refused the request;
+// otherwise the handler holds a slot and must defer its release.
+func (s *Server) admit(w http.ResponseWriter, r *http.Request) *admission {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
+		return nil
 	}
 	if s.draining.Load() {
 		w.Header().Set("Retry-After", s.retryAfterSeconds())
 		http.Error(w, "draining", http.StatusServiceUnavailable)
-		return
+		return nil
 	}
-	// Admission control: refuse instead of queueing. The slot is
-	// released by the batch goroutine when the sweep's work is actually
-	// done, which may outlive this handler on a timed-out request.
 	select {
 	case s.sem <- struct{}{}:
+		return &admission{s: s}
 	default:
 		s.rejected.Add(1)
 		w.Header().Set("Retry-After", s.retryAfterSeconds())
-		http.Error(w, "sweep capacity saturated, retry later", http.StatusTooManyRequests)
+		http.Error(w, "capacity saturated, retry later", http.StatusTooManyRequests)
+		return nil
+	}
+}
+
+// start counts the request accepted and hands its slot to the work's
+// goroutine, which frees it (<-s.sem) only when the work is done — even
+// if the handler has long since returned a deadline response.
+func (a *admission) start() {
+	a.s.accepted.Add(1)
+	a.handed = true
+}
+
+// release frees the slot of a request refused after admission (a bad
+// body or an unknown experiment), which start never handed on.
+func (a *admission) release() {
+	if !a.handed {
+		<-a.s.sem
+	}
+}
+
+// requestTimeout is the server's request deadline, which a request's
+// positive timeoutMs may tighten but never extend.
+func (s *Server) requestTimeout(timeoutMs int64) time.Duration {
+	if d := time.Duration(timeoutMs) * time.Millisecond; timeoutMs > 0 && d < s.cfg.RequestTimeout {
+		return d
+	}
+	return s.cfg.RequestTimeout
+}
+
+func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
+	adm := s.admit(w, r)
+	if adm == nil {
 		return
 	}
-	admitted := false
-	defer func() {
-		if !admitted {
-			<-s.sem
-		}
-	}()
+	defer adm.release()
 
 	var req SweepRequest
 	if !decodeRequest(w, r, &req) {
@@ -358,17 +388,11 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	cfg := s.runConfig(req)
 
-	timeout := s.cfg.RequestTimeout
-	if req.TimeoutMs > 0 {
-		if d := time.Duration(req.TimeoutMs) * time.Millisecond; d < timeout {
-			timeout = d
-		}
-	}
+	timeout := s.requestTimeout(req.TimeoutMs)
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
 
-	s.accepted.Add(1)
-	admitted = true
+	adm.start()
 	s.logf("server: sweep admitted: %d experiments, seed=%d faults=%v timeout=%s",
 		len(exps), cfg.Seed, cfg.Faults, timeout)
 

@@ -90,8 +90,10 @@ func TestSweepStreamsResultsInRequestOrder(t *testing.T) {
 }
 
 // TestAdmissionControlRefusesWith429: with MaxInflight=1 and one sweep
-// parked, the next sweep is refused immediately with 429 and a
-// Retry-After hint — admission control sheds load, it never queues.
+// parked, the next sweep and the next search are each refused
+// immediately with 429 and a Retry-After hint — admission control sheds
+// load, it never queues. Both endpoints answer any method but POST with
+// 405, which is not an admission refusal.
 func TestAdmissionControlRefusesWith429(t *testing.T) {
 	release := make(chan struct{})
 	lookup, all := synthRegistry(blockingExp("slow", release), okExp("fast"))
@@ -111,24 +113,38 @@ func TestAdmissionControlRefusesWith429(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 	}
 
-	resp, err := http.Post(hs.URL+"/sweep", "application/json", strings.NewReader(`{"experiments":["fast"]}`))
-	if err != nil {
-		t.Fatalf("second sweep: %v", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Errorf("second sweep status %d, want 429", resp.StatusCode)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Error("429 carries no Retry-After hint")
+	for _, ep := range []struct{ path, body string }{
+		{"/sweep", `{"experiments":["fast"]}`},
+		{"/optimize", `{"combos":1}`},
+	} {
+		resp, err := http.Post(hs.URL+ep.path, "application/json", strings.NewReader(ep.body))
+		if err != nil {
+			t.Fatalf("POST %s: %v", ep.path, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusTooManyRequests {
+			t.Errorf("POST %s while saturated: status %d, want 429", ep.path, resp.StatusCode)
+		}
+		if resp.Header.Get("Retry-After") == "" {
+			t.Errorf("POST %s: 429 carries no Retry-After hint", ep.path)
+		}
+
+		resp, err = http.Get(hs.URL + ep.path)
+		if err != nil {
+			t.Fatalf("GET %s: %v", ep.path, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusMethodNotAllowed {
+			t.Errorf("GET %s: status %d, want 405", ep.path, resp.StatusCode)
+		}
 	}
 
 	close(release)
 	if err := <-errCh; err != nil {
 		t.Fatalf("first sweep failed: %v", err)
 	}
-	if rej := srv.Stats().Server.Rejected; rej != 1 {
-		t.Errorf("rejected=%d, want 1", rej)
+	if st := srv.Stats().Server; st.Rejected != 2 || st.Accepted != 1 {
+		t.Errorf("rejected=%d accepted=%d, want 2/1", st.Rejected, st.Accepted)
 	}
 }
 

@@ -9,18 +9,21 @@ import (
 )
 
 // fuzzStoreFiles writes a small store the way production does — float
-// and gob-valued records across rotated segments, display→canonical
-// links — and returns its first segment, side log and manifest bytes.
-func fuzzStoreFiles(f *testing.F) (seg, side, manifest []byte) {
+// and gob-valued records in one segment, display→canonical links from
+// two sessions — and returns its segment and both side logs' bytes.
+// The second session's side log re-interns canonical keys under ids
+// local to its own file.
+func fuzzStoreFiles(f *testing.F) (seg, side1, side2 []byte) {
 	f.Helper()
-	prev := segMaxBytes
-	segMaxBytes = 200 // rotate after a couple of records, so the manifest lists sealed segments
-	defer func() { segMaxBytes = prev }()
 	dir := f.TempDir()
-	s, err := Open(dir, Options{NoSync: true})
-	if err != nil {
-		f.Fatal(err)
+	open := func() *Store {
+		s, err := Open(dir, Options{NoSync: true})
+		if err != nil {
+			f.Fatal(err)
+		}
+		return s
 	}
+	s := open()
 	for i := 0; i < 6; i++ {
 		s.Put(testKey(i), float64(i)+0.25, uint64(100+i))
 	}
@@ -31,6 +34,12 @@ func fuzzStoreFiles(f *testing.F) (seg, side, manifest []byte) {
 		{Display: testKey(12), Canonical: testKey(6)},
 	})
 	s.Close()
+	s = open()
+	s.PutLinkBatch([]engine.LinkPair{
+		{Display: testKey(13), Canonical: testKey(6)},
+		{Display: testKey(14), Canonical: testKey(1)},
+	})
+	s.Close()
 	read := func(name string) []byte {
 		b, err := os.ReadFile(filepath.Join(dir, segsDirName, name))
 		if err != nil {
@@ -38,7 +47,7 @@ func fuzzStoreFiles(f *testing.F) (seg, side, manifest []byte) {
 		}
 		return b
 	}
-	return read(segPrefix + "000001" + segExt), read(sidePrefix + "000001" + segExt), read(manifestName)
+	return read(segPrefix + "000001" + segExt), read(sidePrefix + "000001" + segExt), read(sidePrefix + "000002" + segExt)
 }
 
 // damaged returns the damage-matrix variants of a file: intact, torn
@@ -118,21 +127,21 @@ func FuzzStoreSegment(f *testing.F) {
 	})
 }
 
-// FuzzStoreSidecar runs the sidecar and manifest readers over arbitrary
-// bytes: the framed side-log loader, a bare chunk parse and the
-// manifest decoder. None may panic, and a chunk that parses may only
+// FuzzStoreSidecar runs the sidecar readers over arbitrary bytes: the
+// framed side-log loader and a bare chunk parse. Neither may panic, and
+// a chunk that parses may only
 // link display fingerprints to canonical keys it interned itself: every
 // link's id must fall inside the interned table, at a table entry one
 // of the chunk's 'C' records produced.
 func FuzzStoreSidecar(f *testing.F) {
-	_, side, manifest := fuzzStoreFiles(f)
+	_, side, side2 := fuzzStoreFiles(f)
 	for _, b := range damaged(side) {
 		f.Add(b)
 	}
 	if len(side) > headerLen {
 		f.Add(side[headerLen:]) // a bare chunk
 	}
-	for _, b := range damaged(manifest) {
+	for _, b := range damaged(side2) {
 		f.Add(b)
 	}
 	f.Add([]byte("L0123456789abcdef\x00\x00\x00\x00"))
@@ -158,7 +167,5 @@ func FuzzStoreSidecar(f *testing.F) {
 				}
 			}
 		}
-
-		parseManifest(data)
 	})
 }

@@ -7,17 +7,23 @@
 // cost are a pure function of its engine.Key, so a stored result
 // replayed into a later run renders the exact bytes a fresh simulation
 // would. The store's own job is to make that cache survive crashes
-// while absorbing million-cell sweeps: records are appended to a small
-// number of segment logs with group-committed fsyncs and indexed in
-// memory.
+// while absorbing million-cell sweeps: records are appended to one
+// segment log with group-committed fsyncs and indexed in memory.
 //
 // # Layout
 //
 //	<dir>/LOCK                      flock'd while the store is open; holds the owner pid
-//	<dir>/segments/seg-NNNNNN.log   append-only record logs (~4 MB each)
+//	<dir>/segments/seg-NNNNNN.log   append-only record log(s)
 //	<dir>/segments/side-NNNNNN.log  display→canonical link logs (see v3.go)
-//	<dir>/segments/MANIFEST         index of the sealed segments (see v3.go)
 //	<dir>/quarantine/               damaged bytes set aside by recovery, never deleted
+//
+// A store this version creates has one segment, seg-000001.log, and
+// appends to it for its whole life: the full 172,032-cell lattice fills
+// under 1 MB. Open scans every seg-*.log in name order, because stores
+// written by earlier versions, which rotated segments at 4 MiB, may hold
+// several; it appends to the last and never creates another. Those
+// versions also kept a segments/MANIFEST index of the segments, which
+// Open removes: the scan rebuilds everything it held.
 //
 // A segment is a sequence of framed records:
 //
@@ -46,7 +52,7 @@
 // # Crash safety
 //
 //   - Appends are tail-only. A crash — up to and including kill -9
-//     mid-write — can only tear the last record of the newest segment.
+//     mid-write — can only tear the last record of the last segment.
 //     The open scan truncates a torn tail (counted in Stats.TornTail,
 //     logged, nothing quarantined: it is the expected debris of a
 //     crash) and every record before it stays committed.
@@ -60,24 +66,17 @@
 //     boundary, copies the damaged span to quarantine/ (preserved for
 //     forensics, never deleted), and rewrites the segment without it —
 //     every undamaged record keeps serving.
-//   - Group commit: appends are fsynced every few records, on segment
-//     rotation, by a background flusher, and at Close. A power cut can
-//     cost the last unsynced group (they re-simulate); it cannot
-//     corrupt committed records. Options.NoSync skips fsyncs entirely
-//     for tests (atomicity against process death does not need them).
+//   - Group commit: appends are fsynced every few records, by a
+//     background flusher, and at Close. A power cut can cost the last
+//     unsynced group (they re-simulate); it cannot corrupt committed
+//     records. Options.NoSync skips fsyncs entirely for tests
+//     (atomicity against process death does not need them).
 //   - An exclusive lock file (flock) makes a store single-writer: a
 //     second daemon opening the same directory gets ErrLocked
 //     immediately. The kernel releases the lock when the owner dies,
 //     however it dies.
 //
-// # Compaction
-//
-// Records die when a duplicate key is found at scan, when Get
-// quarantines a corrupt record, or when compaction rewrites supersede
-// them. Sealed segments whose records are mostly dead are compacted —
-// live records re-appended to the current segment, the old file
-// deleted — by Compact (called periodically by the background flusher,
-// and available to tests and tools).
+// # Cell values
 //
 // Cell values other than float64 cross the gob boundary as interfaces,
 // so every such concrete cell value type must be registered with
@@ -129,25 +128,17 @@ const (
 	headerLen      = 12 // magic + crc32 + payload length
 
 	// groupCommitEvery fsyncs the current segment after this many
-	// unsynced appends (plus rotation, the background flusher and
-	// Close).
+	// unsynced appends (plus the background flusher and Close).
 	groupCommitEvery = 64
 	// flushInterval is the background flusher's tick.
 	flushInterval = 200 * time.Millisecond
-	// compactEvery runs Compact every this many flusher ticks.
-	compactEvery = 16
 )
-
-// segMaxBytes rotates the current segment once it grows past this. A
-// variable so tests can exercise rotation and compaction without
-// writing megabytes.
-var segMaxBytes int64 = 4 << 20
 
 // Options configures Open.
 type Options struct {
 	// NoSync skips every fsync. Committed entries are then atomic
 	// against process death (kill -9) but not against power loss; the
-	// background flusher and compactor are not started. Tests and
+	// background flusher is not started. Tests and
 	// benchmarks use it; daemons should not.
 	NoSync bool
 	// Logf, when non-nil, receives recovery and degradation notices
@@ -179,21 +170,13 @@ type Stats struct {
 	// checksum or decode failures since.
 	Quarantined uint64
 	// TmpSwept counts abandoned temporary files removed at Open (the
-	// debris of a crash mid-rewrite of a segment or the manifest).
+	// debris of a crash mid-rewrite of a segment).
 	TmpSwept int
 	// TornTail counts segment tails truncated at Open — the partial
 	// record a crash mid-append leaves. Expected debris, not damage.
 	TornTail int
-	// Segments is the number of live segment files.
+	// Segments is the number of segment files.
 	Segments int
-	// DeadRecords counts records still occupying segment bytes whose
-	// key has been superseded or quarantined (reclaimed by Compact).
-	DeadRecords int
-	// Compactions counts segments removed or rewritten by Compact.
-	Compactions uint64
-	// ManifestSegments counts sealed segments indexed straight from the
-	// open-time manifest, without scanning their bytes.
-	ManifestSegments int
 	// GetBatches counts GetBatch calls (each resolves many keys under
 	// one index lock).
 	GetBatches uint64
@@ -205,15 +188,12 @@ type Stats struct {
 	SidecarMisses uint64
 }
 
-// segment is one open segment log. size is guarded by the writer mutex;
-// live/dead by the index mutex.
+// segment is one open segment log. size is guarded by the writer mutex.
 type segment struct {
 	seq  uint64
 	name string // base name under segments/
 	f    *os.File
 	size int64
-	live int
-	dead int
 }
 
 // ref locates one committed cell inside a segment.
@@ -233,19 +213,20 @@ type Store struct {
 
 	lockFile *os.File
 
-	// mu guards the index, the sidecar link table and every segment's
-	// live/dead counters.
+	// mu guards the index and the sidecar link table.
 	mu    sync.RWMutex
 	index map[engine.Key]ref
 	// links resolves a display key's fingerprint to its canonical key
 	// (the sidecar).
 	links linkTable
 
-	// wmu serializes writers: appends, rotation, compaction, sidecar
-	// and manifest writes. Lock order: wmu before mu, never the
-	// reverse.
+	// segs is fixed at Open, in name order; the last is the append
+	// target.
+	segs []*segment
+
+	// wmu serializes writers: segment appends and sidecar writes. Lock
+	// order: wmu before mu, never the reverse.
 	wmu      sync.Mutex
-	segs     []*segment // ascending seq; the last is the append target
 	unsynced int
 	// Sidecar write state: links buffer in memory and flush in batches
 	// to the side log — they are replay hints, not committed data, so
@@ -264,9 +245,8 @@ type Store struct {
 	flushWG sync.WaitGroup
 
 	hits, misses, puts, putErrors, quarantined atomic.Uint64
-	compactions, getBatches                    atomic.Uint64
-	sideHits, sideMisses                       atomic.Uint64
-	tmpSwept, tornTail, manifestSegs           int
+	getBatches, sideHits, sideMisses           atomic.Uint64
+	tmpSwept, tornTail                         int
 }
 
 // Open opens (creating if necessary) the store rooted at dir, acquires
@@ -307,9 +287,12 @@ func Open(dir string, opts Options) (*Store, error) {
 		return fail(err)
 	}
 	if len(s.segs) == 0 {
-		if err := s.addSegmentLocked(1); err != nil {
-			return fail(err)
+		name := fmt.Sprintf("%s%06d%s", segPrefix, 1, segExt)
+		f, err := os.OpenFile(filepath.Join(s.segDir, name), os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o666)
+		if err != nil {
+			return fail(fmt.Errorf("store: segment %s: %w", name, err))
 		}
+		s.segs = append(s.segs, &segment{seq: 1, name: name, f: f})
 	}
 	if !s.opts.NoSync {
 		s.stopCh = make(chan struct{})
@@ -389,12 +372,10 @@ func (s *Store) logf(format string, args ...any) {
 }
 
 // recoverScan walks segments/: abandoned *.tmp files (interrupted
-// rewrites) are removed, every seg-*.log is validated record by record
-// and either indexed, truncated at a torn tail, or — for mid-segment
-// corruption — resynchronised with the damaged span quarantined and the
-// file rewritten without it. Sealed segments whose size matches the
-// open-time manifest are indexed straight from it, without reading
-// their bytes.
+// rewrites) and an earlier version's MANIFEST are removed, and every
+// seg-*.log is validated record by record and either indexed, truncated
+// at a torn tail, or — for mid-segment corruption — resynchronised with
+// the damaged span quarantined and the file rewritten without it.
 func (s *Store) recoverScan() error {
 	entries, err := os.ReadDir(s.segDir)
 	if err != nil {
@@ -412,16 +393,19 @@ func (s *Store) recoverScan() error {
 			s.logf("store: swept abandoned temp file %s", name)
 			continue
 		}
+		if name == "MANIFEST" {
+			// A derived index of the segments that earlier versions kept;
+			// the scan below rebuilds every byte of it.
+			os.Remove(filepath.Join(s.segDir, name))
+			s.logf("store: removed %s/%s, an index earlier versions kept; the open scan rebuilds it", segsDirName, name)
+			continue
+		}
 		if strings.HasPrefix(name, segPrefix) && strings.HasSuffix(name, segExt) {
 			names = append(names, name)
 		}
 	}
 	sort.Strings(names)
-	manifest := s.loadManifest()
 	for _, name := range names {
-		if m, ok := manifest[name]; ok && s.indexFromManifest(name, m) {
-			continue
-		}
 		if err := s.scanSegment(name); err != nil {
 			return err
 		}
@@ -549,14 +533,13 @@ func (s *Store) scanSegment(name string) error {
 	seg.size = int64(end)
 	for _, r := range recs {
 		if _, dup := s.index[r.key]; dup {
-			// Two records claim one key (a healed re-put, or a crash
-			// mid-compaction): the first stays authoritative, the
-			// second is dead weight for Compact.
-			seg.dead++
+			// Two records claim one key (a re-put after Get quarantined
+			// a record that still frames validly, or a store an earlier
+			// version compacted when it crashed): the first stays
+			// authoritative.
 			continue
 		}
 		s.index[r.key] = ref{seg: seg, off: int64(r.off), plen: uint32(r.n - headerLen), cycles: r.cycles}
-		seg.live++
 	}
 	s.segs = append(s.segs, seg)
 	return nil
@@ -579,18 +562,6 @@ func syncFile(path string) error {
 	return f.Sync()
 }
 
-// addSegmentLocked creates and appends a fresh segment log. Caller
-// holds wmu (or is the single-threaded Open path).
-func (s *Store) addSegmentLocked(seq uint64) error {
-	name := fmt.Sprintf("%s%06d%s", segPrefix, seq, segExt)
-	f, err := os.OpenFile(filepath.Join(s.segDir, name), os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o666)
-	if err != nil {
-		return fmt.Errorf("store: segment %s: %w", name, err)
-	}
-	s.segs = append(s.segs, &segment{seq: seq, name: name, f: f})
-	return nil
-}
-
 // quarantineBytes preserves a damaged byte span under quarantine/ with
 // a non-clobbering name. Failure to write is logged, never fatal — the
 // span is already dropped from the live store either way.
@@ -607,24 +578,12 @@ func (s *Store) quarantineBytes(name string, data []byte) {
 	}
 }
 
-// appendLocked frames payload and appends it to the current segment,
-// rotating first if it is full. Caller holds wmu (or is the
-// single-threaded Open path). On any failure — including the injected
-// StoreWrite disk-full fault — the segment tail is rolled back to the
-// record boundary so the log stays clean for the next append.
+// appendLocked frames payload and appends it to the current segment.
+// Caller holds wmu. On any failure — including the injected StoreWrite
+// disk-full fault — the segment tail is rolled back to the record
+// boundary so the log stays clean for the next append.
 func (s *Store) appendLocked(payload []byte) (*segment, int64, error) {
-	if len(s.segs) == 0 {
-		if err := s.addSegmentLocked(1); err != nil {
-			return nil, 0, err
-		}
-	}
 	seg := s.segs[len(s.segs)-1]
-	if seg.size >= segMaxBytes {
-		if err := s.rotateLocked(); err != nil {
-			return nil, 0, err
-		}
-		seg = s.segs[len(s.segs)-1]
-	}
 	buf := make([]byte, headerLen+len(payload))
 	copy(buf, magicV3[:])
 	binary.BigEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(payload))
@@ -657,28 +616,10 @@ func (s *Store) appendLocked(payload []byte) (*segment, int64, error) {
 	return seg, start, nil
 }
 
-// rotateLocked seals the current segment (final fsync) and opens the
-// next, refreshing the manifest so the next open can skip scanning the
-// newly sealed file. Caller holds wmu.
-func (s *Store) rotateLocked() error {
-	cur := s.segs[len(s.segs)-1]
-	if !s.opts.NoSync {
-		if err := cur.f.Sync(); err != nil {
-			return err
-		}
-		s.unsynced = 0
-	}
-	if err := s.addSegmentLocked(cur.seq + 1); err != nil {
-		return err
-	}
-	s.writeManifestLocked()
-	return nil
-}
-
 // syncCurrentLocked flushes the current segment if anything is
 // unsynced. Caller holds wmu.
 func (s *Store) syncCurrentLocked() error {
-	if s.opts.NoSync || len(s.segs) == 0 || s.unsynced == 0 {
+	if s.opts.NoSync || s.unsynced == 0 {
 		return nil
 	}
 	if err := s.segs[len(s.segs)-1].f.Sync(); err != nil {
@@ -688,13 +629,12 @@ func (s *Store) syncCurrentLocked() error {
 	return nil
 }
 
-// flusher is the background group-commit and compaction loop (daemons
-// only; NoSync stores never start it).
+// flusher is the background group-commit loop (daemons only; NoSync
+// stores never start it).
 func (s *Store) flusher() {
 	defer s.flushWG.Done()
 	tick := time.NewTicker(flushInterval)
 	defer tick.Stop()
-	n := 0
 	for {
 		select {
 		case <-s.stopCh:
@@ -706,9 +646,6 @@ func (s *Store) flusher() {
 			}
 			s.flushSideLocked(false)
 			s.wmu.Unlock()
-			if n++; n%compactEvery == 0 {
-				s.Compact()
-			}
 		}
 	}
 }
@@ -750,43 +687,36 @@ func (s *Store) readRecord(ent ref, want engine.Key) (raw []byte, val any, cycle
 // failure, which also quarantines the damaged record — is (nil, 0,
 // false), never an error. The checksum is re-verified on every read.
 func (s *Store) Get(key engine.Key) (val any, cycles uint64, ok bool) {
-	for attempt := 0; attempt < 2; attempt++ {
-		if s.closed.Load() {
-			return nil, 0, false
+	if s.closed.Load() {
+		return nil, 0, false
+	}
+	ent, want, found, viaLink := s.lookup(key)
+	if !found {
+		s.misses.Add(1)
+		return nil, 0, false
+	}
+	raw, val, cycles, err := s.readRecord(ent, want)
+	if err == nil {
+		if viaLink {
+			s.sideHits.Add(1)
 		}
-		ent, want, found, viaLink := s.lookup(key)
-		if !found {
-			s.misses.Add(1)
-			return nil, 0, false
-		}
-		raw, val, gotCycles, rerr := s.readRecord(ent, want)
-		if rerr == nil {
-			if viaLink {
-				s.sideHits.Add(1)
-			}
-			s.hits.Add(1)
-			return val, gotCycles, true
-		}
-		// Self-healing read path: if the index still points at the bytes
-		// we just failed to read, drop the entry and set the bytes aside
-		// so the cell re-simulates from here on. If the index moved
-		// (compaction relocated the record), retry once at the new home.
-		s.mu.Lock()
-		cur, still := s.index[want]
-		if still && cur == ent {
-			delete(s.index, want)
-			ent.seg.live--
-			ent.seg.dead++
-			s.mu.Unlock()
-			if !s.closed.Load() {
-				s.quarantineBytes(fmt.Sprintf("%s@%d", ent.seg.name, ent.off), raw)
-				s.quarantined.Add(1)
-				s.logf("store: quarantined record %s@%d for %s: %v", ent.seg.name, ent.off, want.String(), rerr)
-			}
-			s.misses.Add(1)
-			return nil, 0, false
-		}
-		s.mu.Unlock()
+		s.hits.Add(1)
+		return val, cycles, true
+	}
+	// Self-healing read path: if the index still points at the bytes we
+	// just failed to read, drop the entry and set the bytes aside so the
+	// cell re-simulates from here on. Records never move, so if it no
+	// longer does, a concurrent Get has already done so.
+	s.mu.Lock()
+	cur, still := s.index[want]
+	if still = still && cur == ent; still {
+		delete(s.index, want)
+	}
+	s.mu.Unlock()
+	if still && !s.closed.Load() {
+		s.quarantineBytes(fmt.Sprintf("%s@%d", ent.seg.name, ent.off), raw)
+		s.quarantined.Add(1)
+		s.logf("store: quarantined record %s@%d for %s: %v", ent.seg.name, ent.off, want.String(), err)
 	}
 	s.misses.Add(1)
 	return nil, 0, false
@@ -843,107 +773,9 @@ func (s *Store) put(key engine.Key, val any, cycles uint64) error {
 	}
 	s.mu.Lock()
 	s.index[key] = ref{seg: seg, off: off, plen: uint32(len(payload)), cycles: cycles}
-	seg.live++
 	s.mu.Unlock()
 	s.puts.Add(1)
 	return nil
-}
-
-// Compact reclaims dead segment bytes: a sealed segment none of whose
-// records are live is deleted outright; one with more dead records than
-// live has its live records re-appended to the current segment before
-// the file is deleted. Safe to call any time; the background flusher
-// calls it periodically on syncing stores.
-func (s *Store) Compact() {
-	if s.closed.Load() {
-		return
-	}
-	s.wmu.Lock()
-	defer s.wmu.Unlock()
-	if s.closed.Load() || len(s.segs) == 0 {
-		return
-	}
-	sealed := s.segs[:len(s.segs)-1]
-	for _, seg := range append([]*segment(nil), sealed...) {
-		s.mu.RLock()
-		live, dead := seg.live, seg.dead
-		s.mu.RUnlock()
-		if dead == 0 || dead <= live {
-			continue
-		}
-		if live > 0 {
-			if err := s.relocateLocked(seg); err != nil {
-				s.logf("store: compact %s: %v", seg.name, err)
-				continue
-			}
-		}
-		s.dropSegmentLocked(seg)
-		s.compactions.Add(1)
-		s.logf("store: compacted %s (%d live, %d dead)", seg.name, live, dead)
-	}
-}
-
-// relocateLocked re-appends every live record of seg to the current
-// segment and repoints the index. Caller holds wmu.
-func (s *Store) relocateLocked(seg *segment) error {
-	s.mu.RLock()
-	var keys []engine.Key
-	for k, r := range s.index {
-		if r.seg == seg {
-			keys = append(keys, k)
-		}
-	}
-	s.mu.RUnlock()
-	for _, k := range keys {
-		s.mu.RLock()
-		r, ok := s.index[k]
-		s.mu.RUnlock()
-		if !ok || r.seg != seg {
-			continue
-		}
-		raw := make([]byte, headerLen+int(r.plen))
-		if _, err := seg.f.ReadAt(raw, r.off); err != nil {
-			return err
-		}
-		if _, _, _, _, err := parseRecordV3(raw, 0); err != nil {
-			// Rot discovered during compaction: treat it like a Get
-			// self-heal — quarantine, drop, move on.
-			s.mu.Lock()
-			delete(s.index, k)
-			seg.live--
-			seg.dead++
-			s.mu.Unlock()
-			s.quarantineBytes(fmt.Sprintf("%s@%d", seg.name, r.off), raw)
-			s.quarantined.Add(1)
-			continue
-		}
-		dst, off, err := s.appendLocked(raw[headerLen:])
-		if err != nil {
-			return err
-		}
-		s.mu.Lock()
-		s.index[k] = ref{seg: dst, off: off, plen: r.plen, cycles: r.cycles}
-		seg.live--
-		dst.live++
-		s.mu.Unlock()
-	}
-	if err := s.syncCurrentLocked(); err != nil {
-		return err
-	}
-	return nil
-}
-
-// dropSegmentLocked closes and deletes a fully dead segment. Caller
-// holds wmu.
-func (s *Store) dropSegmentLocked(seg *segment) {
-	for i, sg := range s.segs {
-		if sg == seg {
-			s.segs = append(s.segs[:i], s.segs[i+1:]...)
-			break
-		}
-	}
-	seg.f.Close()
-	os.Remove(filepath.Join(s.segDir, seg.name))
 }
 
 // Len returns the number of committed entries currently indexed.
@@ -956,26 +788,21 @@ func (s *Store) Len() int {
 // Stats returns a snapshot of the store's counters.
 func (s *Store) Stats() Stats {
 	st := Stats{
-		Hits:             s.hits.Load(),
-		Misses:           s.misses.Load(),
-		Puts:             s.puts.Load(),
-		PutErrors:        s.putErrors.Load(),
-		Quarantined:      s.quarantined.Load(),
-		Compactions:      s.compactions.Load(),
-		GetBatches:       s.getBatches.Load(),
-		SidecarHits:      s.sideHits.Load(),
-		SidecarMisses:    s.sideMisses.Load(),
-		TmpSwept:         s.tmpSwept,
-		TornTail:         s.tornTail,
-		ManifestSegments: s.manifestSegs,
+		Hits:          s.hits.Load(),
+		Misses:        s.misses.Load(),
+		Puts:          s.puts.Load(),
+		PutErrors:     s.putErrors.Load(),
+		Quarantined:   s.quarantined.Load(),
+		GetBatches:    s.getBatches.Load(),
+		SidecarHits:   s.sideHits.Load(),
+		SidecarMisses: s.sideMisses.Load(),
+		TmpSwept:      s.tmpSwept,
+		TornTail:      s.tornTail,
+		Segments:      len(s.segs),
 	}
 	s.mu.RLock()
 	st.Entries = len(s.index)
-	st.Segments = len(s.segs)
 	st.SidecarLinks = len(s.links.byFP)
-	for _, seg := range s.segs {
-		st.DeadRecords += seg.dead
-	}
 	s.mu.RUnlock()
 	return st
 }
@@ -996,12 +823,8 @@ func (s *Store) Close() error {
 		s.flushWG.Wait()
 	}
 	s.wmu.Lock()
-	var err error
-	if !s.opts.NoSync && len(s.segs) > 0 && s.unsynced > 0 {
-		err = s.segs[len(s.segs)-1].f.Sync()
-	}
+	err := s.syncCurrentLocked()
 	s.flushSideLocked(!s.opts.NoSync)
-	s.writeManifestLocked()
 	if s.side != nil {
 		s.side.Close()
 		s.side = nil

@@ -285,11 +285,11 @@ func TestGetSelfHealsCorruptionDiscoveredOnRead(t *testing.T) {
 	if _, _, ok := s.Get(testKey(0)); ok {
 		t.Fatal("corrupt record served")
 	}
-	if st := s.Stats(); st.Quarantined != 1 || st.DeadRecords != 1 {
-		t.Errorf("quarantined=%d deadRecords=%d, want 1/1", st.Quarantined, st.DeadRecords)
+	if st := s.Stats(); st.Quarantined != 1 {
+		t.Errorf("quarantined=%d, want 1", st.Quarantined)
 	}
 	if s.Len() != 0 {
-		t.Errorf("Len=%d after self-heal, want 0", s.Len())
+		t.Errorf("Len=%d after self-heal, want 0 (the entry must leave the index)", s.Len())
 	}
 	// The cell re-simulates and re-puts cleanly from here on.
 	s.Put(testKey(0), 42.0, 7)
@@ -298,81 +298,95 @@ func TestGetSelfHealsCorruptionDiscoveredOnRead(t *testing.T) {
 	}
 }
 
-// TestRotationAndCompaction exercises segment rotation and the
-// compactor: dead records (superseded by self-heals) make a sealed
-// segment mostly dead, Compact rewrites its live records forward and
-// deletes the file, and every live entry survives — across a reopen.
-func TestRotationAndCompaction(t *testing.T) {
-	old := segMaxBytes
-	segMaxBytes = 256 // rotate every few records
-	defer func() { segMaxBytes = old }()
-
+// TestEarlierMultiSegmentLayoutReplays opens a directory laid out the
+// way earlier versions, which rotated segments at 4 MiB, left a large
+// store: three seg-*.log files of valid frames, a key written twice
+// across them, and a MANIFEST. Open must index every entry from the
+// segments (the first record of a duplicate key wins), Get and GetBatch
+// must replay values and cycles, the MANIFEST must be gone, and a new
+// Put must land in the highest-numbered segment without creating
+// another — across a reopen too.
+func TestEarlierMultiSegmentLayoutReplays(t *testing.T) {
 	dir := t.TempDir()
-	const n = 24
-	s := openT(t, dir)
-	for i := 0; i < n; i++ {
-		s.Put(testKey(i), float64(i), uint64(i))
+	const segs, perSeg = 3, 4
+	want := map[engine.Key][2]any{} // key -> {value, cycles}
+	for sg := 0; sg < segs; sg++ {
+		var log []byte
+		for j := 0; j < perSeg; j++ {
+			i := sg*perSeg + j
+			var val any = float64(i) + 0.5
+			if i == 5 {
+				val = structVal{Name: "gob", Xs: []float64{float64(i)}}
+			}
+			payload, err := encodeV3Record(testKey(i), uint64(1000+i), val)
+			if err != nil {
+				t.Fatal(err)
+			}
+			log = append(log, frame(magicV3, payload)...)
+			want[testKey(i)] = [2]any{val, uint64(1000 + i)}
+		}
+		if sg == segs-1 {
+			// A second record for a key of the first segment: the scan
+			// keeps the first.
+			payload, err := encodeV3Record(testKey(0), 1, -1.0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			log = append(log, frame(magicV3, payload)...)
+		}
+		writeFile(t, filepath.Join(dir, segsDirName, fmt.Sprintf("%s%06d%s", segPrefix, sg+1, segExt)), log)
 	}
-	st := s.Stats()
-	if st.Segments < 3 {
-		t.Fatalf("segments=%d, want rotation to have produced several", st.Segments)
+	manifest := filepath.Join(dir, segsDirName, "MANIFEST")
+	writeFile(t, manifest, frame([4]byte{'S', 'B', 'M', '3'}, []byte{0, 0, 0, 2}))
+
+	check := func(s *Store, n int) {
+		t.Helper()
+		if s.Len() != n {
+			t.Errorf("Len=%d, want %d", s.Len(), n)
+		}
+		if st := s.Stats(); st.Segments != segs || st.Quarantined != 0 || st.TornTail != 0 {
+			t.Errorf("segments=%d quarantined=%d tornTail=%d, want %d/0/0", st.Segments, st.Quarantined, st.TornTail, segs)
+		}
+		keys := make([]engine.Key, 0, len(want))
+		for k, vc := range want {
+			keys = append(keys, k)
+			if v, c, ok := s.Get(k); !ok || !reflect.DeepEqual(v, vc[0]) || c != vc[1] {
+				t.Errorf("Get(%v) = (%v, %d, %v), want (%v, %d, true)", k, v, c, ok, vc[0], vc[1])
+			}
+		}
+		for i, g := range s.GetBatch(keys) {
+			if vc := want[keys[i]]; !g.OK || !reflect.DeepEqual(g.Val, vc[0]) || g.Cycles != vc[1] {
+				t.Errorf("GetBatch %v = %+v, want (%v, %d)", keys[i], g, vc[0], vc[1])
+			}
+		}
+		if _, err := os.Stat(manifest); !os.IsNotExist(err) {
+			t.Errorf("MANIFEST still present after Open (stat: %v)", err)
+		}
+		if got := segFiles(t, dir); len(got) != segs {
+			t.Errorf("%d segment files, want %d: %v", len(got), segs, got)
+		}
 	}
 
-	// Kill most of the first sealed segment's records via self-heal:
-	// corrupt them on disk and Get them.
-	first := segFiles(t, dir)[0]
-	recs := recordOffsets(t, first)
-	f, err := os.OpenFile(first, os.O_RDWR, 0o666)
+	s := openT(t, dir)
+	check(s, segs*perSeg)
+	last := segFiles(t, dir)[segs-1]
+	fresh := testKey(100)
+	s.Put(fresh, 77.0, 77)
+	want[fresh] = [2]any{77.0, uint64(77)}
+	recs := recordOffsets(t, last)
+	data, err := os.ReadFile(last)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dead := map[int]bool{}
-	for _, r := range recs[:len(recs)-1] { // leave one live
-		f.WriteAt([]byte{0xFF}, int64(r[0]+headerLen+1))
+	if k, _, _, _, err := parseRecordV3(data, recs[len(recs)-1][0]); err != nil || k != fresh {
+		t.Errorf("last record of %s holds %v (%v), want the new put %v", last, k, err, fresh)
 	}
-	f.Close()
-	for i := 0; i < n; i++ {
-		if _, _, ok := s.Get(testKey(i)); !ok {
-			dead[i] = true
-		}
-	}
-	if len(dead) != len(recs)-1 {
-		t.Fatalf("self-healed %d records, want %d", len(dead), len(recs)-1)
-	}
-
-	s.Compact()
-	st = s.Stats()
-	if st.Compactions == 0 {
-		t.Errorf("compactions=%d, want > 0", st.Compactions)
-	}
-	if _, err := os.Stat(first); !os.IsNotExist(err) {
-		t.Errorf("compacted segment %s still on disk", first)
-	}
-	for i := 0; i < n; i++ {
-		val, cycles, ok := s.Get(testKey(i))
-		if dead[i] {
-			if ok {
-				t.Errorf("key %d: resurrected by compaction", i)
-			}
-			continue
-		}
-		if !ok || val != float64(i) || cycles != uint64(i) {
-			t.Errorf("key %d: got (%v, %d, %v), want (%v, %d, true)", i, val, cycles, ok, float64(i), i)
-		}
-	}
+	check(s, segs*perSeg+1)
 	s.Close()
 
-	// The compacted layout reopens clean with the same live set.
 	s2 := openT(t, dir)
 	defer s2.Close()
-	if s2.Len() != n-len(dead) {
-		t.Errorf("reopened Len=%d, want %d", s2.Len(), n-len(dead))
-	}
-	for i := 0; i < n; i++ {
-		if _, _, ok := s2.Get(testKey(i)); ok == dead[i] {
-			t.Errorf("key %d: ok=%v after reopen, want %v", i, ok, !dead[i])
-		}
-	}
+	check(s2, segs*perSeg+1)
 }
 
 // TestStoreWriteFaultDegradesCleanly drives the StoreWrite disk-full

@@ -1,5 +1,4 @@
-// v3 record layout, sidecar link index, open-time manifest and batched
-// reads.
+// v3 record layout, sidecar link index and batched reads.
 //
 // # v3 records
 //
@@ -46,16 +45,6 @@
 // engine re-derives the fold and re-records it — and a fingerprint
 // collision (two display keys sharing 128 bits) is past the 2^-64
 // probability of concern.
-//
-// # Manifest
-//
-// segments/MANIFEST is one CRC-framed record listing every sealed
-// segment — name, byte size, dead-record count, and each live record's
-// key/cycles/offset — written at rotation and Close. An open whose
-// sealed segments stat to exactly the manifest's sizes indexes them
-// straight from it without reading the logs; any mismatch (crash,
-// self-heal rewrite, compaction) falls back to the full scan of that
-// segment. The current (unsealed) segment is always scanned.
 package store
 
 import (
@@ -75,9 +64,8 @@ import (
 )
 
 var (
-	magicV3       = [4]byte{'S', 'B', 'S', '3'} // v3 segment record frame
-	magicSide     = [4]byte{'S', 'B', 'L', '3'} // sidecar chunk frame
-	magicManifest = [4]byte{'S', 'B', 'M', '3'} // manifest frame
+	magicV3   = [4]byte{'S', 'B', 'S', '3'} // v3 segment record frame
+	magicSide = [4]byte{'S', 'B', 'L', '3'} // sidecar chunk frame
 )
 
 // Value codecs (payload byte 1). Codec 0 belonged to the retired
@@ -92,9 +80,8 @@ const (
 )
 
 const (
-	v3HeaderLen  = 34 // fixed payload header before the strings
-	sidePrefix   = "side-"
-	manifestName = "MANIFEST"
+	v3HeaderLen = 34 // fixed payload header before the strings
+	sidePrefix  = "side-"
 	// sideFlushBytes flushes the sidecar buffer once it grows past
 	// this; the background flusher and Close drain the remainder.
 	sideFlushBytes = 64 << 10
@@ -248,179 +235,6 @@ func fingerprint(k engine.Key) [2]uint64 {
 		h *= 0x100000001b3
 	}
 	return [2]uint64{k.Hash(), h}
-}
-
-// ---------------------------------------------------------------------
-// Manifest: skip-scan index for sealed segments.
-
-// manifestRec is one live record in a manifest entry.
-type manifestRec struct {
-	key    engine.Key
-	cycles uint64
-	off    int64
-	plen   uint32
-}
-
-// manifestSeg is one sealed segment's manifest entry. size gates its
-// use: a stat mismatch at open means the file changed since the
-// manifest was written (self-heal rewrite, compaction, crash) and the
-// segment is scanned instead.
-type manifestSeg struct {
-	size int64
-	dead int
-	recs []manifestRec
-}
-
-// loadManifest reads segments/MANIFEST. Any damage — torn frame, bad
-// CRC, short payload — yields nil: the manifest is an optimization, the
-// scan is the authority.
-func (s *Store) loadManifest() map[string]manifestSeg {
-	raw, err := os.ReadFile(filepath.Join(s.segDir, manifestName))
-	if err != nil {
-		return nil
-	}
-	return parseManifest(raw)
-}
-
-// parseManifest decodes a manifest file's bytes; nil on any damage.
-func parseManifest(raw []byte) map[string]manifestSeg {
-	if len(raw) < headerLen || !bytes.Equal(raw[:4], magicManifest[:]) {
-		return nil
-	}
-	wantCRC := binary.BigEndian.Uint32(raw[4:8])
-	plen := binary.BigEndian.Uint32(raw[8:12])
-	if uint64(len(raw)-headerLen) < uint64(plen) {
-		return nil
-	}
-	payload := raw[headerLen : headerLen+int(plen)]
-	if crc32.ChecksumIEEE(payload) != wantCRC {
-		return nil
-	}
-	r := bytes.NewReader(payload)
-	readU32 := func() uint32 { var v uint32; binary.Read(r, binary.BigEndian, &v); return v }
-	readU64 := func() uint64 { var v uint64; binary.Read(r, binary.BigEndian, &v); return v }
-	readStr := func() string {
-		n := readU32()
-		if uint64(n) > uint64(r.Len()) {
-			return ""
-		}
-		b := make([]byte, n)
-		r.Read(b)
-		return string(b)
-	}
-	m := map[string]manifestSeg{}
-	nsegs := readU32()
-	for i := uint32(0); i < nsegs && r.Len() > 0; i++ {
-		name := readStr()
-		ms := manifestSeg{size: int64(readU64()), dead: int(readU32())}
-		nrecs := readU32()
-		for j := uint32(0); j < nrecs && r.Len() > 0; j++ {
-			var rec manifestRec
-			rec.key.Workload = readStr()
-			rec.key.Uarch = readStr()
-			rec.key.Config = readStr()
-			rec.key.Seed = readU64()
-			rec.cycles = readU64()
-			rec.off = int64(readU64())
-			rec.plen = readU32()
-			ms.recs = append(ms.recs, rec)
-		}
-		m[name] = ms
-	}
-	if r.Len() != 0 {
-		return nil // trailing garbage: distrust the whole manifest
-	}
-	return m
-}
-
-// indexFromManifest indexes one sealed segment straight from its
-// manifest entry, if the file on disk still stats to the manifest's
-// size. Returns false to fall back to a scan.
-func (s *Store) indexFromManifest(name string, m manifestSeg) bool {
-	path := filepath.Join(s.segDir, name)
-	fi, err := os.Stat(path)
-	if err != nil || fi.Size() != m.size {
-		return false
-	}
-	f, err := os.OpenFile(path, os.O_RDWR, 0o666)
-	if err != nil {
-		return false
-	}
-	seg := &segment{seq: segSeq(name), name: name, f: f, size: m.size, dead: m.dead}
-	for _, rec := range m.recs {
-		if _, dup := s.index[rec.key]; dup {
-			seg.dead++
-			continue
-		}
-		s.index[rec.key] = ref{seg: seg, off: rec.off, plen: rec.plen, cycles: rec.cycles}
-		seg.live++
-	}
-	s.segs = append(s.segs, seg)
-	s.manifestSegs++
-	return true
-}
-
-// writeManifestLocked rewrites segments/MANIFEST from the sealed
-// segments' live records (tmp + rename; the current segment is always
-// scanned at open and never listed). Failures are logged, never fatal —
-// a missing manifest only costs the next open a scan. Caller holds wmu.
-func (s *Store) writeManifestLocked() {
-	if len(s.segs) == 0 {
-		return
-	}
-	sealed := s.segs[:len(s.segs)-1]
-	var payload bytes.Buffer
-	w32 := func(v uint32) { binary.Write(&payload, binary.BigEndian, v) }
-	w64 := func(v uint64) { binary.Write(&payload, binary.BigEndian, v) }
-	wstr := func(str string) { w32(uint32(len(str))); payload.WriteString(str) }
-
-	s.mu.RLock()
-	bySeg := map[*segment][]manifestRec{}
-	for k, r := range s.index {
-		bySeg[r.seg] = append(bySeg[r.seg], manifestRec{key: k, cycles: r.cycles, off: r.off, plen: r.plen})
-	}
-	w32(uint32(len(sealed)))
-	for _, seg := range sealed {
-		recs := bySeg[seg]
-		sort.Slice(recs, func(i, j int) bool { return recs[i].off < recs[j].off })
-		wstr(seg.name)
-		w64(uint64(seg.size))
-		w32(uint32(seg.dead))
-		w32(uint32(len(recs)))
-		for _, rec := range recs {
-			wstr(rec.key.Workload)
-			wstr(rec.key.Uarch)
-			wstr(rec.key.Config)
-			w64(rec.key.Seed)
-			w64(rec.cycles)
-			w64(uint64(rec.off))
-			w32(rec.plen)
-		}
-	}
-	s.mu.RUnlock()
-
-	frame := make([]byte, headerLen+payload.Len())
-	copy(frame, magicManifest[:])
-	binary.BigEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload.Bytes()))
-	binary.BigEndian.PutUint32(frame[8:12], uint32(payload.Len()))
-	copy(frame[headerLen:], payload.Bytes())
-
-	path := filepath.Join(s.segDir, manifestName)
-	tmp := path + tmpExt
-	if err := os.WriteFile(tmp, frame, 0o666); err != nil {
-		s.logf("store: manifest write: %v", err)
-		return
-	}
-	if !s.opts.NoSync {
-		if err := syncFile(tmp); err != nil {
-			s.logf("store: manifest sync: %v", err)
-			os.Remove(tmp)
-			return
-		}
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		s.logf("store: manifest rename: %v", err)
-	}
 }
 
 // ---------------------------------------------------------------------
@@ -802,8 +616,8 @@ func (s *Store) GetBatch(keys []engine.Key) []engine.BatchGet {
 	for _, p := range reads {
 		_, val, cycles, err := s.readRecord(p.ent, p.want)
 		if err != nil {
-			// Damage or a concurrent relocation: the per-key path owns
-			// retries and quarantine, and does its own counting.
+			// Damage: the per-key path owns quarantine, and does its own
+			// counting.
 			val, cycles, ok := s.Get(keys[p.i])
 			out[p.i] = engine.BatchGet{Val: val, Cycles: cycles, OK: ok}
 			continue

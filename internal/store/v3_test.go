@@ -132,60 +132,8 @@ func TestGetBatch(t *testing.T) {
 	}
 }
 
-// TestManifestSkipsSealedSegmentScan: after rotation has sealed
-// segments and Close has written the manifest, a reopen indexes the
-// sealed segments straight from the manifest (ManifestSegments > 0)
-// with every entry intact; a damaged manifest silently falls back to
-// the full scan.
-func TestManifestSkipsSealedSegmentScan(t *testing.T) {
-	old := segMaxBytes
-	segMaxBytes = 256 // rotate every few records
-	defer func() { segMaxBytes = old }()
-
-	dir := t.TempDir()
-	const n = 24
-	s := openT(t, dir)
-	for i := 0; i < n; i++ {
-		s.Put(testKey(i), float64(i), uint64(i))
-	}
-	s.Close()
-	if len(segFiles(t, dir)) < 2 {
-		t.Fatalf("expected rotation to seal at least one segment")
-	}
-
-	s2 := openT(t, dir)
-	st := s2.Stats()
-	if st.ManifestSegments == 0 {
-		t.Errorf("manifestSegments=0, want sealed segments indexed from the manifest")
-	}
-	if s2.Len() != n {
-		t.Errorf("Len=%d, want %d", s2.Len(), n)
-	}
-	for i := 0; i < n; i++ {
-		if v, _, ok := s2.Get(testKey(i)); !ok || v != float64(i) {
-			t.Errorf("key %d: got (%v, %v)", i, v, ok)
-		}
-	}
-	s2.Close()
-
-	// Corrupt the manifest: the open must fall back to scanning and
-	// still serve everything.
-	mpath := filepath.Join(dir, segsDirName, manifestName)
-	if err := os.WriteFile(mpath, []byte("garbage"), 0o666); err != nil {
-		t.Fatal(err)
-	}
-	s3 := openT(t, dir)
-	defer s3.Close()
-	if st := s3.Stats(); st.ManifestSegments != 0 {
-		t.Errorf("manifestSegments=%d with damaged manifest, want 0 (scan fallback)", st.ManifestSegments)
-	}
-	if s3.Len() != n {
-		t.Errorf("scan-fallback Len=%d, want %d", s3.Len(), n)
-	}
-}
-
 // TestCloseStopsBackgroundGoroutines: a sync-mode store starts the
-// flusher/compactor loop; Close must stop it (and the sidecar writer)
+// flusher loop; Close must stop it (and the sidecar writer)
 // so long-lived daemons opening and closing stores do not leak.
 func TestCloseStopsBackgroundGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
