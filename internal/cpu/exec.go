@@ -288,7 +288,7 @@ func (c *Core) execute(in *isa.Instruction) (uint64, *Fault) {
 
 	case isa.LOAD:
 		va := c.Regs[in.Src1] + uint64(in.Imm)
-		v, ssbStale, f := c.load(va)
+		v, stale, bypass, f := c.load(va)
 		if f != nil {
 			// Run the Meltdown-family transient window with the
 			// destination register poisoned, then deliver the fault.
@@ -300,11 +300,11 @@ func (c *Core) execute(in *isa.Instruction) (uint64, *Fault) {
 			}
 			return 0, f
 		}
-		if ssbStale != nil && c.disambiguationBypass(c.PC) {
+		if bypass && c.disambiguationBypass(c.PC) {
 			// Speculative Store Bypass: dependents transiently run
 			// with the stale value until disambiguation corrects it
 			// with a memory-ordering machine clear.
-			stale, dst := *ssbStale, in.Dst
+			dst := in.Dst
 			c.speculate(c.PC+isa.InstrBytes, func(t *txn) { t.regs[dst] = stale })
 			c.PMC.Add(pmc.MachineClears, 1)
 		}
@@ -585,7 +585,7 @@ func (c *Core) execute(in *isa.Instruction) (uint64, *Fault) {
 		c.FRegs[in.FDst] /= c.FRegs[in.FSrc]
 	case isa.FLOAD:
 		va := c.Regs[in.Src1] + uint64(in.Imm)
-		v, _, f := c.load(va)
+		v, _, _, f := c.load(va)
 		if f != nil {
 			return 0, f
 		}
@@ -677,7 +677,7 @@ func (c *Core) push(v uint64) *Fault {
 }
 
 func (c *Core) pop() (uint64, *Fault) {
-	v, _, f := c.load(c.Regs[isa.SP])
+	v, _, _, f := c.load(c.Regs[isa.SP])
 	if f != nil {
 		return 0, f
 	}

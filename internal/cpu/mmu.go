@@ -131,13 +131,14 @@ func checkPTE(pte mem.PTE, acc mem.Access, user bool) mem.FaultKind {
 
 // load performs an architectural 8-byte load, charging cache latency and
 // modelling store-to-load forwarding. When the load forwards from an
-// in-flight store on an SSB-vulnerable part with SSBD off, ssbStale
-// returns the stale pre-store value the disambiguation hardware would
-// transiently expose; the executor runs the transient window with it.
-func (c *Core) load(va uint64) (v uint64, ssbStale *uint64, fault *Fault) {
+// in-flight store on an SSB-vulnerable part with SSBD off, bypass is
+// set and stale is the pre-store value the disambiguation hardware
+// would transiently expose; the executor runs the transient window with
+// it.
+func (c *Core) load(va uint64) (v, stale uint64, bypass bool, fault *Fault) {
 	c.lastLoadRet = c.Instret
 	if crossesPage(va) {
-		return 0, nil, &Fault{Kind: FaultAlign, VA: va, Access: mem.AccessRead, PC: c.PC}
+		return 0, 0, false, &Fault{Kind: FaultAlign, VA: va, Access: mem.AccessRead, PC: c.PC}
 	}
 	pa, pte, mf := c.xlate(va, mem.AccessRead, true)
 	if mf != mem.FaultNone {
@@ -146,7 +147,7 @@ func (c *Core) load(va uint64) (v uint64, ssbStale *uint64, fault *Fault) {
 		// fault is delivered; the executor calls faultingLoadLeak with
 		// the destination register context.
 		c.pendingLeak = pendingLeak{va: va, pte: pte, kind: mf, valid: true}
-		return 0, nil, &Fault{Kind: FaultPage, VA: va, Access: mem.AccessRead, PC: c.PC}
+		return 0, 0, false, &Fault{Kind: FaultPage, VA: va, Access: mem.AccessRead, PC: c.PC}
 	}
 
 	if e, hit := c.SB.Lookup(pa); hit {
@@ -166,12 +167,11 @@ func (c *Core) load(va uint64) (v uint64, ssbStale *uint64, fault *Fault) {
 				// executor consults the disambiguation predictor before
 				// actually opening the window; SSBD suppresses the
 				// bypass entirely.
-				stale := e.Prev
-				ssbStale = &stale
+				stale, bypass = e.Prev, true
 			}
 		}
 		c.FB.Deposit(e.Value)
-		return e.Value, ssbStale, nil
+		return e.Value, stale, bypass, nil
 	}
 
 	missesBefore := c.L1.Misses
@@ -186,7 +186,7 @@ func (c *Core) load(va uint64) (v uint64, ssbStale *uint64, fault *Fault) {
 		// imaginary sibling's conflict miss); the next access re-fills.
 		c.L1.Flush(pa)
 	}
-	return v, nil, nil
+	return v, 0, false, nil
 }
 
 // store performs an architectural 8-byte store. The value is written

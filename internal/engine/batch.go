@@ -66,24 +66,21 @@ type BatchSecondLevel interface {
 	GetBatch(keys []Key) []BatchGet
 }
 
-// LinkRecorder is an optional SecondLevel extension: a store keeping a
-// display→canonical sidecar index receives every display-key fold the
-// engine performs, so a future process can resolve display keys it has
-// never canonicalized. Implementations must tolerate duplicates and
-// must not fail (degrade silently, like Put).
+// LinkRecorder, LinkPair and BatchLinkRecorder are declarations only:
+// the engine no longer hands display→canonical folds to its second
+// level, which keys records by canonical class alone. They stay
+// because the benchmark module's store decorator compiles against
+// them.
 type LinkRecorder interface {
 	PutLink(display, canonical Key)
 }
 
-// LinkPair is one display→canonical fold of a batch.
+// LinkPair is one display→canonical fold (see LinkRecorder).
 type LinkPair struct {
 	Display, Canonical Key
 }
 
-// BatchLinkRecorder is an optional LinkRecorder extension: a store
-// that can ingest a batch's folds in one call (one writer lock instead
-// of one per aliased cell). SubmitBatch accumulates its folds and
-// flushes them through it; recorders without it are fed pair by pair.
+// BatchLinkRecorder is a declaration only (see LinkRecorder).
 type BatchLinkRecorder interface {
 	LinkRecorder
 	PutLinkBatch(pairs []LinkPair)
@@ -131,15 +128,6 @@ func (e *Engine) submitBatch(cells []BatchCell, out []*Task) {
 	dedup := cz != nil && !e.noDedup
 	sl := e.secondLevel()
 	bsl, _ := sl.(BatchSecondLevel)
-	links, _ := sl.(LinkRecorder)
-	blinks, _ := sl.(BatchLinkRecorder)
-	// Folds are accumulated and flushed once after the loop: links are
-	// duplicate-tolerant hints, so deferring them is unobservable, and a
-	// cold full-grid sweep records one per aliased cell.
-	var folds []LinkPair
-	if links != nil && cz != nil {
-		folds = make([]LinkPair, 0, len(cells))
-	}
 	gid := gls.ID()
 	parent := simscope.CurrentG(gid)
 
@@ -189,9 +177,6 @@ func (e *Engine) submitBatch(cells []BatchCell, out []*Task) {
 		e.cache[c.Key] = t
 		out[i] = t
 		misses++
-		if links != nil && ckey != c.Key {
-			folds = append(folds, LinkPair{Display: c.Key, Canonical: ckey})
-		}
 		if dedup {
 			if ct, ok := e.classes[ckey]; ok {
 				classHits++
@@ -229,16 +214,6 @@ func (e *Engine) submitBatch(cells []BatchCell, out []*Task) {
 	e.misses.Add(misses)
 	e.classHits.Add(classHits)
 	e.inlineFanouts.Add(inline)
-
-	if len(folds) > 0 {
-		if blinks != nil {
-			blinks.PutLinkBatch(folds)
-		} else {
-			for _, p := range folds {
-				links.PutLink(p.Display, p.Canonical)
-			}
-		}
-	}
 
 	// Batched second-level replay for the class leaders, keyed
 	// canonically. A hit completes the task in place — value and

@@ -118,19 +118,18 @@ func TestSubmitBatchInlineFanout(t *testing.T) {
 	}
 }
 
-// batchSL is a BatchSecondLevel + LinkRecorder fake: a map store that
-// counts GetBatch calls and records PutLink pairs.
+// batchSL is a BatchSecondLevel fake: a map store that counts GetBatch
+// calls.
 type batchSL struct {
 	mu       sync.Mutex
 	vals     map[Key]float64
 	getBatch int
 	gets     int
-	links    map[Key]Key
 	puts     int
 }
 
 func newBatchSL() *batchSL {
-	return &batchSL{vals: map[Key]float64{}, links: map[Key]Key{}}
+	return &batchSL{vals: map[Key]float64{}}
 }
 
 func (s *batchSL) Get(key Key) (any, uint64, bool) {
@@ -160,15 +159,9 @@ func (s *batchSL) GetBatch(keys []Key) []BatchGet {
 	return out
 }
 
-func (s *batchSL) PutLink(display, canonical Key) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.links[display] = canonical
-}
-
 // TestSubmitBatchUsesGetBatch: class leaders of a batch resolve through
 // one GetBatch call; hits replay without simulating, misses simulate
-// and publish back, and display→canonical folds reach the LinkRecorder.
+// and publish back.
 func TestSubmitBatchUsesGetBatch(t *testing.T) {
 	sl := newBatchSL()
 	warmClass := Key{Workload: "w", Uarch: "u0", Config: "v=0"}
@@ -204,19 +197,13 @@ func TestSubmitBatchUsesGetBatch(t *testing.T) {
 		t.Errorf("ran %d simulations, want 1 (warm class replays)", got)
 	}
 	sl.mu.Lock()
-	gb, gets, links := sl.getBatch, sl.gets, len(sl.links)
+	gb, gets := sl.getBatch, sl.gets
 	sl.mu.Unlock()
 	if gb != 1 {
 		t.Errorf("GetBatch calls = %d, want 1", gb)
 	}
 	if gets != 0 {
 		t.Errorf("per-key Gets = %d, want 0 (batch path)", gets)
-	}
-	if links != 1 {
-		t.Errorf("recorded links = %d, want 1 (the folded alias)", links)
-	}
-	if got := sl.links[cells[0].Key]; got != warmClass {
-		t.Errorf("link %v -> %v, want -> %v", cells[0].Key, got, warmClass)
 	}
 	if d := e.StatsDetail(); d.SecondLevelHits != 1 {
 		t.Errorf("secondLevelHits = %d, want 1", d.SecondLevelHits)

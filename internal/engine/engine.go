@@ -52,8 +52,8 @@
 //     interleave with another submitter's: exactly one task per key is
 //     ever scheduled and the hit/miss totals stay
 //     scheduling-independent. A Submit memo hit takes the read lock.
-//     Second-level reads, link recording and enqueueing run after the
-//     write section, outside the lock.
+//     Second-level reads and enqueueing run after the write section,
+//     outside the lock.
 //   - Each worker owns a deque under its own mutex (LIFO for the owner,
 //     to keep an experiment's freshly spawned cells hot; FIFO for
 //     thieves, to steal the oldest and largest pending work), plus a

@@ -132,19 +132,16 @@ type StatsSnapshot struct {
 
 // StoreStats mirrors store.Stats for JSON.
 type StoreStats struct {
-	Entries       int    `json:"entries"`
-	Hits          uint64 `json:"hits"`
-	Misses        uint64 `json:"misses"`
-	Puts          uint64 `json:"puts"`
-	PutErrors     uint64 `json:"putErrors"`
-	Quarantined   uint64 `json:"quarantined"`
-	TmpSwept      int    `json:"tmpSwept"`
-	Segments      int    `json:"segments"`
-	TornTail      int    `json:"tornTail"`
-	GetBatches    uint64 `json:"getBatches"`
-	SidecarLinks  int    `json:"sidecarLinks"`
-	SidecarHits   uint64 `json:"sidecarHits"`
-	SidecarMisses uint64 `json:"sidecarMisses"`
+	Entries     int    `json:"entries"`
+	Hits        uint64 `json:"hits"`
+	Misses      uint64 `json:"misses"`
+	Puts        uint64 `json:"puts"`
+	PutErrors   uint64 `json:"putErrors"`
+	Quarantined uint64 `json:"quarantined"`
+	TmpSwept    int    `json:"tmpSwept"`
+	Segments    int    `json:"segments"`
+	TornTail    int    `json:"tornTail"`
+	GetBatches  uint64 `json:"getBatches"`
 }
 
 // EngineStats reports the cell cache, level by level: display-keyed
@@ -268,19 +265,16 @@ func (s *Server) Stats() StatsSnapshot {
 	if s.cfg.Store != nil {
 		st := s.cfg.Store.Stats()
 		snap.Store = &StoreStats{
-			Entries:       st.Entries,
-			Hits:          st.Hits,
-			Misses:        st.Misses,
-			Puts:          st.Puts,
-			PutErrors:     st.PutErrors,
-			Quarantined:   st.Quarantined,
-			TmpSwept:      st.TmpSwept,
-			Segments:      st.Segments,
-			TornTail:      st.TornTail,
-			GetBatches:    st.GetBatches,
-			SidecarLinks:  st.SidecarLinks,
-			SidecarHits:   st.SidecarHits,
-			SidecarMisses: st.SidecarMisses,
+			Entries:     st.Entries,
+			Hits:        st.Hits,
+			Misses:      st.Misses,
+			Puts:        st.Puts,
+			PutErrors:   st.PutErrors,
+			Quarantined: st.Quarantined,
+			TmpSwept:    st.TmpSwept,
+			Segments:    st.Segments,
+			TornTail:    st.TornTail,
+			GetBatches:  st.GetBatches,
 		}
 	}
 	return snap

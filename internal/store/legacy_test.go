@@ -124,17 +124,11 @@ func TestLegacyLayoutRefused(t *testing.T) {
 	}
 }
 
-// TestCodecZeroRecordIsQuarantined: a v3 record under value codec 0 —
-// written only by the retired migrations — is a structurally valid
-// frame, so the open scan indexes it, but it no longer decodes. Get and
-// GetBatch must treat it as a corrupt record: a miss, the bytes moved
-// to quarantine/, no panic, and every other record still served.
-func TestCodecZeroRecordIsQuarantined(t *testing.T) {
-	dir := t.TempDir()
-	s := openT(t, dir)
-	s.Put(testKey(0), 2.5, 20)
-	s.Close()
-
+// appendCodecZero appends to the store's segment a v3 record for
+// testKey(1) under value codec 0 — written only by the retired
+// migrations. It frames and checksums validly.
+func appendCodecZero(t *testing.T, dir string) {
+	t.Helper()
 	seg := segFiles(t, dir)[0]
 	data, err := os.ReadFile(seg)
 	if err != nil {
@@ -144,11 +138,38 @@ func TestCodecZeroRecordIsQuarantined(t *testing.T) {
 	if err := os.WriteFile(seg, append(data, old...), 0o666); err != nil {
 		t.Fatal(err)
 	}
+}
 
-	for _, batch := range []bool{false, true} {
+// quarantineFiles counts the files under the store's quarantine/.
+func quarantineFiles(t *testing.T, dir string) int {
+	t.Helper()
+	q, err := os.ReadDir(filepath.Join(dir, quarantineName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return len(q)
+}
+
+// TestCodecZeroRecordIsQuarantined: a v3 record under value codec 0 is
+// not a valid record, although it frames and checksums validly. The
+// first open scan quarantines it and rewrites the segment without it;
+// Get and GetBatch miss it without a panic, every other record is still
+// served, and a second open finds nothing left to quarantine.
+func TestCodecZeroRecordIsQuarantined(t *testing.T) {
+	dir := t.TempDir()
+	s := openT(t, dir)
+	s.Put(testKey(0), 2.5, 20)
+	s.Close()
+	appendCodecZero(t, dir)
+
+	for round, batch := range []bool{false, true} {
 		s := openT(t, dir)
-		if s.Len() != 2 {
-			t.Errorf("batch=%v: Len=%d, want 2 (the codec-0 frame is structurally valid)", batch, s.Len())
+		wantQ := uint64(0)
+		if round == 0 {
+			wantQ = 1
+		}
+		if st := s.Stats(); st.Quarantined != wantQ || st.Entries != 1 {
+			t.Errorf("open %d: quarantined=%d entries=%d, want %d/1", round+1, st.Quarantined, st.Entries, wantQ)
 		}
 		var ok bool
 		if batch {
@@ -157,25 +178,55 @@ func TestCodecZeroRecordIsQuarantined(t *testing.T) {
 			_, _, ok = s.Get(testKey(1))
 		}
 		if ok {
-			t.Errorf("batch=%v: codec-0 record served", batch)
-		}
-		if st := s.Stats(); st.Quarantined != 1 || st.Entries != 1 {
-			t.Errorf("batch=%v: quarantined=%d entries=%d, want 1/1", batch, st.Quarantined, st.Entries)
+			t.Errorf("open %d: codec-0 record served", round+1)
 		}
 		if v, c, ok := s.Get(testKey(0)); !ok || v != 2.5 || c != 20 {
-			t.Errorf("batch=%v: intact record: got (%v, %d, %v)", batch, v, c, ok)
+			t.Errorf("open %d: intact record: got (%v, %d, %v)", round+1, v, c, ok)
 		}
-		if _, _, ok := s.Get(testKey(1)); ok || s.Stats().Quarantined != 1 {
-			t.Errorf("batch=%v: second Get served the record or quarantined it again", batch)
+		if st := s.Stats(); st.Quarantined != wantQ {
+			t.Errorf("open %d: a Get quarantined again (quarantined=%d)", round+1, st.Quarantined)
 		}
 		s.Close()
 	}
-	q, err := os.ReadDir(filepath.Join(dir, quarantineName))
-	if err != nil {
-		t.Fatal(err)
+	if n := quarantineFiles(t, dir); n != 1 {
+		t.Errorf("quarantine/ holds %d files after two opens, want 1", n)
 	}
-	if len(q) != 2 {
-		t.Errorf("quarantine/ holds %d files after two opens, want 2", len(q))
+}
+
+// TestCodecZeroRecordHealsOnce drives the self-healing cycle across
+// three open/Get/Put rounds over a store holding a codec-0 record: the
+// first round misses and re-puts the cell, and from then on the re-put
+// record is the one every open indexes — hits, no further put, one
+// quarantined span in all.
+func TestCodecZeroRecordHealsOnce(t *testing.T) {
+	dir := t.TempDir()
+	s := openT(t, dir)
+	s.Put(testKey(0), 2.5, 20)
+	s.Close()
+	appendCodecZero(t, dir)
+
+	var misses, puts uint64
+	for round := 1; round <= 3; round++ {
+		s := openT(t, dir)
+		v, c, ok := s.Get(testKey(1))
+		if !ok {
+			s.Put(testKey(1), 3.5, 30)
+		} else if v != 3.5 || c != 30 {
+			t.Errorf("round %d: healed record = (%v, %d), want (3.5, 30)", round, v, c)
+		}
+		if ok != (round > 1) {
+			t.Errorf("round %d: hit=%v, want %v", round, ok, round > 1)
+		}
+		st := s.Stats()
+		misses += st.Misses
+		puts += st.Puts
+		s.Close()
+	}
+	if misses != 1 || puts != 1 {
+		t.Errorf("three rounds: %d misses, %d puts, want 1/1", misses, puts)
+	}
+	if n := quarantineFiles(t, dir); n != 1 {
+		t.Errorf("quarantine/ holds %d files after three rounds, want 1", n)
 	}
 }
 

@@ -12,18 +12,19 @@
 //
 // # Layout
 //
-//	<dir>/LOCK                      flock'd while the store is open; holds the owner pid
-//	<dir>/segments/seg-NNNNNN.log   append-only record log(s)
-//	<dir>/segments/side-NNNNNN.log  display→canonical link logs (see v3.go)
-//	<dir>/quarantine/               damaged bytes set aside by recovery, never deleted
+//	<dir>/LOCK                     flock'd while the store is open; holds the owner pid
+//	<dir>/segments/seg-NNNNNN.log  append-only record log(s)
+//	<dir>/quarantine/              damaged bytes set aside by recovery, never deleted
 //
 // A store this version creates has one segment, seg-000001.log, and
 // appends to it for its whole life: the full 172,032-cell lattice fills
 // under 1 MB. Open scans every seg-*.log in name order, because stores
 // written by earlier versions, which rotated segments at 4 MiB, may hold
 // several; it appends to the last and never creates another. Those
-// versions also kept a segments/MANIFEST index of the segments, which
-// Open removes: the scan rebuilds everything it held.
+// versions also kept a segments/MANIFEST index of the segments and
+// segments/side-*.log display→canonical link logs, which Open removes:
+// the scan rebuilds everything the MANIFEST held, and records are keyed
+// by canonical class, which callers derive themselves (see v3.go).
 //
 // A segment is a sequence of framed records:
 //
@@ -36,7 +37,8 @@
 //
 // The full engine.Key in the payload is the content address — the
 // in-memory index is keyed by the struct itself, so a hash collision
-// cannot alias two cells.
+// cannot alias two cells. A frame whose payload does not parse,
+// unknown value codec included, is corruption to the scan.
 //
 // # Legacy layouts
 //
@@ -180,12 +182,10 @@ type Stats struct {
 	// GetBatches counts GetBatch calls (each resolves many keys under
 	// one index lock).
 	GetBatches uint64
-	// SidecarLinks is the number of display→canonical links currently
-	// held; SidecarHits/SidecarMisses count reads resolved through a
-	// link and Resolve calls that found none.
-	SidecarLinks  int
-	SidecarHits   uint64
-	SidecarMisses uint64
+	// SidecarHits and SidecarMisses are always 0: the store keeps no
+	// display→canonical links any more. They stay only because the
+	// benchmark module reads them.
+	SidecarHits, SidecarMisses uint64
 }
 
 // segment is one open segment log. size is guarded by the writer mutex.
@@ -213,40 +213,25 @@ type Store struct {
 
 	lockFile *os.File
 
-	// mu guards the index and the sidecar link table.
+	// mu guards the index.
 	mu    sync.RWMutex
 	index map[engine.Key]ref
-	// links resolves a display key's fingerprint to its canonical key
-	// (the sidecar).
-	links linkTable
 
 	// segs is fixed at Open, in name order; the last is the append
 	// target.
 	segs []*segment
 
-	// wmu serializes writers: segment appends and sidecar writes. Lock
-	// order: wmu before mu, never the reverse.
+	// wmu serializes segment appends. Lock order: wmu before mu, never
+	// the reverse.
 	wmu      sync.Mutex
 	unsynced int
-	// Sidecar write state: links buffer in memory and flush in batches
-	// to the side log — they are replay hints, not committed data, so
-	// losing a tail of them in a crash only costs future lookups a
-	// fallback. sideIDs maps a link-table id to its intern id in the
-	// current side file, plus one (0: not interned there yet).
-	sideIDs  []uint32
-	sideNext uint32 // intern ids used in the current side file
-	side     *os.File
-	sideName string
-	sideSize int64
-	sideBuf  []byte
 
 	closed  atomic.Bool
 	stopCh  chan struct{}
 	flushWG sync.WaitGroup
 
-	hits, misses, puts, putErrors, quarantined atomic.Uint64
-	getBatches, sideHits, sideMisses           atomic.Uint64
-	tmpSwept, tornTail                         int
+	hits, misses, puts, putErrors, quarantined, getBatches atomic.Uint64
+	tmpSwept, tornTail                                     int
 }
 
 // Open opens (creating if necessary) the store rooted at dir, acquires
@@ -281,9 +266,6 @@ func Open(dir string, opts Options) (*Store, error) {
 		}
 	}
 	if err := s.recoverScan(); err != nil {
-		return fail(err)
-	}
-	if err := s.scanSideLogs(); err != nil {
 		return fail(err)
 	}
 	if len(s.segs) == 0 {
@@ -372,16 +354,18 @@ func (s *Store) logf(format string, args ...any) {
 }
 
 // recoverScan walks segments/: abandoned *.tmp files (interrupted
-// rewrites) and an earlier version's MANIFEST are removed, and every
-// seg-*.log is validated record by record and either indexed, truncated
-// at a torn tail, or — for mid-segment corruption — resynchronised with
-// the damaged span quarantined and the file rewritten without it.
+// rewrites) and an earlier version's MANIFEST and side logs are
+// removed, and every seg-*.log is validated record by record and either
+// indexed, truncated at a torn tail, or — for mid-segment corruption —
+// resynchronised with the damaged span quarantined and the file
+// rewritten without it.
 func (s *Store) recoverScan() error {
 	entries, err := os.ReadDir(s.segDir)
 	if err != nil {
 		return fmt.Errorf("store: scan: %w", err)
 	}
 	var names []string
+	sideLogs := 0
 	for _, de := range entries {
 		if de.IsDir() {
 			continue
@@ -400,9 +384,19 @@ func (s *Store) recoverScan() error {
 			s.logf("store: removed %s/%s, an index earlier versions kept; the open scan rebuilds it", segsDirName, name)
 			continue
 		}
+		if strings.HasPrefix(name, "side-") && strings.HasSuffix(name, segExt) {
+			os.Remove(filepath.Join(s.segDir, name))
+			sideLogs++
+			continue
+		}
 		if strings.HasPrefix(name, segPrefix) && strings.HasSuffix(name, segExt) {
 			names = append(names, name)
 		}
+	}
+	if sideLogs > 0 {
+		// Display→canonical link logs: records are keyed canonically, and
+		// callers fold display keys themselves before they read.
+		s.logf("store: removed %d %s/side-*.log link log(s) earlier versions kept; no read consults them", sideLogs, segsDirName)
 	}
 	sort.Strings(names)
 	for _, name := range names {
@@ -644,31 +638,9 @@ func (s *Store) flusher() {
 			if err := s.syncCurrentLocked(); err != nil {
 				s.logf("store: background sync: %v", err)
 			}
-			s.flushSideLocked(false)
 			s.wmu.Unlock()
 		}
 	}
-}
-
-// lookup resolves key to its record ref under one read lock. A key
-// absent from the index may still resolve through the sidecar: the
-// link redirects the read to the canonical class record, whose embedded
-// key (want) then differs from the requested one.
-func (s *Store) lookup(key engine.Key) (ent ref, want engine.Key, found, viaLink bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if ent, ok := s.index[key]; ok {
-		return ent, key, true, false
-	}
-	if len(s.links.byFP) > 0 {
-		if ck, ok := s.links.resolve(fingerprint(key)); ok && ck != key {
-			if ent, ok2 := s.index[ck]; ok2 {
-				return ent, ck, true, true
-			}
-		}
-		s.sideMisses.Add(1)
-	}
-	return ref{}, key, false, false
 }
 
 // readRecord reads and fully validates the record at ent, expecting it
@@ -690,16 +662,15 @@ func (s *Store) Get(key engine.Key) (val any, cycles uint64, ok bool) {
 	if s.closed.Load() {
 		return nil, 0, false
 	}
-	ent, want, found, viaLink := s.lookup(key)
+	s.mu.RLock()
+	ent, found := s.index[key]
+	s.mu.RUnlock()
 	if !found {
 		s.misses.Add(1)
 		return nil, 0, false
 	}
-	raw, val, cycles, err := s.readRecord(ent, want)
+	raw, val, cycles, err := s.readRecord(ent, key)
 	if err == nil {
-		if viaLink {
-			s.sideHits.Add(1)
-		}
 		s.hits.Add(1)
 		return val, cycles, true
 	}
@@ -708,15 +679,15 @@ func (s *Store) Get(key engine.Key) (val any, cycles uint64, ok bool) {
 	// cell re-simulates from here on. Records never move, so if it no
 	// longer does, a concurrent Get has already done so.
 	s.mu.Lock()
-	cur, still := s.index[want]
+	cur, still := s.index[key]
 	if still = still && cur == ent; still {
-		delete(s.index, want)
+		delete(s.index, key)
 	}
 	s.mu.Unlock()
 	if still && !s.closed.Load() {
 		s.quarantineBytes(fmt.Sprintf("%s@%d", ent.seg.name, ent.off), raw)
 		s.quarantined.Add(1)
-		s.logf("store: quarantined record %s@%d for %s: %v", ent.seg.name, ent.off, want.String(), err)
+		s.logf("store: quarantined record %s@%d for %s: %v", ent.seg.name, ent.off, key.String(), err)
 	}
 	s.misses.Add(1)
 	return nil, 0, false
@@ -787,24 +758,18 @@ func (s *Store) Len() int {
 
 // Stats returns a snapshot of the store's counters.
 func (s *Store) Stats() Stats {
-	st := Stats{
-		Hits:          s.hits.Load(),
-		Misses:        s.misses.Load(),
-		Puts:          s.puts.Load(),
-		PutErrors:     s.putErrors.Load(),
-		Quarantined:   s.quarantined.Load(),
-		GetBatches:    s.getBatches.Load(),
-		SidecarHits:   s.sideHits.Load(),
-		SidecarMisses: s.sideMisses.Load(),
-		TmpSwept:      s.tmpSwept,
-		TornTail:      s.tornTail,
-		Segments:      len(s.segs),
+	return Stats{
+		Entries:     s.Len(),
+		Hits:        s.hits.Load(),
+		Misses:      s.misses.Load(),
+		Puts:        s.puts.Load(),
+		PutErrors:   s.putErrors.Load(),
+		Quarantined: s.quarantined.Load(),
+		GetBatches:  s.getBatches.Load(),
+		TmpSwept:    s.tmpSwept,
+		TornTail:    s.tornTail,
+		Segments:    len(s.segs),
 	}
-	s.mu.RLock()
-	st.Entries = len(s.index)
-	st.SidecarLinks = len(s.links.byFP)
-	s.mu.RUnlock()
-	return st
 }
 
 // Dir returns the store's root directory.
@@ -824,11 +789,6 @@ func (s *Store) Close() error {
 	}
 	s.wmu.Lock()
 	err := s.syncCurrentLocked()
-	s.flushSideLocked(!s.opts.NoSync)
-	if s.side != nil {
-		s.side.Close()
-		s.side = nil
-	}
 	for _, seg := range s.segs {
 		seg.f.Close()
 	}

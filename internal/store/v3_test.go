@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -46,48 +47,6 @@ func TestV3RecordValueCodecs(t *testing.T) {
 	v, _, ok := s2.Get(testKey(1))
 	if !ok || !reflect.DeepEqual(v, structVal{Name: "s", Xs: []float64{1, 2}}) {
 		t.Errorf("struct cell: got (%#v, %v)", v, ok)
-	}
-}
-
-// TestSidecarLinksSurviveReopen: PutLink'd display→canonical folds are
-// durable — after a reopen a Get on the display key resolves through
-// the sidecar to the canonical entry and is counted as a sidecar hit;
-// a Get on an unlinked key counts a sidecar miss.
-func TestSidecarLinksSurviveReopen(t *testing.T) {
-	dir := t.TempDir()
-	canon := engine.Key{Workload: "w", Uarch: "u", Config: "v=1"}
-	alias := engine.Key{Workload: "w", Uarch: "u", Config: "v=1,alias=3"}
-
-	s := openT(t, dir)
-	s.Put(canon, 42.5, 7)
-	s.PutLink(alias, canon)
-	s.PutLink(canon, canon) // self-link: must be a no-op
-	if v, c, ok := s.Get(alias); !ok || v != 42.5 || c != 7 {
-		t.Fatalf("live link Get = (%v, %d, %v), want (42.5, 7, true)", v, c, ok)
-	}
-	s.Close()
-
-	s2 := openT(t, dir)
-	defer s2.Close()
-	st := s2.Stats()
-	if st.SidecarLinks != 1 {
-		t.Fatalf("sidecarLinks=%d after reopen, want 1", st.SidecarLinks)
-	}
-	if v, c, ok := s2.Get(alias); !ok || v != 42.5 || c != 7 {
-		t.Errorf("replayed link Get = (%v, %d, %v), want (42.5, 7, true)", v, c, ok)
-	}
-	if _, _, ok := s2.Get(engine.Key{Workload: "w", Uarch: "u", Config: "v=9"}); ok {
-		t.Error("unknown key served")
-	}
-	st = s2.Stats()
-	if st.SidecarHits != 1 {
-		t.Errorf("sidecarHits=%d, want 1", st.SidecarHits)
-	}
-	if st.SidecarMisses != 1 {
-		t.Errorf("sidecarMisses=%d, want 1", st.SidecarMisses)
-	}
-	if st.Hits != 1 || st.Misses != 1 {
-		t.Errorf("hits=%d misses=%d, want 1/1", st.Hits, st.Misses)
 	}
 }
 
@@ -133,8 +92,8 @@ func TestGetBatch(t *testing.T) {
 }
 
 // TestCloseStopsBackgroundGoroutines: a sync-mode store starts the
-// flusher loop; Close must stop it (and the sidecar writer)
-// so long-lived daemons opening and closing stores do not leak.
+// flusher loop; Close must stop it so long-lived daemons opening and
+// closing stores do not leak.
 func TestCloseStopsBackgroundGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	dir := t.TempDir()
@@ -144,7 +103,6 @@ func TestCloseStopsBackgroundGoroutines(t *testing.T) {
 	}
 	canon := engine.Key{Workload: "w", Uarch: "u", Config: "v=0"}
 	s.Put(canon, 1.0, 1)
-	s.PutLink(engine.Key{Workload: "w", Uarch: "u", Config: "v=0,a"}, canon)
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -164,15 +122,13 @@ func TestCloseStopsBackgroundGoroutines(t *testing.T) {
 	}
 }
 
-// TestSidecarFromEarlierLayoutReplays opens a store written before the
-// in-memory link table interned its canonical keys (testdata/sidecar-v3:
-// the first 200 cells of grid.Cells(200, 0), canonical records valued
-// from their key hash, and the display→canonical links of cells 0-99
-// and 100-199 written by two sessions into two side logs). The on-disk
-// format is unchanged, so with no canonicalizer anywhere every display
-// key must resolve through Resolve and GetBatch to the same canonical
-// record as before, and an engine on top must replay all of them from
-// the store.
+// TestSidecarFromEarlierLayoutReplays opens a store an earlier version
+// wrote (testdata/sidecar-v3: the canonical records of the first 200
+// cells of grid.Cells(200, 0), valued from their key hash, two side
+// logs of display→canonical links and a MANIFEST). An engine that folds
+// the cells itself with grid.Canonicalizer must replay every one of
+// them from the segment — no store miss, nothing simulated — and Open
+// must have removed the side logs and the MANIFEST.
 func TestSidecarFromEarlierLayoutReplays(t *testing.T) {
 	dir := t.TempDir()
 	src := filepath.Join("testdata", "sidecar-v3", segsDirName)
@@ -180,66 +136,60 @@ func TestSidecarFromEarlierLayoutReplays(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.MkdirAll(filepath.Join(dir, segsDirName), 0o777); err != nil {
-		t.Fatal(err)
-	}
+	var sideLogs int
 	for _, de := range entries {
 		b, err := os.ReadFile(filepath.Join(src, de.Name()))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(filepath.Join(dir, segsDirName, de.Name()), b, 0o666); err != nil {
-			t.Fatal(err)
+		writeFile(t, filepath.Join(dir, segsDirName, de.Name()), b)
+		if strings.HasPrefix(de.Name(), "side-") {
+			sideLogs++
 		}
+	}
+	if sideLogs != 2 {
+		t.Fatalf("testdata holds %d side logs, want 2", sideLogs)
+	}
+
+	s := openT(t, dir)
+	defer s.Close()
+	left, err := os.ReadDir(filepath.Join(dir, segsDirName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(left) != 1 || left[0].Name() != segPrefix+"000001"+segExt {
+		names := make([]string, len(left))
+		for i, de := range left {
+			names[i] = de.Name()
+		}
+		t.Errorf("segments/ holds %v after Open, want only the segment", names)
 	}
 
 	cells := grid.Cells(200, 0)
-	want := func(c grid.Cell) (float64, uint64) {
-		h := c.Canon.Hash()
-		return float64(h%100000) / 4, h % 1000003
-	}
-	s := openT(t, dir)
-	defer s.Close()
-	if st := s.Stats(); st.SidecarLinks != len(cells) {
-		t.Fatalf("%d sidecar links loaded, want %d", st.SidecarLinks, len(cells))
-	}
-	keys := make([]engine.Key, len(cells))
-	for i, c := range cells {
-		keys[i] = c.Display
-		if ck, ok := s.Resolve(c.Display); !ok || ck != c.Canon {
-			t.Fatalf("Resolve(%v) = (%v, %v), want %v", c.Display, ck, ok, c.Canon)
-		}
-	}
-	for i, g := range s.GetBatch(keys) {
-		v, cyc := want(cells[i])
-		if !g.OK || g.Val != v || g.Cycles != cyc {
-			t.Fatalf("GetBatch %v = %+v, want (%v, %d)", keys[i], g, v, cyc)
-		}
-	}
-	if _, ok := s.Resolve(grid.Cells(201, 0)[200].Display); ok {
-		t.Error("a display key nobody linked resolved")
-	}
-	if st := s.Stats(); st.SidecarHits != uint64(len(cells)) {
-		t.Errorf("sidecarHits=%d, want %d", st.SidecarHits, len(cells))
-	}
-
 	e := engine.New(1)
 	defer e.Close()
+	e.SetCanonicalizer(grid.Canonicalizer(cells))
 	e.SetSecondLevel(s)
 	bcells := make([]engine.BatchCell, len(cells))
 	for i, c := range cells {
 		bcells[i] = engine.BatchCell{Key: c.Display, Fn: func() (any, error) {
-			t.Errorf("%v simulated despite its sidecar link", c.Display)
+			t.Errorf("%v simulated despite its stored class", c.Display)
 			return nil, nil
 		}}
 	}
 	for i, task := range e.SubmitBatch(bcells) {
-		v, _ := want(cells[i])
-		if got, err := task.Wait(); err != nil || got != v {
-			t.Fatalf("%v replayed (%v, %v), want %v", cells[i].Display, got, err, v)
+		h := cells[i].Canon.Hash()
+		want := float64(h%100000) / 4
+		if got, err := task.Wait(); err != nil || got != want {
+			t.Fatalf("%v replayed (%v, %v), want %v", cells[i].Display, got, err, want)
 		}
 	}
-	if d := e.StatsDetail(); d.SecondLevelHits != uint64(len(cells)) || d.Simulated != 0 {
+	d := e.StatsDetail()
+	if d.Simulated != 0 || d.SecondLevelHits != d.Classes {
 		t.Errorf("engine over the earlier store: %v", d)
+	}
+	if st := s.Stats(); st.Misses != 0 || st.Hits != d.Classes || st.Puts != 0 {
+		t.Errorf("store over %d classes: hits=%d misses=%d puts=%d, want %d/0/0",
+			d.Classes, st.Hits, st.Misses, st.Puts, d.Classes)
 	}
 }
