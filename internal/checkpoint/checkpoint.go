@@ -1,26 +1,25 @@
-// Package checkpoint implements checkpointed warmup: a process-wide
-// registry of immutable snapshots taken after a workload's warmup
-// prefix, keyed by everything that determines the warmed-up state (the
-// cell-key prefix: workload identity, uarch, warmup-relevant
-// configuration). Cells that share a prefix fork from the snapshot
-// instead of re-simulating it: memory forks by copy-on-write page
-// sharing (mem.Phys.Snapshot/NewPhys — a snapshot costs a page-table
-// copy, not a memory-image clone), and core/kernel state is restored by
-// the owning packages' clone hooks.
+// Package checkpoint is a process-wide registry of immutable host-side
+// snapshots, keyed by everything the snapshot depends on. Work that is
+// a pure function of a cell-key prefix is built once and shared by
+// every later cell with that prefix, whichever worker runs it. It holds
+// four kinds of snapshot, each built and consumed by its owning
+// package:
 //
-// Determinism contract. A forked cell must be byte-identical to a cold
-// cell, including its fault-injection draw sequence. Two rules enforce
-// that:
+//   - kernel stub images (kernel/stubs|...): the assembled,
+//     thunk-patched entry/exit program of one mitigation set;
+//   - page-table templates (kernel/proctab|...): frozen mem.PTImage
+//     KPT/UPT pairs that NewProcess forks copy-on-write;
+//   - assembled workload programs (lebench/prog|..., parsec/prog|...,
+//     lfs/prog|...);
+//   - JS compiles (js/compile|...): the compiled program, shape table
+//     and IC site list of one source under one mitigation set.
 //
-//   - Host-side checkpoints (parsed ASTs, compiled/assembled programs)
-//     never touch simulated state and draw nothing from the injector;
-//     they are always eligible.
-//   - Machine checkpoints (booted VMs) capture state produced by
-//     simulated execution, which consumes injector draws. They are
-//     created and consumed only when the requesting core has no active
-//     fault-injection stream (Injector.Active() == false): with -faults
-//     on, every consumer takes the cold path, so the draw sequence is
-//     the cold sequence by construction.
+// Determinism contract. A cell that uses a snapshot must be
+// byte-identical to a cell that builds it cold, including its
+// fault-injection draw sequence. Every snapshot here is host-side
+// construction: no simulated instruction runs and no injector draw
+// happens while one is built or consumed, so the registry's warmth
+// never shows in output.
 //
 // Concurrency. The registry is a sync.Map of per-key once-cells: under
 // -jobs N, whichever worker reaches a key first builds the snapshot and

@@ -2,7 +2,7 @@
 // one-cell batch).
 //
 // Submitting a cell pays a fixed toll — a scope allocation, a
-// second-level Get, a planner lock round-trip, a wakeup check — that
+// second-level Get, a queue lock round-trip, a wakeup — that
 // dominates once the cells themselves are cheap (a warm store replays a
 // cell in microseconds; a folded follower never runs at all). For
 // full-grid sweeps, where the caller holds the whole slice of cells up
@@ -11,9 +11,9 @@
 //   - One memo section. The whole slice is classified — memo hit,
 //     class fold or new leader — under a single write-lock acquisition
 //     of the memo maps, presized on the first batch.
-//   - One planner unit. All leaders enqueue under a single planner lock
-//     acquisition, one push-sequence bump and one wakeup broadcast,
-//     instead of len(cells) of each.
+//   - One enqueue. All leaders enqueue under a single queue lock
+//     acquisition and one wakeup broadcast, instead of len(cells) of
+//     each.
 //   - Inline fan-out. A display key whose canonical class has already
 //     finished receives the class value during submission — a struct
 //     copy against a pre-closed channel — instead of allocating a done
@@ -164,7 +164,7 @@ func (e *Engine) submitBatch(cells []BatchCell, out []*Task) {
 			out[i] = t
 			continue
 		}
-		if e.closed.Load() {
+		if e.q.closed.Load() {
 			out[i] = e.closedTask("cell " + c.Key.String())
 			continue
 		}
@@ -254,7 +254,7 @@ func (e *Engine) submitBatch(cells []BatchCell, out []*Task) {
 	// The survivors simulate: allocate their determinism scopes (fault
 	// seed = canonical key hash, activation, budget and tag from the
 	// submitter's scope; an unscoped submitter's cells run fault-free
-	// and unbudgeted) and enqueue them as one planner unit.
+	// and unbudgeted) and enqueue them with one lock acquisition.
 	for _, t := range leaders {
 		sc := &simscope.Scope{FaultSeed: t.key.Hash()}
 		if parent != nil {
@@ -262,7 +262,7 @@ func (e *Engine) submitBatch(cells []BatchCell, out []*Task) {
 		}
 		t.scope = sc
 	}
-	e.enqueueBatch(leaders, gid)
+	e.enqueueBatch(leaders, false)
 }
 
 // BatchGo is one unkeyed task of a GoBatch call.
@@ -277,65 +277,28 @@ type BatchGo struct {
 // whole supervised batch's experiments at once.
 func (e *Engine) GoBatch(items []BatchGo) []*Task {
 	out := make([]*Task, len(items))
-	if e.closed.Load() {
-		for i := range items {
-			out[i] = e.closedTask(items[i].Label)
-		}
-		return out
-	}
 	gid := gls.ID()
 	sc := simscope.CurrentG(gid)
 	for i, it := range items {
 		out[i] = &Task{eng: e, label: it.Label, fn: it.Fn, scope: sc, done: make(chan struct{})}
 	}
-	e.enqueueBatch(out, gid)
+	_, nested := e.workerOf.Load(gid)
+	e.enqueueBatch(out, nested)
 	return out
 }
 
-// pushAll appends a slice of tasks under one lock acquisition.
-func (s *shard) pushAll(ts []*Task) {
-	s.mu.Lock()
-	s.tasks = append(s.tasks, ts...)
-	s.mu.Unlock()
-}
-
-// enqueueBatch places tasks where their consumers will find them, under
-// one lock acquisition per destination: keyed cells into the planner's
-// prefix buckets, unkeyed tasks onto the submitting worker's own deque
-// (tail = hottest) or the global queue for outside submitters. Then one
-// publication bump and one broadcast wake the pool, starting the
-// workers on first use.
-func (e *Engine) enqueueBatch(ts []*Task, gid uint64) {
+// enqueueBatch queues tasks (all cells or all unkeyed tasks; nested
+// when a worker spawned them), starting the workers on first use. On a
+// closed engine it fails them with ErrClosed instead.
+func (e *Engine) enqueueBatch(ts []*Task, nested bool) {
 	if len(ts) == 0 {
 		return
 	}
-	e.startOnce.Do(e.start)
-	// SubmitBatch passes only cells, GoBatch only unkeyed tasks.
-	if ts[0].keyed {
-		e.plan.addBatch(ts)
-	} else if w, ok := e.workerOf.Load(gid); ok {
-		e.shards[w.(int)].pushAll(ts)
-	} else {
-		e.global.pushAll(ts)
-	}
-	// Publication handshake: the tasks are visible in their queues
-	// before the sequence bump, and the bump happens before the sleeper
-	// check (see the package doc).
-	e.pushSeq.Add(1)
-	if e.sleepers.Load() > 0 {
-		e.idleMu.Lock()
-		if len(ts) == 1 {
-			e.cond.Signal()
-		} else {
-			e.cond.Broadcast()
+	if !e.q.push(ts, nested) {
+		for _, t := range ts {
+			t.fail()
 		}
-		e.idleMu.Unlock()
+		return
 	}
-	// A Close that raced this submission may have drained the queues
-	// before our push became visible to it; re-checking here closes the
-	// window — whichever side runs second sees the other's write and
-	// fails the tasks instead of stranding them.
-	if e.closed.Load() {
-		e.failPending()
-	}
+	e.startOnce.Do(e.start)
 }

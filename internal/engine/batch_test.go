@@ -243,6 +243,85 @@ func TestGoBatchRunsUnkeyedTasks(t *testing.T) {
 	}
 }
 
+// TestCellsRunBeforeQueuedTasks: pending cells are served before
+// pending unkeyed tasks. At -jobs 1, task A submits cells and waits on
+// them while task B is still queued; the waiting worker must drain A's
+// cells before it starts B, or every queued experiment would nest on
+// one stack before any cell ran.
+func TestCellsRunBeforeQueuedTasks(t *testing.T) {
+	e := New(1)
+	defer e.Close()
+	var mu sync.Mutex
+	var events []string
+	log := func(ev string) {
+		mu.Lock()
+		events = append(events, ev)
+		mu.Unlock()
+	}
+	const cells = 6
+	a := func() (any, error) {
+		var subs []*Task
+		for i := 0; i < cells; i++ {
+			i := i
+			subs = append(subs, e.Submit(Key{Workload: "order", Seed: uint64(i)}, func() (any, error) {
+				log(fmt.Sprintf("cell-%d", i))
+				return i, nil
+			}))
+		}
+		for _, s := range subs {
+			if _, err := s.Wait(); err != nil {
+				return nil, err
+			}
+		}
+		return nil, nil
+	}
+	b := func() (any, error) {
+		log("B")
+		return nil, nil
+	}
+	for _, tk := range e.GoBatch([]BatchGo{{Label: "A", Fn: a}, {Label: "B", Fn: b}}) {
+		if _, err := waitWithDeadline(t, tk); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(events) != cells+1 || events[cells] != "B" {
+		t.Fatalf("events = %v, want all %d cells of A before B", events, cells)
+	}
+}
+
+// TestNestedTasksRunBeforeQueuedTasks: an unkeyed task spawned by a
+// running task goes ahead of the tasks already queued. At -jobs 1, task
+// A spawns a subtask and waits on it while task B is still queued; the
+// waiting worker must run A's subtask before it starts B on its stack.
+func TestNestedTasksRunBeforeQueuedTasks(t *testing.T) {
+	e := New(1)
+	defer e.Close()
+	var mu sync.Mutex
+	var events []string
+	log := func(ev string) (any, error) {
+		mu.Lock()
+		events = append(events, ev)
+		mu.Unlock()
+		return nil, nil
+	}
+	a := func() (any, error) {
+		return e.Go("sub", func() (any, error) { return log("sub") }).Wait()
+	}
+	b := func() (any, error) { return log("B") }
+	for _, tk := range e.GoBatch([]BatchGo{{Label: "A", Fn: a}, {Label: "B", Fn: b}}) {
+		if _, err := waitWithDeadline(t, tk); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(events) != 2 || events[0] != "sub" || events[1] != "B" {
+		t.Fatalf("events = %v, want [sub B]", events)
+	}
+}
+
 // TestSubmitBatchWarmIsAllInline: a second identical batch is pure memo
 // hits; a batch of fresh aliases of finished classes is pure inline
 // fanout. Neither schedules anything.

@@ -131,12 +131,11 @@ func TestDedupErrorsPropagateToFollowers(t *testing.T) {
 	}
 }
 
-// TestPlannerServesNestedWaits: every keyed cell goes through the
-// planner's prefix buckets, so a Wait issued from inside a cell must be
-// able to help through them — at -jobs 1 the only worker is the waiter,
-// and a bucket it cannot reach deadlocks the pool. Interdependent cells
-// must complete with the same values at every worker count.
-func TestPlannerServesNestedWaits(t *testing.T) {
+// TestNestedWaitsHelp: a Wait issued from inside a cell must be able to
+// help with the pending cells — at -jobs 1 the only worker is the
+// waiter, and a cell it cannot reach deadlocks the pool. Interdependent
+// cells must complete with the same values at every worker count.
+func TestNestedWaitsHelp(t *testing.T) {
 	run := func(t *testing.T, e *Engine) map[int]uint64 {
 		t.Helper()
 		defer e.Close()
@@ -148,7 +147,7 @@ func TestPlannerServesNestedWaits(t *testing.T) {
 			tasks = append(tasks, e.Submit(k, func() (any, error) {
 				if i%5 == 0 {
 					// A cell that waits on another cell: exercises
-					// helping through the planner.
+					// helping from inside a cell.
 					sub := Key{Workload: "sub", Uarch: "u", Config: fmt.Sprintf("s%d", i)}
 					if _, err := e.Submit(sub, func() (any, error) { return uint64(i), nil }).Wait(); err != nil {
 						return nil, err

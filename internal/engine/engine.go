@@ -42,9 +42,8 @@
 //
 // # Scheduling
 //
-// The pool is a sharded work-stealing design built so that no two
-// workers contend on a lock unless one is actually stealing from the
-// other:
+// Every cell is an independent measurement, so the scheduler only has
+// to run each pending task once and never lose a waiter:
 //
 //   - The memo is two plain maps (display key → task, canonical key →
 //     class task) under one RWMutex. A batch classifies all its cells in
@@ -54,40 +53,32 @@
 //     scheduling-independent. A Submit memo hit takes the read lock.
 //     Second-level reads and enqueueing run after the write section,
 //     outside the lock.
-//   - Each worker owns a deque under its own mutex (LIFO for the owner,
-//     to keep an experiment's freshly spawned cells hot; FIFO for
-//     thieves, to steal the oldest and largest pending work), plus a
-//     global injection queue — its own shard — for submissions from
-//     non-worker goroutines. Dequeue never serializes on a pool-wide
-//     lock.
-//   - Keyed cells are not pushed to deques at all but bucketed by the
-//     sweep planner by their warmup prefix — (workload, uarch), the
-//     part of the key that decides which checkpoint snapshots, pooled
-//     cores and assembled programs a cell can reuse. Each worker claims one
-//     bucket and drains it before claiming the next, so cells sharing a
-//     prefix run back-to-back and PR 7's checkpointed warmup stays hot
-//     even on million-cell grids. Helping waits may steal from any
-//     bucket (claimed or not), so the liveness argument below holds
-//     for planned cells too.
-//   - Idle workers park on a condition variable. Publication uses a
-//     store-buffer-proof handshake: a parking worker registers as a
-//     sleeper and then re-checks the push sequence counter; a submitter
-//     bumps the counter after the task is visible and then checks for
-//     sleepers. Whichever order the two interleave in, one side sees
-//     the other, so a wakeup cannot be lost while the signal itself
-//     stays off the submission fast path.
+//   - Pending work is two lists, keyed cells ahead of unkeyed tasks,
+//     behind one mutex and one condition variable. A batch enqueues with
+//     one lock acquisition and one wakeup. Idle workers block on the
+//     condition variable; Close marks the queue closed, takes everything
+//     still pending and wakes every worker under the same lock, and an
+//     enqueue checks the closed mark under it too, so a wakeup cannot be
+//     lost and a task is either run once or failed once.
+//   - Cells run in submission order, ahead of unkeyed tasks, so that a
+//     waiting experiment drains its own cells before it starts another
+//     experiment nested on its stack. For the same reason the unkeyed
+//     tasks a running task spawns (an experiment's per-model tasks) go
+//     ahead of the queued ones; tasks submitted from outside the pool
+//     (a batch's experiments) queue in submission order.
+//
+// Tasks may wait on other tasks (an experiment waits on its cells; a
+// sweep waits on per-model tasks). A worker that blocks in Wait instead
+// helps: it runs other pending tasks until the awaited task completes or
+// the queue is empty (the awaited task is then running elsewhere).
+// Because waits only ever point from experiments toward cells (a DAG)
+// and a helping worker can take any pending task, the pool cannot
+// deadlock even at -jobs 1.
 //
 // Workers resolve their goroutine ID once at startup and thread it
 // through scope entry and helping joins (simscope.EnterG/CurrentG), so
 // the scheduler's hot paths never pay the runtime.Stack parse behind
 // gls.ID.
-//
-// Tasks may wait on other tasks (an experiment waits on its cells; a
-// sweep waits on per-model tasks). A worker that blocks in Wait instead
-// helps: it runs other pending tasks until the awaited task completes or
-// no runnable work remains. Because waits only ever point from
-// experiments toward cells (a DAG) and a helping worker can reach every
-// queue, the pool cannot deadlock even at -jobs 1.
 //
 // # Determinism
 //
@@ -96,7 +87,7 @@
 // copied from the submitter's scope at Submit time (a submitter outside
 // any scope gets none of them). Injector streams, fired-fault
 // attribution and cycle accounting are therefore functions of the cell
-// key — independent of worker count, steal order and submission
+// key — independent of worker count, run order and submission
 // interleaving.
 //
 // # Resource recycling
@@ -302,166 +293,91 @@ func (t *Task) describe() string {
 	return t.label
 }
 
-// shard is one lockable task queue: a worker's deque or the global
-// injection queue. The owner pushes and pops at the tail; thieves and
-// global consumers pop at the head.
-type shard struct {
-	mu    sync.Mutex
-	tasks []*Task
+// queue holds the pending tasks under one mutex: keyed cells in
+// submission order, then unkeyed tasks (see push for their order).
+// closed is written under mu and may be read without it.
+type queue struct {
+	mu     sync.Mutex
+	cond   sync.Cond
+	cells  []*Task
+	tasks  []*Task
+	closed atomic.Bool
 }
 
-// popTail removes the newest task (owner side, LIFO).
-func (s *shard) popTail() *Task {
-	s.mu.Lock()
-	n := len(s.tasks)
-	if n == 0 {
-		s.mu.Unlock()
-		return nil
+// push appends ts (all cells or all unkeyed tasks) and wakes workers.
+// Unkeyed tasks that a running task spawns (nested) go ahead of the
+// queued ones instead, so a waiting task helps with its own subtasks
+// before it starts another queued task on its stack. It enqueues
+// nothing and reports false once the queue is closed.
+func (q *queue) push(ts []*Task, nested bool) bool {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if q.closed.Load() {
+		return false
 	}
-	t := s.tasks[n-1]
-	s.tasks[n-1] = nil
-	s.tasks = s.tasks[:n-1]
-	s.mu.Unlock()
-	return t
-}
-
-// popHead removes the oldest task (thief/global side, FIFO).
-func (s *shard) popHead() *Task {
-	s.mu.Lock()
-	if len(s.tasks) == 0 {
-		s.mu.Unlock()
-		return nil
+	switch {
+	case ts[0].keyed:
+		q.cells = append(q.cells, ts...)
+	case nested:
+		// The full slice expression makes append copy ts: it is the
+		// caller's result slice, which shift must not clear.
+		q.tasks = append(ts[:len(ts):len(ts)], q.tasks...)
+	default:
+		q.tasks = append(q.tasks, ts...)
 	}
-	t := s.tasks[0]
-	s.tasks[0] = nil
-	s.tasks = s.tasks[1:]
-	s.mu.Unlock()
-	return t
-}
-
-// pbucket is one warmup-prefix bucket of pending keyed tasks. All
-// fields are guarded by the owning planner's mutex.
-type pbucket struct {
-	tasks     []*Task
-	queued    bool // in the planner's ready queue
-	claimedBy int  // worker index draining this bucket, or -1
-}
-
-// pop removes the oldest pending task (submission order).
-func (b *pbucket) pop() *Task {
-	if len(b.tasks) == 0 {
-		return nil
+	if len(ts) == 1 {
+		q.cond.Signal()
+	} else {
+		q.cond.Broadcast()
 	}
-	t := b.tasks[0]
-	b.tasks[0] = nil
-	b.tasks = b.tasks[1:]
-	return t
+	return true
 }
 
-// planner buckets pending cells by shared warmup prefix — (workload,
-// uarch), the fields that decide which checkpoints, pooled cores and
-// assembled programs a cell can reuse — and hands each worker one
-// bucket at a time. A single mutex guards it: operations are O(1)
-// appends and pops, and the cells behind them are many orders of
-// magnitude heavier.
-type planner struct {
-	mu      sync.Mutex
-	buckets map[string]*pbucket
-	order   []*pbucket // creation order, for stealing and draining
-	queue   []*pbucket // FIFO of buckets with unclaimed pending work
-	claims  []*pbucket // per-worker claimed bucket
-}
-
-func newPlanner(jobs int) *planner {
-	return &planner{
-		buckets: map[string]*pbucket{},
-		claims:  make([]*pbucket, jobs),
-	}
-}
-
-// addBatch enqueues a slice of keyed tasks under one lock acquisition,
-// each into its prefix bucket, making a bucket claimable if no worker
-// is already draining it. A grid slice is thereby one planner unit
-// instead of len(ts) lock round-trips.
-func (p *planner) addBatch(ts []*Task) {
-	p.mu.Lock()
-	for _, t := range ts {
-		prefix := t.key.Workload + "\x00" + t.key.Uarch
-		b := p.buckets[prefix]
-		if b == nil {
-			b = &pbucket{claimedBy: -1}
-			p.buckets[prefix] = b
-			p.order = append(p.order, b)
-		}
-		b.tasks = append(b.tasks, t)
-		if !b.queued && b.claimedBy < 0 {
-			b.queued = true
-			p.queue = append(p.queue, b)
-		}
-	}
-	p.mu.Unlock()
-}
-
-// next returns a task for worker w: the next cell of w's claimed bucket
-// while it lasts, then the oldest bucket nobody is draining.
-func (p *planner) next(w int) *Task {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if b := p.claims[w]; b != nil {
-		if t := b.pop(); t != nil {
+// pop removes the oldest cell, else the oldest unkeyed task. When both
+// are empty it returns nil, or with wait blocks until one is pushed or
+// the queue closes.
+func (q *queue) pop(wait bool) *Task {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	for {
+		if t := shift(&q.cells); t != nil {
 			return t
 		}
-		// Drained; later adds re-queue the bucket.
-		b.claimedBy = -1
-		p.claims[w] = nil
-	}
-	for len(p.queue) > 0 {
-		b := p.queue[0]
-		p.queue[0] = nil
-		p.queue = p.queue[1:]
-		b.queued = false
-		if len(b.tasks) == 0 || b.claimedBy >= 0 {
-			continue
-		}
-		b.claimedBy = w
-		p.claims[w] = b
-		return b.pop()
-	}
-	return nil
-}
-
-// steal takes pending work from any bucket, claimed or not — the
-// escape hatch that keeps helping waits live: every queued task stays
-// reachable from every worker, claimed buckets included.
-func (p *planner) steal() *Task {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, b := range p.order {
-		if t := b.pop(); t != nil {
+		if t := shift(&q.tasks); t != nil {
 			return t
 		}
-	}
-	return nil
-}
-
-// drain removes and returns every pending task (the Close path).
-func (p *planner) drain() []*Task {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	var out []*Task
-	for _, b := range p.order {
-		for _, t := range b.tasks {
-			if t != nil {
-				out = append(out, t)
-			}
+		if !wait || q.closed.Load() {
+			return nil
 		}
-		b.tasks = nil
+		q.cond.Wait()
 	}
-	return out
 }
 
-// Engine is a sharded work-stealing worker pool with a memoizing cell
-// cache.
+// shift removes and returns the head of *s, or nil if it is empty.
+func shift(s *[]*Task) *Task {
+	if len(*s) == 0 {
+		return nil
+	}
+	t := (*s)[0]
+	(*s)[0] = nil
+	*s = (*s)[1:]
+	return t
+}
+
+// close marks the queue closed, wakes every worker and returns the
+// tasks still pending.
+func (q *queue) close() []*Task {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	q.closed.Store(true)
+	pending := append(q.cells, q.tasks...)
+	q.cells, q.tasks = nil, nil
+	q.cond.Broadcast()
+	return pending
+}
+
+// Engine is a worker pool fed by one pending-task queue, with a
+// memoizing cell cache.
 type Engine struct {
 	jobs int
 
@@ -487,10 +403,8 @@ type Engine struct {
 	// Submit.
 	canon atomic.Value
 
-	shards   []shard  // per-worker deques (unkeyed tasks)
-	global   shard    // injection queue for unkeyed tasks of non-worker submitters
-	plan     *planner // prefix-locality buckets of keyed cells
-	workerOf sync.Map // goroutine ID -> worker index
+	q        queue
+	workerOf sync.Map // goroutine IDs of the workers (value unused)
 
 	// second is the optional second-level cell cache (atomic.Value of
 	// secondLevelBox). Install with SetSecondLevel before the first
@@ -498,15 +412,6 @@ type Engine struct {
 	second atomic.Value
 
 	startOnce sync.Once
-	closed    atomic.Bool
-
-	// Parking. sleepers is written only under idleMu but read without it
-	// on the submission fast path; pushSeq is bumped after every enqueue.
-	// See the package doc for the lost-wakeup argument.
-	idleMu   sync.Mutex
-	cond     *sync.Cond
-	sleepers atomic.Int64
-	pushSeq  atomic.Uint64
 }
 
 // New returns an engine with n workers (n < 1 means GOMAXPROCS). Workers
@@ -515,12 +420,8 @@ func New(n int) *Engine {
 	if n < 1 {
 		n = runtime.GOMAXPROCS(0)
 	}
-	e := &Engine{
-		jobs:   n,
-		shards: make([]shard, n),
-		plan:   newPlanner(n),
-	}
-	e.cond = sync.NewCond(&e.idleMu)
+	e := &Engine{jobs: n}
+	e.q.cond.L = &e.q.mu
 	return e
 }
 
@@ -680,56 +581,17 @@ func (e *Engine) Go(label string, fn func() (any, error)) *Task {
 
 func (e *Engine) start() {
 	for i := 0; i < e.jobs; i++ {
-		go e.worker(i)
+		go e.worker()
 	}
 }
 
-// dequeue returns a runnable task for worker w: own deque tail first,
-// then the worker's claimed prefix bucket (or a fresh claim), then the
-// global queue head, the head of any other deque, and finally — the
-// liveness escape hatch — a steal from any planner bucket.
-func (e *Engine) dequeue(w int) *Task {
-	if t := e.shards[w].popTail(); t != nil {
-		return t
-	}
-	if t := e.plan.next(w); t != nil {
-		return t
-	}
-	if t := e.global.popHead(); t != nil {
-		return t
-	}
-	for i := 1; i < len(e.shards); i++ {
-		if t := e.shards[(w+i)%len(e.shards)].popHead(); t != nil {
-			return t
-		}
-	}
-	return e.plan.steal()
-}
-
-func (e *Engine) worker(idx int) {
+func (e *Engine) worker() {
 	id := gls.ID()
-	e.workerOf.Store(id, idx)
-	for {
-		// Sample the push sequence before scanning: a task enqueued
-		// after the scan passed its shard bumps the sequence, which the
-		// parking check below observes.
-		seq := e.pushSeq.Load()
-		if t := e.dequeue(idx); t != nil {
-			e.run(t, id)
-			continue
-		}
-		if e.closed.Load() {
-			e.workerOf.Delete(id)
-			return
-		}
-		e.idleMu.Lock()
-		e.sleepers.Add(1)
-		if e.pushSeq.Load() == seq && !e.closed.Load() {
-			e.cond.Wait()
-		}
-		e.sleepers.Add(-1)
-		e.idleMu.Unlock()
+	e.workerOf.Store(id, struct{}{})
+	for t := e.q.pop(true); t != nil; t = e.q.pop(true) {
+		e.run(t, id)
 	}
+	e.workerOf.Delete(id)
 }
 
 // run executes t under its scope (entering nil shadows any scope the
@@ -811,8 +673,8 @@ func (t *Task) WaitG(gid uint64) (any, error) {
 	select {
 	case <-t.done:
 	default:
-		if w, ok := t.eng.workerOf.Load(gid); ok {
-			t.eng.help(t, w.(int), gid)
+		if _, ok := t.eng.workerOf.Load(gid); ok {
+			t.eng.help(t, gid)
 		}
 		<-t.done
 	}
@@ -822,17 +684,16 @@ func (t *Task) WaitG(gid uint64) (any, error) {
 	return t.val, t.err
 }
 
-// help runs pending tasks on worker w until t completes or nothing is
-// runnable (t is then in flight on some other worker; the caller
-// blocks).
-func (e *Engine) help(t *Task, w int, gid uint64) {
+// help runs pending tasks until t completes or the queue is empty (t
+// is then in flight on some other worker; the caller blocks).
+func (e *Engine) help(t *Task, gid uint64) {
 	for {
 		select {
 		case <-t.done:
 			return
 		default:
 		}
-		nt := e.dequeue(w)
+		nt := e.q.pop(false)
 		if nt == nil {
 			return
 		}
@@ -840,42 +701,23 @@ func (e *Engine) help(t *Task, w int, gid uint64) {
 	}
 }
 
-// Close shuts the worker pool down: workers exit once their queues are
-// empty, and any task still queued (or submitted afterwards) completes
-// with ErrClosed instead of being stranded — Wait never deadlocks
-// across a Close. Idempotent, so a daemon's shutdown path can call it
-// unconditionally. Call after draining for clean results; tasks failed
-// by Close report ErrClosed, they are not cancelled mid-run.
+// Close shuts the worker pool down: any task still queued (or submitted
+// afterwards) completes with ErrClosed instead of being stranded — Wait
+// never deadlocks across a Close — and idle workers exit. Idempotent,
+// so a daemon's shutdown path can call it unconditionally. Call after
+// draining for clean results; tasks failed by Close report ErrClosed,
+// they are not cancelled mid-run.
 func (e *Engine) Close() {
-	if !e.closed.CompareAndSwap(false, true) {
-		return
+	for _, t := range e.q.close() {
+		t.fail()
 	}
-	e.idleMu.Lock()
-	e.cond.Broadcast()
-	e.idleMu.Unlock()
-	e.failPending()
 }
 
-// failPending drains every queue and completes the drained tasks with
-// ErrClosed. Pops are mutually exclusive with the workers', so a task
-// is either run once or failed once, never both.
-func (e *Engine) failPending() {
-	fail := func(t *Task) {
-		t.err = ErrClosed
-		t.finish()
-		if t.keyed {
-			t.scope.Release()
-		}
-	}
-	for t := e.global.popHead(); t != nil; t = e.global.popHead() {
-		fail(t)
-	}
-	for i := range e.shards {
-		for t := e.shards[i].popHead(); t != nil; t = e.shards[i].popHead() {
-			fail(t)
-		}
-	}
-	for _, t := range e.plan.drain() {
-		fail(t)
+// fail completes a task that will never run with ErrClosed.
+func (t *Task) fail() {
+	t.err = ErrClosed
+	t.finish()
+	if t.keyed {
+		t.scope.Release()
 	}
 }

@@ -167,8 +167,8 @@ func Fold(m *model.CPU, combos int) ([]Class, []int32) {
 
 // Cells enumerates the first n grid cells. The order is combo-major
 // with the uarchs interleaved inside each combo, so any prefix spreads
-// across every uarch (the prefix-locality planner has real work to do)
-// and -cells N names the same set at every jobs/plan/dedup setting.
+// across every uarch and -cells N names the same set at every
+// jobs/dedup setting.
 // seed is the fault seed stamped into every key (0 when faults are
 // off), keeping fault-run cells distinct from clean ones in the memo
 // and the store. Every cell of one class shares its canonical key

@@ -79,7 +79,7 @@ func TestParallelDeterminismWithFaults(t *testing.T) {
 // TestAblationMatrixDeterminism pins the scaling layer: the rendered
 // output is byte-identical across -jobs 1, 4 and 8 × fault injection
 // on/off. Every core comes from the per-uarch pool (reinit instead of
-// reconstruct) and cells run on the sharded scheduler, so a core
+// reconstruct) and cells run on any worker of the pool, so a core
 // recycled on another worker, in another order, must be invisible in
 // the output.
 func TestAblationMatrixDeterminism(t *testing.T) {

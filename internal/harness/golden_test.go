@@ -14,8 +14,8 @@ import (
 // checked-in bytes: the text render at -jobs 1 and 4, the -csv render,
 // and the render under -faults -seed 7 at -jobs 1 and 4. Every host-side
 // accelerator (block cache, superblock chaining, core pooling, the
-// memory-path caches, checkpointed warmup, canonical dedup, the
-// planner) is on this path, so any of them changing a simulated cycle
+// memory-path caches, checkpointed warmup, canonical dedup) is on
+// this path, so any of them changing a simulated cycle
 // or a fault-injection draw shows up here as a diff against the file.
 func TestGoldenRunAll(t *testing.T) {
 	if testing.Short() {

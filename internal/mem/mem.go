@@ -28,23 +28,14 @@ func PageBase(addr uint64) uint64 { return addr &^ uint64(PageMask) }
 // first touch. All values are stored little-endian.
 type Phys struct {
 	pages map[uint64]*[PageSize]byte
-	// base is the frozen snapshot layer when this Phys was forked with
-	// NewPhysFrom (nil otherwise). Reads fall through to it; the first
-	// write to a shared page copies it into pages (copy-on-write).
-	base map[uint64]*[PageSize]byte
 	// Last-page cache: consecutive accesses overwhelmingly land on the
 	// page of the previous access (straight-line code, stack traffic,
 	// array sweeps), so remembering the last resolved page skips the
 	// map hash on repeats. Pages are never deleted, so the pointer can
 	// never dangle; lastPg==nil means no page cached (PPN 0 is a real
 	// page number, so the pointer is the sentinel, not the PPN).
-	// lastPg only ever holds private pages; base pages get their own
-	// read-side cache (lastBPg) so a writer can never be handed a
-	// frozen snapshot page.
-	lastPPN  uint64
-	lastPg   *[PageSize]byte
-	lastBPPN uint64
-	lastBPg  *[PageSize]byte
+	lastPPN uint64
+	lastPg  *[PageSize]byte
 	// uncached selects the reference implementation: every access
 	// resolves its page through the maps. Only this package's
 	// differential tests set it.
@@ -64,14 +55,6 @@ func (p *Phys) page(pa uint64) *[PageSize]byte {
 	pg, ok := p.pages[ppn]
 	if !ok {
 		pg = new([PageSize]byte)
-		if bpg, shared := p.base[ppn]; shared {
-			// Copy-on-write: privatise the snapshot page, and drop it
-			// from the base read cache so reads see the private copy.
-			*pg = *bpg
-			if p.lastBPg != nil && p.lastBPPN == ppn {
-				p.lastBPg = nil
-			}
-		}
 		p.pages[ppn] = pg
 	}
 	if !p.uncached {
@@ -95,19 +78,6 @@ func (p *Phys) lookup(pa uint64) (*[PageSize]byte, bool) {
 			p.lastPPN, p.lastPg = ppn, pg
 		}
 		return pg, ok
-	}
-	if p.base != nil {
-		// The private layer missed, so a base hit cannot be shadowed;
-		// page() invalidates this cache when it privatises a page.
-		if !p.uncached && p.lastBPg != nil && p.lastBPPN == ppn {
-			return p.lastBPg, true
-		}
-		if pg, ok := p.base[ppn]; ok {
-			if !p.uncached {
-				p.lastBPPN, p.lastBPg = ppn, pg
-			}
-			return pg, true
-		}
 	}
 	return nil, false
 }
@@ -187,17 +157,8 @@ func (p *Phys) WriteBytes(pa uint64, buf []byte) {
 }
 
 // PopulatedPages returns the number of physical pages that have been
-// touched (useful for tests and memory accounting), counting snapshot
-// pages not yet privatised exactly once.
-func (p *Phys) PopulatedPages() int {
-	n := len(p.pages)
-	for ppn := range p.base {
-		if _, ok := p.pages[ppn]; !ok {
-			n++
-		}
-	}
-	return n
-}
+// touched (useful for tests and memory accounting).
+func (p *Phys) PopulatedPages() int { return len(p.pages) }
 
 // PTE is a page-table entry. The simulator uses a flat VPN→PTE map per
 // table rather than a radix tree; the radix walk cost is folded into the

@@ -2,122 +2,6 @@ package mem
 
 import "testing"
 
-// TestPhysSnapshotForkCOW is the core copy-on-write contract: forks read
-// the image's pages, a write privatises only the touched page, and
-// neither the image nor sibling forks observe it.
-func TestPhysSnapshotForkCOW(t *testing.T) {
-	b := NewPhys()
-	b.Write64(0x1000, 111)
-	b.Write64(0x2008, 222)
-	img := b.Snapshot()
-	if img.Pages() != 2 {
-		t.Fatalf("image has %d pages, want 2", img.Pages())
-	}
-
-	f1 := NewPhysFrom(img)
-	f2 := NewPhysFrom(img)
-	if got := f1.Read64(0x1000); got != 111 {
-		t.Fatalf("fork read-through: got %d, want 111", got)
-	}
-	// Write in f1: privatises page 1 there, leaves the image and f2 alone.
-	f1.Write64(0x1000, 999)
-	if got := f1.Read64(0x1000); got != 999 {
-		t.Errorf("fork write not visible to itself: got %d", got)
-	}
-	if got := f2.Read64(0x1000); got != 111 {
-		t.Errorf("fork write leaked to sibling: got %d, want 111", got)
-	}
-	if got := f2.Read64(0x2008); got != 222 {
-		t.Errorf("untouched page wrong in sibling: got %d, want 222", got)
-	}
-	// The privatised page carried the shared contents at other offsets.
-	f1.Write64(0x1008, 5)
-	if got := f1.Read64(0x1000); got != 999 {
-		t.Errorf("privatised page lost earlier write: got %d", got)
-	}
-
-	// A fresh fork still sees the original image contents.
-	f3 := NewPhysFrom(img)
-	if got := f3.Read64(0x1000); got != 111 {
-		t.Errorf("image mutated by fork write: got %d, want 111", got)
-	}
-}
-
-// TestPhysForkPrivatisationCopiesSharedContents checks that the first
-// write to a shared page starts from the image's bytes, not a zero page.
-func TestPhysForkPrivatisationCopiesSharedContents(t *testing.T) {
-	b := NewPhys()
-	for off := uint64(0); off < PageSize; off += 8 {
-		b.Write64(0x4000+off, off|1)
-	}
-	f := NewPhysFrom(b.Snapshot())
-	f.Write64(0x4000, 7) // privatise
-	for off := uint64(8); off < PageSize; off += 8 {
-		if got := f.Read64(0x4000 + off); got != off|1 {
-			t.Fatalf("offset %#x: got %d, want %d after privatisation", off, got, off|1)
-		}
-	}
-}
-
-// TestPhysForkPopulatedPages checks the population count dedupes pages
-// present in both layers — fork cost accounting depends on it.
-func TestPhysForkPopulatedPages(t *testing.T) {
-	b := NewPhys()
-	b.Write64(0x1000, 1)
-	b.Write64(0x2000, 2)
-	f := NewPhysFrom(b.Snapshot())
-	if got := f.PopulatedPages(); got != 2 {
-		t.Fatalf("fresh fork: %d populated pages, want 2", got)
-	}
-	f.Write64(0x1000, 9) // shadows a base page: still 2 distinct pages
-	if got := f.PopulatedPages(); got != 2 {
-		t.Errorf("after shadowing write: %d populated pages, want 2", got)
-	}
-	f.Write64(0x3000, 3) // a genuinely new page
-	if got := f.PopulatedPages(); got != 3 {
-		t.Errorf("after new page: %d populated pages, want 3", got)
-	}
-}
-
-// TestPhysSnapshotOfFork re-freezes a fork and checks the merged image
-// is self-contained: overlay pages win, untouched base pages survive.
-func TestPhysSnapshotOfFork(t *testing.T) {
-	b := NewPhys()
-	b.Write64(0x1000, 1)
-	b.Write64(0x2000, 2)
-	f := NewPhysFrom(b.Snapshot())
-	f.Write64(0x1000, 10)
-	f.Write64(0x3000, 30)
-	img2 := f.Snapshot()
-	if img2.Pages() != 3 {
-		t.Fatalf("merged image has %d pages, want 3", img2.Pages())
-	}
-	g := NewPhysFrom(img2)
-	for pa, want := range map[uint64]uint64{0x1000: 10, 0x2000: 2, 0x3000: 30} {
-		if got := g.Read64(pa); got != want {
-			t.Errorf("refrozen image at %#x: got %d, want %d", pa, got, want)
-		}
-	}
-}
-
-// TestPhysForkReadBytesAcrossLayers exercises the bulk path spanning a
-// private page and a base page in one call.
-func TestPhysForkReadBytesAcrossLayers(t *testing.T) {
-	b := NewPhys()
-	b.Write64(0x1000, 0x1111)
-	b.Write64(0x2000, 0x2222)
-	f := NewPhysFrom(b.Snapshot())
-	f.Write64(0x1000, 0x9999) // page 1 private, page 2 shared
-	buf := make([]byte, 2*PageSize)
-	f.ReadBytes(0x1000, buf)
-	if got := f.Read64(0x1000); got != 0x9999 {
-		t.Errorf("private layer: got %#x", got)
-	}
-	if got := f.Read64(0x2000); got != 0x2222 {
-		t.Errorf("base layer: got %#x", got)
-	}
-}
-
 // TestPTImageForkShadowUnmapLen covers the page-table overlay: forks see
 // the frozen mappings, Map shadows, Unmap punches holes, and Len counts
 // each vpn exactly once across layers.

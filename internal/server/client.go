@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"time"
@@ -86,6 +87,7 @@ func (c *Client) Sweep(ctx context.Context, req SweepRequest) (*SweepResponse, e
 	}
 
 	var lastErr error
+	backoff := min(baseDelay, maxDelay)
 	for attempt := 0; ; attempt++ {
 		resp, err := c.sweepOnce(ctx, body)
 		if err == nil {
@@ -96,12 +98,16 @@ func (c *Client) Sweep(ctx context.Context, req SweepRequest) (*SweepResponse, e
 		if !errors.As(err, &te) || attempt >= retries {
 			return nil, lastErr
 		}
-		delay := baseDelay << uint(attempt)
-		if delay > maxDelay {
-			delay = maxDelay
-		}
+		delay := backoff
 		if te.retryAfter > 0 {
 			delay = te.retryAfter
+		}
+		// Double up to the cap, comparing against half the cap so the
+		// doubling itself cannot overflow.
+		if backoff > maxDelay/2 {
+			backoff = maxDelay
+		} else {
+			backoff *= 2
 		}
 		c.logf("client: transient error (%v), retrying in %s (attempt %d/%d)",
 			te.err, delay, attempt+1, retries)
@@ -216,13 +222,13 @@ func (c *Client) sweepOnce(ctx context.Context, body []byte) (*SweepResponse, er
 }
 
 // parseRetryAfter parses a Retry-After header in seconds form; 0 when
-// absent or unparseable.
+// absent, unparseable or too large for a time.Duration.
 func parseRetryAfter(v string) time.Duration {
 	if v == "" {
 		return 0
 	}
-	secs, err := strconv.Atoi(v)
-	if err != nil || secs < 0 {
+	secs, err := strconv.ParseInt(v, 10, 64)
+	if err != nil || secs < 0 || secs > math.MaxInt64/int64(time.Second) {
 		return 0
 	}
 	return time.Duration(secs) * time.Second

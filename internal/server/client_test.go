@@ -6,8 +6,10 @@ import (
 	"context"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 )
 
 // roundTripFunc serves a canned response without a network.
@@ -100,4 +102,55 @@ func FuzzClientStream(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestClientBackoffStaysPositiveAndCapped: however many retries a
+// client is allowed, every backoff delay stays in (0, MaxDelay] — the
+// doubling stops at the cap instead of overflowing into a zero or
+// negative delay that would spin against a draining daemon.
+func TestClientBackoffStaysPositiveAndCapped(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		http.Error(w, "draining", http.StatusServiceUnavailable)
+	}))
+	defer srv.Close()
+	const retries = 70
+	const maxDelay = time.Millisecond
+	var delays []time.Duration
+	c := &Client{
+		BaseURL:    srv.URL,
+		MaxRetries: retries,
+		BaseDelay:  time.Nanosecond,
+		MaxDelay:   maxDelay,
+		Logf: func(format string, args ...any) {
+			delays = append(delays, args[1].(time.Duration))
+		},
+	}
+	if _, err := c.Sweep(context.Background(), SweepRequest{}); err == nil {
+		t.Fatal("Sweep against an always-503 server succeeded")
+	}
+	if len(delays) != retries {
+		t.Fatalf("logged %d retries, want %d", len(delays), retries)
+	}
+	for i, d := range delays {
+		if d <= 0 || d > maxDelay {
+			t.Errorf("retry %d: delay %v, want in (0, %v]", i+1, d, maxDelay)
+		}
+	}
+}
+
+// TestParseRetryAfterOverflowIsAbsent: a Retry-After too large for a
+// time.Duration is treated as absent, not wrapped into a negative delay.
+func TestParseRetryAfterOverflowIsAbsent(t *testing.T) {
+	for v, want := range map[string]time.Duration{
+		"3":                    3 * time.Second,
+		"9223372036":           9223372036 * time.Second,
+		"9223372037":           0,
+		"9223372036854775807":  0,
+		"99999999999999999999": 0,
+		"-1":                   0,
+	} {
+		if got := parseRetryAfter(v); got != want {
+			t.Errorf("parseRetryAfter(%q) = %v, want %v", v, got, want)
+		}
+	}
 }

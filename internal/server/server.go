@@ -2,7 +2,7 @@
 // `spectrebench serve`: it accepts sweep requests (batches of
 // experiments under one deterministic configuration), resolves their
 // simulation cells store-first through the engine's second-level cache,
-// schedules the misses on the work-stealing pool, and streams results
+// schedules the misses on the engine's worker pool, and streams results
 // back as NDJSON while the batch is still running.
 //
 // The service is built for heavy repeat traffic degrading gracefully,
