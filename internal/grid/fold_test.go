@@ -1,8 +1,11 @@
 package grid
 
 import (
+	"fmt"
 	"reflect"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"spectrebench/internal/engine"
@@ -65,22 +68,26 @@ type refClass struct {
 }
 
 // refFold is the string-keyed reference fold: every combo lowered and
-// looked up by its CanonicalKey in a map, classes in first-seen order.
-func refFold(m *model.CPU, combos int) []refClass {
+// looked up by its CanonicalKey in a map, classes in first-seen order,
+// and each combo's class position.
+func refFold(m *model.CPU, combos int) ([]refClass, []int32) {
 	def := kernel.Defaults(m)
 	pos := map[string]int{}
 	var out []refClass
+	classOf := make([]int32, combos)
 	for ci := 0; ci < combos; ci++ {
 		bp, display := refCombo(ci)
 		ck := bp.Apply(m, def).CanonicalKey()
 		if i, ok := pos[ck]; ok {
 			out[i].Combos++
+			classOf[ci] = int32(i)
 			continue
 		}
 		pos[ck] = len(out)
+		classOf[ci] = int32(len(out))
 		out = append(out, refClass{Canon: ck, Display: display, Combos: 1})
 	}
-	return out
+	return out, classOf
 }
 
 // refCells is the reference Cells: Apply and CanonicalKey per cell.
@@ -123,36 +130,134 @@ func TestComboAtMatchesReference(t *testing.T) {
 	}
 }
 
+// foldPrefixes are the lattice prefix lengths the fold tests cover:
+// empty, one combo, mid-lattice and the full lattice.
+var foldPrefixes = []int{0, 1, 336, 3000, 12345, CombosPerUarch}
+
+// checkFold reports how Fold's result for a prefix differs from the
+// reference's, or "" when it does not.
+func checkFold(classes []Class, classOf []int32, want []refClass, wantOf []int32) string {
+	got := make([]refClass, len(classes))
+	for i, c := range classes {
+		got[i] = refClass{Canon: c.Canon, Display: c.Display, Combos: c.Combos}
+		if c.Canon != c.Mit.CanonicalKey() {
+			return fmt.Sprintf("class %d Canon %q is not its Mit's key %q", i, c.Canon, c.Mit.CanonicalKey())
+		}
+	}
+	if !slices.Equal(got, want) {
+		return fmt.Sprintf("classes differ from the reference:\n got  %v\n want %v", got, want)
+	}
+	if !slices.Equal(classOf, wantOf) {
+		return fmt.Sprintf("combo class positions differ from the reference (%d vs %d combos)", len(classOf), len(wantOf))
+	}
+	return ""
+}
+
 // TestFoldMatchesStringKeyedFold: Fold finds the same classes as the
 // string-keyed reference fold (canonical key, first combo's display,
 // combo count, order) on every uarch at several lattice prefixes, and
 // maps every combo to the class of its own lowered mitigation set.
+// FoldByCanon returns the same classes ordered by Canon.
 func TestFoldMatchesStringKeyedFold(t *testing.T) {
 	for _, m := range model.All() {
-		def := kernel.Defaults(m)
-		for _, combos := range []int{1, 336, 3000, CombosPerUarch} {
+		for _, combos := range foldPrefixes {
 			classes, classOf := Fold(m, combos)
-			got := make([]refClass, len(classes))
-			for i, c := range classes {
-				_, display := ComboAt(c.First)
-				got[i] = refClass{Canon: c.Canon, Display: display, Combos: c.Combos}
-				if c.Canon != c.Mit.CanonicalKey() {
-					t.Fatalf("%s/%d: class %d Canon %q is not its Mit's key %q", m.Uarch, combos, i, c.Canon, c.Mit.CanonicalKey())
-				}
+			want, wantOf := refFold(m, combos)
+			if msg := checkFold(classes, classOf, want, wantOf); msg != "" {
+				t.Fatalf("%s/%d: %s", m.Uarch, combos, msg)
 			}
-			if want := refFold(m, combos); !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s/%d: Fold classes differ from the reference:\n got  %v\n want %v", m.Uarch, combos, got, want)
-			}
-			if len(classOf) != combos {
-				t.Fatalf("%s/%d: %d class ids, want one per combo", m.Uarch, combos, len(classOf))
-			}
-			for ci, id := range classOf {
-				if mit := bootParams(ci).Apply(m, def); classes[id].Mit != mit {
-					t.Fatalf("%s/%d: combo %d mapped to class %d (%s), lowers to %s",
-						m.Uarch, combos, ci, id, classes[id].Canon, mit.CanonicalKey())
-				}
+			sorted := slices.Clone(classes)
+			slices.SortFunc(sorted, func(a, b Class) int { return strings.Compare(a.Canon, b.Canon) })
+			if !slices.Equal(FoldByCanon(m, combos), sorted) {
+				t.Fatalf("%s/%d: FoldByCanon is not Fold's classes in Canon order", m.Uarch, combos)
 			}
 		}
+	}
+}
+
+// TestFoldReturnsCopies: what Fold and FoldByCanon return belongs to
+// the caller; writing to it leaves the next fold unchanged.
+func TestFoldReturnsCopies(t *testing.T) {
+	m := model.All()[0]
+	want, wantOf := refFold(m, CombosPerUarch)
+	classes, classOf := Fold(m, CombosPerUarch)
+	byCanon := FoldByCanon(m, CombosPerUarch)
+	for i := range classes {
+		classes[i] = Class{Canon: "scribbled"}
+		byCanon[i] = Class{Canon: "scribbled"}
+	}
+	for i := range classOf {
+		classOf[i] = -1
+	}
+	classes, classOf = Fold(m, CombosPerUarch)
+	if msg := checkFold(classes, classOf, want, wantOf); msg != "" {
+		t.Fatalf("after writing to a returned fold: %s", msg)
+	}
+	if FoldByCanon(m, CombosPerUarch)[0].Canon == "scribbled" {
+		t.Fatal("FoldByCanon shares its result with an earlier caller")
+	}
+}
+
+// freshMemo swaps in an unbuilt lattice memo and display table for the
+// rest of the test, so the test sees the memo's first use.
+func freshMemo(t *testing.T) {
+	savedL, savedD := lattices, displays
+	lattices, displays = newLattices(), sync.OnceValue(renderDisplays)
+	t.Cleanup(func() { lattices, displays = savedL, savedD })
+}
+
+// TestFoldConcurrentFirstUse: many goroutines fold every uarch at mixed
+// prefix lengths on an unbuilt memo at once; each gets the reference
+// fold of its prefix.
+func TestFoldConcurrentFirstUse(t *testing.T) {
+	type ref struct {
+		classes []refClass
+		classOf []int32
+	}
+	refs := map[*model.CPU]map[int]ref{}
+	for _, m := range model.All() {
+		refs[m] = map[int]ref{}
+		for _, combos := range foldPrefixes {
+			r := ref{}
+			r.classes, r.classOf = refFold(m, combos)
+			refs[m][combos] = r
+		}
+	}
+	freshMemo(t)
+	var wg sync.WaitGroup
+	errs := make(chan string, 4*len(model.All())*len(foldPrefixes))
+	for rep := 0; rep < 4; rep++ {
+		for _, m := range model.All() {
+			for i := range foldPrefixes {
+				// Each goroutine starts at a different prefix length.
+				combos := foldPrefixes[(i+rep)%len(foldPrefixes)]
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					classes, classOf := Fold(m, combos)
+					r := refs[m][combos]
+					if msg := checkFold(classes, classOf, r.classes, r.classOf); msg != "" {
+						errs <- fmt.Sprintf("%s/%d: %s", m.Uarch, combos, msg)
+					}
+				}()
+			}
+		}
+	}
+	wg.Wait()
+	close(errs)
+	for msg := range errs {
+		t.Error(msg)
+	}
+}
+
+// TestWarmFoldAllocatesOnlyItsCopies: once a uarch's lattice is built,
+// a full-lattice Fold lowers nothing; it allocates its two returned
+// copies and nothing else.
+func TestWarmFoldAllocatesOnlyItsCopies(t *testing.T) {
+	m := model.All()[0]
+	Fold(m, CombosPerUarch)
+	if n := testing.AllocsPerRun(20, func() { Fold(m, CombosPerUarch) }); n > 2 {
+		t.Fatalf("warm Fold allocates %.0f times per call, want at most 2", n)
 	}
 }
 

@@ -14,13 +14,20 @@
 // combo through kernel.Defaults + BootParams.Apply (which consult
 // model.MitigationSupport) yields the cell's effective mitigation set;
 // cells with equal effective sets are one equivalence class and need
-// one simulation. Fold computes that fold per uarch, Cells stamps it
-// into every cell's canonical key, and Canonicalizer exposes it to the
-// engine.
+// one simulation. The fold of one uarch's full lattice, with the
+// classes' Canon order and the display strings every uarch shares, is
+// built once per process on first use and read-only afterwards: Fold
+// and FoldByCanon return views of a prefix of it, Cells stamps it into
+// every cell's canonical key, and Canonicalizer exposes it to the
+// engine. The memo holds one lattice per registered uarch whatever
+// prefixes callers ask for.
 package grid
 
 import (
+	"fmt"
+	"sort"
 	"strings"
+	"sync"
 
 	"spectrebench/internal/engine"
 	"spectrebench/internal/kernel"
@@ -101,7 +108,8 @@ func bootParams(i int) kernel.BootParams {
 }
 
 // display renders combo index i's boot-param request as its display
-// token string ("defaults" when nothing is passed).
+// token string ("defaults" when nothing is passed). It runs once per
+// combo per process, through displays.
 func display(i int) string {
 	var tokens []string
 	if v2 := v2Values[i%len(v2Values)]; v2 != "" {
@@ -125,9 +133,22 @@ func display(i int) string {
 	return strings.Join(tokens, " ")
 }
 
+// renderDisplays renders every combo's display string.
+func renderDisplays() []string {
+	out := make([]string, CombosPerUarch)
+	for i := range out {
+		out[i] = display(i)
+	}
+	return out
+}
+
+// displays is the process-wide table of display strings, indexed by
+// combo and shared by every uarch.
+var displays = sync.OnceValue(renderDisplays)
+
 // ComboAt exposes the enumeration to other packages: the boot params
 // and display token string for combo index i in [0, CombosPerUarch).
-func ComboAt(i int) (kernel.BootParams, string) { return bootParams(i), display(i) }
+func ComboAt(i int) (kernel.BootParams, string) { return bootParams(i), displays()[i] }
 
 // Class is one equivalence class of a folded lattice prefix on one
 // uarch: every combo whose effective mitigation set equals Mit.
@@ -135,34 +156,125 @@ type Class struct {
 	Mit kernel.Mitigations
 	// Canon is Mit's kernel.CanonicalKey, rendered once per class.
 	Canon string
+	// Display is the display string of combo First, the class's
+	// representative boot-param request.
+	Display string
 	// First is the first combo index that lowers into the class; Combos
 	// counts the combos that do.
 	First, Combos int
 }
 
-// Fold lowers the first combos lattice combos (at most CombosPerUarch)
-// on m through kernel.Defaults + BootParams.Apply and folds them into
-// equivalence classes. Classes are keyed by Mitigations.Index through a
-// flat table, so the per-combo work builds no string and touches no
-// map. It returns the classes in first-seen order and, for each combo,
-// the position of its class in that slice.
-func Fold(m *model.CPU, combos int) ([]Class, []int32) {
+// lattice is the fold of one uarch's full lattice. It is built once
+// per process and read-only afterwards.
+type lattice struct {
+	classes []Class // first-seen order; Combos counts the full lattice
+	classOf []int32 // per combo: its class's position in classes
+	byCanon []int32 // class positions in Canon order
+}
+
+// foldLattice lowers every lattice combo on m through kernel.Defaults +
+// BootParams.Apply and folds the combos into equivalence classes.
+// Classes are keyed by Mitigations.Index through a flat table, so the
+// per-combo work builds no string and touches no map.
+func foldLattice(m *model.CPU) *lattice {
 	def := kernel.Defaults(m)
+	disp := displays()
 	var slot [kernel.IndexSpace]uint16 // class position + 1; 0 = unseen
-	var classes []Class
-	classOf := make([]int32, combos)
-	for ci := range classOf {
+	l := &lattice{classOf: make([]int32, CombosPerUarch)}
+	for ci := range l.classOf {
 		mit := bootParams(ci).Apply(m, def)
 		s := &slot[mit.Index()]
 		if *s == 0 {
-			classes = append(classes, Class{Mit: mit, Canon: mit.CanonicalKey(), First: ci})
-			*s = uint16(len(classes))
+			l.classes = append(l.classes, Class{Mit: mit, Canon: mit.CanonicalKey(), Display: disp[ci], First: ci})
+			*s = uint16(len(l.classes))
 		}
 		id := int32(*s) - 1
-		classes[id].Combos++
-		classOf[ci] = id
+		l.classes[id].Combos++
+		l.classOf[ci] = id
 	}
-	return classes, classOf
+	l.byCanon = make([]int32, len(l.classes))
+	for id := range l.byCanon {
+		l.byCanon[id] = int32(id)
+	}
+	sort.Slice(l.byCanon, func(i, j int) bool {
+		return l.classes[l.byCanon[i]].Canon < l.classes[l.byCanon[j]].Canon
+	})
+	return l
+}
+
+// newLattices gives every registered uarch a lattice built on first
+// use. Only model.All() keys the table, so its size is fixed whatever
+// callers ask for.
+func newLattices() map[*model.CPU]func() *lattice {
+	out := make(map[*model.CPU]func() *lattice)
+	for _, m := range model.All() {
+		out[m] = sync.OnceValue(func() *lattice { return foldLattice(m) })
+	}
+	return out
+}
+
+// lattices is the process-wide lattice memo.
+var lattices = newLattices()
+
+// latticeOf returns m's lattice; m must be one of model.All().
+func latticeOf(m *model.CPU) *lattice {
+	get, ok := lattices[m]
+	if !ok {
+		panic(fmt.Sprintf("grid: %q is not a registered model.CPU", m.Uarch))
+	}
+	return get()
+}
+
+// prefix returns the number of classes in the first combos combos
+// (clamped to [0, CombosPerUarch]) and, when combos is short of the
+// full lattice, each of those classes' combo count. Classes are
+// appended in first-seen order, so a prefix's classes are exactly
+// positions 0..k-1.
+func (l *lattice) prefix(combos int) (int, int, []int) {
+	combos = min(max(combos, 0), CombosPerUarch)
+	k := sort.Search(len(l.classes), func(id int) bool { return l.classes[id].First >= combos })
+	if combos == CombosPerUarch {
+		return combos, k, nil
+	}
+	counts := make([]int, k)
+	for _, id := range l.classOf[:combos] {
+		counts[id]++
+	}
+	return combos, k, counts
+}
+
+// Fold folds the first combos lattice combos on m (at most
+// CombosPerUarch; m one of model.All()) into equivalence classes. It
+// returns the classes in first-seen order and, for each combo, the
+// position of its class in that slice. The lattice is folded once per
+// process and uarch; Fold returns fresh copies the caller may modify.
+func Fold(m *model.CPU, combos int) ([]Class, []int32) {
+	l := latticeOf(m)
+	combos, k, counts := l.prefix(combos)
+	classes := append([]Class(nil), l.classes[:k]...)
+	for id, n := range counts {
+		classes[id].Combos = n
+	}
+	return classes, append([]int32(nil), l.classOf[:combos]...)
+}
+
+// FoldByCanon returns the classes Fold(m, combos) finds, ordered by
+// Canon instead of first use.
+func FoldByCanon(m *model.CPU, combos int) []Class {
+	l := latticeOf(m)
+	_, k, counts := l.prefix(combos)
+	out := make([]Class, 0, k)
+	for _, id := range l.byCanon {
+		if int(id) >= k {
+			continue
+		}
+		c := l.classes[id]
+		if counts != nil {
+			c.Combos = counts[id]
+		}
+		out = append(out, c)
+	}
+	return out
 }
 
 // Cells enumerates the first n grid cells. The order is combo-major
@@ -181,35 +293,28 @@ func Cells(n int, seed uint64) []Cell {
 		n = 0
 	}
 	cpus := model.All()
-	type folded struct {
-		classes []Class
-		classOf []int32
-		canon   []string // per class: "canon|" + Canon
-	}
-	folds := make([]folded, len(cpus))
-	combos := (n + len(cpus) - 1) / len(cpus)
+	lats := make([]*lattice, len(cpus))
+	canon := make([][]string, len(cpus)) // per uarch and class: "canon|" + Canon
 	for u, m := range cpus {
-		f := &folds[u]
-		f.classes, f.classOf = Fold(m, combos)
-		f.canon = make([]string, len(f.classes))
-		for id, c := range f.classes {
-			f.canon[id] = "canon|" + c.Canon
+		lats[u] = latticeOf(m)
+		canon[u] = make([]string, len(lats[u].classes))
+		for id, c := range lats[u].classes {
+			canon[u][id] = "canon|" + c.Canon
 		}
 	}
+	disp := displays()
 	out := make([]Cell, 0, n)
 	for ci := 0; len(out) < n; ci++ {
-		disp := display(ci)
 		for u, m := range cpus {
 			if len(out) >= n {
 				break
 			}
-			f := &folds[u]
-			id := f.classOf[ci]
+			id := lats[u].classOf[ci]
 			out = append(out, Cell{
-				Display: engine.Key{Workload: Workload, Uarch: m.Uarch, Config: disp, Seed: seed},
-				Canon:   engine.Key{Workload: Workload, Uarch: m.Uarch, Config: f.canon[id], Seed: seed},
+				Display: engine.Key{Workload: Workload, Uarch: m.Uarch, Config: disp[ci], Seed: seed},
+				Canon:   engine.Key{Workload: Workload, Uarch: m.Uarch, Config: canon[u][id], Seed: seed},
 				CPU:     m,
-				Mit:     f.classes[id].Mit,
+				Mit:     lats[u].classes[id].Mit,
 			})
 		}
 	}

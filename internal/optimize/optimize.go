@@ -6,14 +6,17 @@
 // uarch, but three structural facts shrink the work the optimizer pays
 // for:
 //
-//  1. Canonical-class folding (cheap). Every combo lowers through
-//     kernel.Defaults + BootParams.Apply to an effective Mitigations
-//     value; combos with equal effective sets are one equivalence class
-//     and one simulation. This is grid.Fold, the same fold grid.Cells
-//     and so every sweep use: classes are found by the
-//     packed Mitigations.Index and named by kernel.CanonicalKey, so
-//     optimizer cells share memo and store entries with gridbench
-//     sweeps.
+//  1. Canonical-class folding (once per process). Every combo lowers
+//     through kernel.Defaults + BootParams.Apply to an effective
+//     Mitigations value; combos with equal effective sets are one
+//     equivalence class and one simulation. This is grid's lattice
+//     fold, the same one grid.Cells and so every sweep use: classes are
+//     found by the packed Mitigations.Index and named by
+//     kernel.CanonicalKey, so optimizer cells share memo and store
+//     entries with gridbench sweeps. The fold is pure in the uarch, so
+//     grid builds it once per process; a search reads the classes of
+//     its lattice prefix in Canon order (grid.FoldByCanon) and lowers
+//     no combo.
 //  2. Security is decided without simulating (free). The attacks
 //     taxonomy predicate consults only (uarch, effective mitigations),
 //     so every class is classified secure/insecure by pure host-side
@@ -235,9 +238,11 @@ type Options struct {
 	// model).
 	Require []attacks.Attack
 	// Workloads are the cost objectives (default: the grid default
-	// workload). The objective is the sum of their cycle costs.
+	// workload). The objective is the sum of their cycle costs; a
+	// workload named twice counts once.
 	Workloads []grid.WorkloadSpec
-	// Uarchs restricts the search (default: model.All()).
+	// Uarchs restricts the search to these models of model.All()
+	// (default: all of them). A model named twice is searched once.
 	Uarchs []*model.CPU
 	// Combos restricts the lattice to the first n combos per uarch
 	// (default/0: the full grid.CombosPerUarch) — the reduced-lattice
@@ -286,23 +291,22 @@ type ustate struct {
 	counters           Counters
 }
 
-// buildState folds the lattice prefix for one uarch and classifies
-// every class.
+// buildState classifies every class of the lattice prefix for one
+// uarch. The fold itself is grid's per-process memo.
 func buildState(m *model.CPU, combos int, require []attacks.Attack) *ustate {
 	st := &ustate{
 		cpu:     m,
 		evalOK:  make(map[string]*Evaluated),
 		evalErr: make(map[string]error),
 	}
-	folded, _ := grid.Fold(m, combos)
-	for _, f := range folded {
-		_, display := grid.ComboAt(f.First)
-		c := &Class{Canon: f.Canon, Display: display, Mit: f.Mit, Combos: f.Combos, Weight: Weight(f.Mit)}
+	folded := grid.FoldByCanon(m, combos)
+	classes := make([]Class, len(folded))
+	st.classes = make([]*Class, len(folded))
+	for i, f := range folded {
+		c := &classes[i]
+		*c = Class{Canon: f.Canon, Display: f.Display, Mit: f.Mit, Combos: f.Combos, Weight: Weight(f.Mit)}
 		c.Secure, c.Open = attacks.Secure(m, f.Mit, require)
-		st.classes = append(st.classes, c)
-	}
-	sort.Slice(st.classes, func(i, j int) bool { return st.classes[i].Canon < st.classes[j].Canon })
-	for _, c := range st.classes {
+		st.classes[i] = c
 		if c.Secure {
 			st.secure = append(st.secure, c)
 		}
@@ -391,11 +395,12 @@ func Search(eng *engine.Engine, opts Options) (*Result, error) {
 	if len(require) == 0 {
 		require = attacks.DefaultModel()
 	}
-	workloads := opts.Workloads
+	// A uarch or workload named twice is searched and costed once.
+	workloads := uniq(opts.Workloads, func(w grid.WorkloadSpec) string { return w.Name })
 	if len(workloads) == 0 {
 		workloads = []grid.WorkloadSpec{grid.DefaultWorkload()}
 	}
-	uarchs := opts.Uarchs
+	uarchs := uniq(opts.Uarchs, func(m *model.CPU) *model.CPU { return m })
 	if len(uarchs) == 0 {
 		uarchs = model.All()
 	}
@@ -578,6 +583,20 @@ func appendRefs(cands []*Class, st *ustate) []*Class {
 }
 
 func f64p(v float64) *float64 { return &v }
+
+// uniq returns xs in order without the elements whose key an earlier
+// element already had.
+func uniq[T any, K comparable](xs []T, key func(T) K) []T {
+	seen := make(map[K]bool, len(xs))
+	var out []T
+	for _, x := range xs {
+		if k := key(x); !seen[k] {
+			seen[k] = true
+			out = append(out, x)
+		}
+	}
+	return out
+}
 
 // SelectUarchs resolves uarch names (exact model.CPU Uarch strings)
 // into models; an empty list means every model. Shared by the CLI flag

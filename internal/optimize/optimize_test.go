@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 
 	"spectrebench/internal/attacks"
@@ -282,5 +283,46 @@ func TestSearchSharedEngineReplays(t *testing.T) {
 	}
 	if second.PerUarch[0].Best.Cost != first.PerUarch[0].Best.Cost {
 		t.Fatal("memo replay changed the optimum cost")
+	}
+}
+
+// TestSearchConcurrentCombos: searches of different lattice prefixes
+// running at once on one engine give what each gives alone on a fresh
+// engine. The engine counters are left out: concurrent searches share
+// the memo, so which of them simulates a shared cell is a race.
+func TestSearchConcurrentCombos(t *testing.T) {
+	combos := []int{1, 21, reducedCombos, 3000, 12345, grid.CombosPerUarch}
+	search := func(eng *engine.Engine, n int) string {
+		res, err := Search(eng, Options{Combos: n, Prune: true})
+		if err != nil {
+			t.Error(err)
+			return ""
+		}
+		res.Engine = engine.StatsDetail{}
+		j, _ := json.Marshal(res)
+		return string(j)
+	}
+	want := make([]string, len(combos))
+	for i, n := range combos {
+		eng := engine.New(2)
+		want[i] = search(eng, n)
+		eng.Close()
+	}
+	eng := engine.New(4)
+	defer eng.Close()
+	got := make([]string, 2*len(combos))
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = search(eng, combos[i%len(combos)])
+		}()
+	}
+	wg.Wait()
+	for i, g := range got {
+		if w := want[i%len(combos)]; g != w {
+			t.Errorf("combos=%d: concurrent search differs from the serial one:\n got  %s\n want %s", combos[i%len(combos)], g, w)
+		}
 	}
 }

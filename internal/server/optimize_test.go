@@ -168,3 +168,36 @@ func TestOptimizeEndpointFaultedSeedIsolated(t *testing.T) {
 		t.Errorf("fault-free result changed after a faulted search:\nbefore: %s\nafter:  %s", cj, aj)
 	}
 }
+
+// TestOptimizeEndpointDedupesUarchsAndWorkloads: a request naming a
+// uarch twice, and one workload under its full name and its shorthand,
+// streams one uarch record and a summary identical to the request that
+// names each once — no doubled cost, no doubled combo count.
+func TestOptimizeEndpointDedupesUarchsAndWorkloads(t *testing.T) {
+	eng := engine.New(2)
+	t.Cleanup(eng.Close)
+	_, hs := newTestServer(t, Config{Engine: eng})
+
+	once := OptimizeRequest{Uarchs: []string{"Zen"}, Workloads: []string{"getpid"}, Combos: 336}
+	twice := OptimizeRequest{
+		Uarchs:    []string{"Zen", "Zen"},
+		Workloads: []string{"getpid", "grid/lebench/getpid"},
+		Combos:    336,
+	}
+	want := postOptimize(t, hs.URL, once)
+	got := postOptimize(t, hs.URL, twice)
+	if len(got) != 2 || got[0].Type != "uarch" || got[1].Type != "summary" {
+		t.Fatalf("got %d records, want 1 uarch + 1 summary", len(got))
+	}
+	gj, _ := json.Marshal(got[0].Uarch)
+	wj, _ := json.Marshal(want[0].Uarch)
+	if string(gj) != string(wj) {
+		t.Errorf("uarch record differs from the single-name request:\n got:  %s\n want: %s", gj, wj)
+	}
+	if g, w := got[1].Result.Totals, want[1].Result.Totals; g != w {
+		t.Errorf("summary totals = %+v, want %+v", g, w)
+	}
+	if ws := got[1].Result.Workloads; len(ws) != 1 || ws[0] != "grid/lebench/getpid" {
+		t.Errorf("summary workloads = %v, want [grid/lebench/getpid]", ws)
+	}
+}
