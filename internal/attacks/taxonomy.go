@@ -217,14 +217,12 @@ func ParseRequirement(spec string) ([]Attack, error) {
 }
 
 // Secure reports whether the mitigation set blocks every required
-// attack the part is vulnerable to, and returns the IDs of the attacks
-// left open when not.
-func Secure(m *model.CPU, mit kernel.Mitigations, req []Attack) (bool, []string) {
-	var open []string
+// attack the part is vulnerable to. It stops at the first open attack.
+func Secure(m *model.CPU, mit kernel.Mitigations, req []Attack) bool {
 	for _, a := range req {
 		if a.Vulnerable(m) && !a.Blocked(m, mit) {
-			open = append(open, a.ID)
+			return false
 		}
 	}
-	return len(open) == 0, open
+	return true
 }

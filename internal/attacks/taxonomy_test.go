@@ -30,7 +30,7 @@ func TestDefaultsBlockDefaultModel(t *testing.T) {
 	hit := map[[2]string]bool{}
 	for _, m := range model.All() {
 		mit := kernel.Defaults(m)
-		var wantOpen []string
+		wantSecure := true
 		for _, a := range DefaultModel() {
 			if !a.Vulnerable(m) {
 				continue
@@ -38,16 +38,15 @@ func TestDefaultsBlockDefaultModel(t *testing.T) {
 			key := [2]string{m.Uarch, a.ID}
 			_, listed := defaultsLeaveOpen[key]
 			if listed {
-				wantOpen = append(wantOpen, a.ID)
+				wantSecure = false
 			}
 			if open := !a.Blocked(m, mit); open != listed {
 				t.Errorf("%s: Defaults leaves %s open = %v, listed = %v", m.Uarch, a.ID, open, listed)
 			}
 			hit[key] = true
 		}
-		ok, open := Secure(m, mit, DefaultModel())
-		if ok != (len(wantOpen) == 0) || strings.Join(open, ",") != strings.Join(wantOpen, ",") {
-			t.Errorf("%s: Secure(Defaults, default model) = %v, open %v; want open %v", m.Uarch, ok, open, wantOpen)
+		if ok := Secure(m, mit, DefaultModel()); ok != wantSecure {
+			t.Errorf("%s: Secure(Defaults, default model) = %v, want %v", m.Uarch, ok, wantSecure)
 		}
 	}
 	for key := range defaultsLeaveOpen {

@@ -72,10 +72,10 @@ func TestSubmitBatchMatchesSubmit(t *testing.T) {
 	}
 }
 
-// TestSubmitBatchInlineFanout: once a canonical class has finished, a
-// batched alias of it is born complete — no scheduler round-trip, no
-// extra simulation — and counted as an inline fanout.
-func TestSubmitBatchInlineFanout(t *testing.T) {
+// TestSubmitBatchFoldsOntoFinishedClass: once a canonical class has
+// finished, a batched alias of it gets the finished class task — no
+// scheduler round-trip, no extra simulation — and counts as a class hit.
+func TestSubmitBatchFoldsOntoFinishedClass(t *testing.T) {
 	e := New(1)
 	defer e.Close()
 	e.SetCanonicalizer(foldConfig)
@@ -103,13 +103,10 @@ func TestSubmitBatchInlineFanout(t *testing.T) {
 		t.Errorf("ran %d simulations, want 1", got)
 	}
 	d := e.StatsDetail()
-	if d.InlineFanouts != 2 {
-		t.Errorf("inlineFanouts = %d, want 2", d.InlineFanouts)
-	}
 	if d.ClassHits != 2 {
 		t.Errorf("classHits = %d, want 2 (identical to the Submit path)", d.ClassHits)
 	}
-	// Inline-fanout tasks still memoize: resubmitting is a memo hit.
+	// Folded aliases still memoize: resubmitting is a memo hit.
 	if _, err := e.Submit(Key{Workload: "w", Uarch: "u", Config: "v=1,a"}, fn).Wait(); err != nil {
 		t.Fatal(err)
 	}
@@ -118,54 +115,13 @@ func TestSubmitBatchInlineFanout(t *testing.T) {
 	}
 }
 
-// batchSL is a BatchSecondLevel fake: a map store that counts GetBatch
-// calls.
-type batchSL struct {
-	mu       sync.Mutex
-	vals     map[Key]float64
-	getBatch int
-	gets     int
-	puts     int
-}
-
-func newBatchSL() *batchSL {
-	return &batchSL{vals: map[Key]float64{}}
-}
-
-func (s *batchSL) Get(key Key) (any, uint64, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.gets++
-	v, ok := s.vals[key]
-	return v, 7, ok
-}
-
-func (s *batchSL) Put(key Key, val any, cycles uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.puts++
-	s.vals[key] = val.(float64)
-}
-
-func (s *batchSL) GetBatch(keys []Key) []BatchGet {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.getBatch++
-	out := make([]BatchGet, len(keys))
-	for i, k := range keys {
-		v, ok := s.vals[k]
-		out[i] = BatchGet{Val: v, Cycles: 7, OK: ok}
-	}
-	return out
-}
-
 // TestSubmitBatchUsesGetBatch: class leaders of a batch resolve through
 // one GetBatch call; hits replay without simulating, misses simulate
 // and publish back.
 func TestSubmitBatchUsesGetBatch(t *testing.T) {
-	sl := newBatchSL()
+	sl := newFakeSecond()
 	warmClass := Key{Workload: "w", Uarch: "u0", Config: "v=0"}
-	sl.vals[warmClass] = 42.5
+	sl.Put(warmClass, 42.5, 7)
 
 	e := New(2)
 	defer e.Close()
@@ -187,7 +143,7 @@ func TestSubmitBatchUsesGetBatch(t *testing.T) {
 	if v0.(float64) != 42.5 {
 		t.Errorf("warm cell = %v, want 42.5 (store replay)", v0)
 	}
-	if _, _, c, _ := tasks[0].snapshot(); c != 7 {
+	if c := tasks[0].cycles; c != 7 {
 		t.Errorf("warm cell cycles = %d, want 7 (replayed cost)", c)
 	}
 	if v1.(float64) != 3.25 {
@@ -197,13 +153,10 @@ func TestSubmitBatchUsesGetBatch(t *testing.T) {
 		t.Errorf("ran %d simulations, want 1 (warm class replays)", got)
 	}
 	sl.mu.Lock()
-	gb, gets := sl.getBatch, sl.gets
+	gb := sl.getBatches
 	sl.mu.Unlock()
 	if gb != 1 {
 		t.Errorf("GetBatch calls = %d, want 1", gb)
-	}
-	if gets != 0 {
-		t.Errorf("per-key Gets = %d, want 0 (batch path)", gets)
 	}
 	if d := e.StatsDetail(); d.SecondLevelHits != 1 {
 		t.Errorf("secondLevelHits = %d, want 1", d.SecondLevelHits)
@@ -322,10 +275,10 @@ func TestNestedTasksRunBeforeQueuedTasks(t *testing.T) {
 	}
 }
 
-// TestSubmitBatchWarmIsAllInline: a second identical batch is pure memo
-// hits; a batch of fresh aliases of finished classes is pure inline
-// fanout. Neither schedules anything.
-func TestSubmitBatchWarmIsAllInline(t *testing.T) {
+// TestSubmitBatchWarmSchedulesNothing: a second identical batch is pure
+// memo hits; a batch of fresh aliases of finished classes is pure class
+// hits. Neither schedules anything.
+func TestSubmitBatchWarmSchedulesNothing(t *testing.T) {
 	keys := batchKeys(12, 2)
 	fn := func() (any, error) { return 1.0, nil }
 	cells := make([]BatchCell, len(keys))
@@ -356,7 +309,7 @@ func TestSubmitBatchWarmIsAllInline(t *testing.T) {
 		t.Errorf("resubmitted batch simulated %d new cells", d.Simulated-base.Simulated)
 	}
 
-	// Fresh aliases of finished classes: all inline fanouts.
+	// Fresh aliases of finished classes: all class hits.
 	fresh := make([]BatchCell, len(keys))
 	for i, k := range keys {
 		k.Config += ",fresh"
@@ -368,8 +321,8 @@ func TestSubmitBatchWarmIsAllInline(t *testing.T) {
 		}
 	}
 	d2 := e.StatsDetail()
-	if d2.InlineFanouts-d.InlineFanouts != uint64(len(fresh)) {
-		t.Errorf("fresh aliases: inlineFanouts +%d, want +%d", d2.InlineFanouts-d.InlineFanouts, len(fresh))
+	if d2.ClassHits-d.ClassHits != uint64(len(fresh)) {
+		t.Errorf("fresh aliases: classHits +%d, want +%d", d2.ClassHits-d.ClassHits, len(fresh))
 	}
 	if d2.Simulated != d.Simulated {
 		t.Errorf("fresh aliases simulated %d new cells, want 0", d2.Simulated-d.Simulated)

@@ -92,14 +92,15 @@ func TestSubmitRacingCloseNeverStrandsAWaiter(t *testing.T) {
 	}
 }
 
-// fakeSecond is an in-memory SecondLevel for hook tests.
+// fakeSecond is an in-memory SecondLevel for hook tests that counts
+// its GetBatch calls and Puts.
 type fakeSecond struct {
 	mu   sync.Mutex
 	vals map[Key]struct {
 		val    any
 		cycles uint64
 	}
-	gets, puts int
+	getBatches, puts int
 }
 
 func newFakeSecond() *fakeSecond {
@@ -109,12 +110,16 @@ func newFakeSecond() *fakeSecond {
 	}{}}
 }
 
-func (f *fakeSecond) Get(key Key) (any, uint64, bool) {
+func (f *fakeSecond) GetBatch(keys []Key) []BatchGet {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.gets++
-	e, ok := f.vals[key]
-	return e.val, e.cycles, ok
+	f.getBatches++
+	out := make([]BatchGet, len(keys))
+	for i, k := range keys {
+		e, ok := f.vals[k]
+		out[i] = BatchGet{Val: e.val, Cycles: e.cycles, OK: ok}
+	}
+	return out
 }
 
 func (f *fakeSecond) Put(key Key, val any, cycles uint64) {

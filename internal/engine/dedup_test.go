@@ -174,3 +174,83 @@ func TestNestedWaitsHelp(t *testing.T) {
 		}
 	}
 }
+
+// TestFoldedKeysShareClassTask: every display key of a class is
+// memoized to the class's own task — folded within one batch, across
+// batches while the class is still pending, and after it finished —
+// whether the class simulates (cold second level) or replays (warm).
+func TestFoldedKeysShareClassTask(t *testing.T) {
+	const classes, aliases = 4, 4
+	alias := func(c, a int) Key {
+		return Key{Workload: "w", Uarch: "u", Config: fmt.Sprintf("v=%d,alias=%d", c, a)}
+	}
+	for _, warm := range []bool{false, true} {
+		t.Run(fmt.Sprintf("warm=%v", warm), func(t *testing.T) {
+			e := New(2)
+			defer e.Close()
+			e.SetCanonicalizer(foldConfig)
+			sl := newFakeSecond()
+			if warm {
+				for c := 0; c < classes; c++ {
+					sl.Put(foldConfig(alias(c, 0)), float64(c), 1)
+				}
+			}
+			e.SetSecondLevel(sl)
+			release := make(chan struct{})
+			var runs atomic.Int64
+			batch := func(a ...int) [][]*Task {
+				var cells []BatchCell
+				for c := 0; c < classes; c++ {
+					for _, ai := range a {
+						cells = append(cells, BatchCell{Key: alias(c, ai), Fn: func() (any, error) {
+							runs.Add(1)
+							<-release
+							return float64(c), nil
+						}})
+					}
+				}
+				out := make([][]*Task, classes)
+				for i, tk := range e.SubmitBatch(cells) {
+					out[i/len(a)] = append(out[i/len(a)], tk)
+				}
+				return out
+			}
+			// Aliases 0 and 1 fold within one batch; alias 2 folds in a
+			// later batch while the class cannot have finished cold.
+			got := batch(0, 1)
+			for c, ts := range batch(2) {
+				got[c] = append(got[c], ts...)
+			}
+			close(release)
+			for c := range got {
+				if _, err := waitWithDeadline(t, got[c][0]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Alias 3 folds once the class has finished, through Submit.
+			for c := range got {
+				got[c] = append(got[c], e.Submit(alias(c, 3), nil))
+			}
+			for c, ts := range got {
+				for a, tk := range ts {
+					if tk != ts[0] {
+						t.Errorf("class %d: alias %d has its own task, want the class task", c, a)
+					}
+				}
+				if v, err := ts[0].Wait(); err != nil || v != float64(c) {
+					t.Errorf("class %d: (%v, %v), want %d", c, v, err, c)
+				}
+			}
+			want := int64(classes)
+			if warm {
+				want = 0
+			}
+			if got := runs.Load(); got != want {
+				t.Errorf("ran %d simulations, want %d", got, want)
+			}
+			if d := e.StatsDetail(); d.ClassHits != classes*(aliases-1) || d.Classes != classes {
+				t.Errorf("detail = %+v, want %d class hits over %d classes", d, classes*(aliases-1), classes)
+			}
+		})
+	}
+}

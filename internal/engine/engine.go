@@ -31,14 +31,15 @@
 // Canonicalizer maps each submitted (display) key to the canonical key
 // of its equivalence class. Cells in one class share a single
 // execution: the first display key to reach a class schedules the class
-// task; later display keys of the same class become followers that
-// receive the class result when it completes. Hit/miss totals stay
-// display-keyed (a display key's first sight is a miss even when it
-// folds onto an existing class), so rendered cache notes are identical
-// to those of an engine that simulates every display key; ClassHits
-// counts the folds. When a canonicalizer is installed the cell's fault
-// seed and second-level store key are the canonical key, so a folded
-// cell's value is exactly the one it would have simulated itself.
+// task, and every later display key of the class is memoized to that
+// same *Task — a fold allocates nothing and copies nothing. Hit/miss
+// totals stay display-keyed (a display key's first sight is a miss
+// even when it folds onto an existing class), so rendered cache notes
+// are identical to those of an engine that simulates every display
+// key; ClassHits counts the folds. When a canonicalizer is installed
+// the cell's fault seed and second-level store key are the canonical
+// key, so a folded cell's value is exactly the one it would have
+// simulated itself.
 //
 // # Scheduling
 //
@@ -123,19 +124,27 @@ var ErrClosed = errors.New("engine: closed")
 
 // SecondLevel is a pluggable second-level cell cache behind the
 // in-process memo map — in production, the on-disk content-addressed
-// store (internal/store). The engine consults it on every first
-// submission of a key and publishes every successfully computed cell
-// back to it.
+// store (internal/store). A batch submission looks its new class
+// leaders up through one GetBatch call, and the engine publishes every
+// successfully computed cell back through Put.
 //
-// Determinism contract: Get must return exactly what a prior Put stored
-// for the key — the cell's value and its simulated-cycle cost — so a
-// replayed cell is indistinguishable from a fresh simulation in both
-// rendered output and cycle accounting. Implementations must be safe
-// for concurrent use by the worker pool and must degrade (miss / drop)
-// rather than fail: neither method returns an error.
+// Determinism contract: GetBatch must return, positionally for each
+// key, exactly what a prior Put stored for it — the cell's value and
+// its simulated-cycle cost — so a replayed cell is indistinguishable
+// from a fresh simulation in both rendered output and cycle accounting.
+// Implementations must be safe for concurrent use by the worker pool
+// and must degrade (miss / drop) rather than fail: neither method
+// returns an error.
 type SecondLevel interface {
-	Get(key Key) (val any, cycles uint64, ok bool)
+	GetBatch(keys []Key) []BatchGet
 	Put(key Key, val any, cycles uint64)
+}
+
+// BatchGet is one result of a SecondLevel.GetBatch lookup.
+type BatchGet struct {
+	Val    any
+	Cycles uint64
+	OK     bool
 }
 
 // Canonicalizer folds a display key down to the canonical key of its
@@ -228,62 +237,12 @@ type Task struct {
 	// unkeyed ones.
 	scope *simscope.Scope
 
+	// done is closed exactly once, after val/err/cycles are final; the
+	// close orders those writes before every waiter's reads.
 	done   chan struct{}
 	val    any
 	err    error
 	cycles uint64 // keyed tasks: simulated cycles attributed to the cell
-	// batch is the submitBatch call that made a class leader (0 for
-	// followers); guarded by the engine's memoMu.
-	batch uint64
-
-	// Followers are display-key tasks folded onto this class task; they
-	// receive the result when it completes, without a goroutine each.
-	fmu       sync.Mutex
-	finished  bool
-	followers []*Task
-}
-
-// finish publishes t's completion: copies the result to every folded
-// follower, then closes the done channels. Must be called exactly once,
-// and only after val/err/cycles are final. Followers created by a batch
-// submission share t's own done channel (they were registered before t
-// could finish, so their values are always copied here, before the
-// single close); conventional followers have their own channel, closed
-// after their copy.
-func (t *Task) finish() {
-	t.fmu.Lock()
-	t.finished = true
-	fs := t.followers
-	t.followers = nil
-	t.fmu.Unlock()
-	for _, f := range fs {
-		f.val, f.err, f.cycles = t.val, t.err, t.cycles
-	}
-	close(t.done)
-	for _, f := range fs {
-		if f.done != t.done {
-			close(f.done)
-		}
-	}
-}
-
-// follow registers f to receive t's result; if t already finished the
-// result is copied immediately. The close of f.done orders the copies
-// before any reader. A follower sharing t's done channel (batch-local
-// fold) never reaches the finished branch: it only attaches while t is
-// provably unscheduled.
-func (t *Task) follow(f *Task) {
-	t.fmu.Lock()
-	if !t.finished {
-		t.followers = append(t.followers, f)
-		t.fmu.Unlock()
-		return
-	}
-	t.fmu.Unlock()
-	f.val, f.err, f.cycles = t.val, t.err, t.cycles
-	if f.done != t.done {
-		close(f.done)
-	}
 }
 
 func (t *Task) describe() string {
@@ -381,17 +340,15 @@ func (q *queue) close() []*Task {
 type Engine struct {
 	jobs int
 
-	// memoMu guards the memo: cache, classes, batchSeq and every task's
-	// batch field. A batch's whole classification loop is one write
-	// section; a Submit memo hit is one read section.
-	memoMu        sync.RWMutex
-	cache         map[Key]*Task // display Key -> *Task; nil until the first batch
-	classes       map[Key]*Task // canonical Key -> *Task (dedup on)
-	batchSeq      uint64        // submitBatch calls so far
-	hits, misses  atomic.Uint64
-	classHits     atomic.Uint64 // display first-sights folded onto an existing class
-	slHits        atomic.Uint64 // class executions replayed from the second level
-	inlineFanouts atomic.Uint64 // class hits resolved inline at submit time
+	// memoMu guards the memo: cache and classes. A batch's whole
+	// classification loop is one write section; a Submit memo hit is one
+	// read section. A folded display key maps to its class's own task.
+	memoMu       sync.RWMutex
+	cache        map[Key]*Task // display Key -> class *Task; nil until the first batch
+	classes      map[Key]*Task // canonical Key -> *Task (dedup on)
+	hits, misses atomic.Uint64
+	classHits    atomic.Uint64 // display first-sights folded onto an existing class
+	slHits       atomic.Uint64 // class executions replayed from the second level
 
 	// noDedup is the reference mode of the dedup tests in this package:
 	// every display key simulates on its own, though still under its
@@ -493,20 +450,17 @@ type StatsDetail struct {
 	// Simulated is the number of cells actually executed on the pool
 	// (Classes - SecondLevelHits).
 	Simulated uint64
-	// InlineFanouts counts class hits resolved inline at submission
-	// time — the display key received a finished class's value during
-	// submission instead of taking a task/park/wake round-trip. A subset
-	// of ClassHits; scheduling-dependent (how many classes are already
-	// finished when their followers are submitted varies with timing),
-	// so it is reported on stderr//statsz only, never in output.
+	// InlineFanouts is always 0: a folded display key shares its
+	// class's task, so there is no fan-out left to count. The field
+	// stays because the benchmark module reads it.
 	InlineFanouts uint64
 }
 
 // String renders the breakdown as the one-line summary `run all -v`
 // and gridbench print to stderr.
 func (d StatsDetail) String() string {
-	return fmt.Sprintf("cell cache: %d hits, %d misses; %d class hits, %d store hits, %d of %d classes simulated; %d inline fanouts",
-		d.Hits, d.Misses, d.ClassHits, d.SecondLevelHits, d.Simulated, d.Classes, d.InlineFanouts)
+	return fmt.Sprintf("cell cache: %d hits, %d misses; %d class hits, %d store hits, %d of %d classes simulated",
+		d.Hits, d.Misses, d.ClassHits, d.SecondLevelHits, d.Simulated, d.Classes)
 }
 
 // StatsDetail returns the full cache breakdown (Stats plus dedup-class
@@ -520,7 +474,6 @@ func (e *Engine) StatsDetail() StatsDetail {
 	d.ClassHits = e.classHits.Load()
 	d.Misses = e.misses.Load()
 	d.Hits = e.hits.Load()
-	d.InlineFanouts = e.inlineFanouts.Load()
 	d.Classes = d.Misses - d.ClassHits
 	d.Simulated = d.Classes - d.SecondLevelHits
 	return d
@@ -540,7 +493,6 @@ func (d StatsDetail) Sub(prev StatsDetail) StatsDetail {
 		SecondLevelHits: d.SecondLevelHits - prev.SecondLevelHits,
 		Classes:         d.Classes - prev.Classes,
 		Simulated:       d.Simulated - prev.Simulated,
-		InlineFanouts:   d.InlineFanouts - prev.InlineFanouts,
 	}
 }
 
@@ -645,7 +597,7 @@ func (e *Engine) run(t *Task, gid uint64) {
 			}
 		}
 	}
-	t.finish()
+	close(t.done)
 	if t.keyed {
 		// The cell owns its scope; unkeyed tasks borrow the submitter's.
 		t.scope.Release()
@@ -716,7 +668,7 @@ func (e *Engine) Close() {
 // fail completes a task that will never run with ErrClosed.
 func (t *Task) fail() {
 	t.err = ErrClosed
-	t.finish()
+	close(t.done)
 	if t.keyed {
 		t.scope.Release()
 	}

@@ -144,9 +144,6 @@ type Class struct {
 	Combos int  `json:"combos"`
 	Weight int  `json:"weight"`
 	Secure bool `json:"secure"`
-	// Open lists the required attack IDs the class leaves unblocked
-	// (empty when Secure).
-	Open []string `json:"open,omitempty"`
 }
 
 // Evaluated is a class with its measured cost.
@@ -305,7 +302,7 @@ func buildState(m *model.CPU, combos int, require []attacks.Attack) *ustate {
 	for i, f := range folded {
 		c := &classes[i]
 		*c = Class{Canon: f.Canon, Display: f.Display, Mit: f.Mit, Combos: f.Combos, Weight: Weight(f.Mit)}
-		c.Secure, c.Open = attacks.Secure(m, f.Mit, require)
+		c.Secure = attacks.Secure(m, f.Mit, require)
 		st.classes[i] = c
 		if c.Secure {
 			st.secure = append(st.secure, c)
@@ -328,7 +325,7 @@ func (st *ustate) ensureClass(mit kernel.Mitigations, display string, require []
 		}
 	}
 	c := &Class{Canon: mit.CanonicalKey(), Display: display, Mit: mit, Weight: Weight(mit)}
-	c.Secure, c.Open = attacks.Secure(st.cpu, mit, require)
+	c.Secure = attacks.Secure(st.cpu, mit, require)
 	return c
 }
 

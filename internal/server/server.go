@@ -155,7 +155,6 @@ type EngineStats struct {
 	SecondLevelHits uint64 `json:"secondLevelHits"`
 	Classes         uint64 `json:"classes"`
 	Simulated       uint64 `json:"simulated"`
-	InlineFanouts   uint64 `json:"inlineFanouts"`
 }
 
 // ServerStats reports sweep admission outcomes.
@@ -260,7 +259,6 @@ func (s *Server) Stats() StatsSnapshot {
 		SecondLevelHits: d.SecondLevelHits,
 		Classes:         d.Classes,
 		Simulated:       d.Simulated,
-		InlineFanouts:   d.InlineFanouts,
 	}
 	if s.cfg.Store != nil {
 		st := s.cfg.Store.Stats()

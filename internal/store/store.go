@@ -654,8 +654,8 @@ func (s *Store) readRecord(ent ref, want engine.Key) (raw []byte, val any, cycle
 	return raw, val, cycles, err
 }
 
-// Get returns the stored value and simulated-cycle cost for key. It
-// satisfies engine.SecondLevel: a miss — including a read or decode
+// Get returns the stored value and simulated-cycle cost for key. Like
+// the engine's GetBatch lookups, a miss — including a read or decode
 // failure, which also quarantines the damaged record — is (nil, 0,
 // false), never an error. The checksum is re-verified on every read.
 func (s *Store) Get(key engine.Key) (val any, cycles uint64, ok bool) {

@@ -206,7 +206,7 @@ func (s *Store) PutLinkBatch(pairs []engine.LinkPair) {}
 // Batched reads.
 
 // GetBatch resolves many keys under one index lock
-// (engine.BatchSecondLevel), reading records in segment-offset order
+// (engine.SecondLevel), reading records in segment-offset order
 // for locality. Results are positional. A record that fails its read or
 // checksum is retried through the per-key Get, which owns the self-heal
 // path.
