@@ -9,9 +9,13 @@
 // front, SubmitBatch amortizes the toll across the slice:
 //
 //   - One memo section. The whole slice is classified — memo hit,
-//     class fold or new leader — under a single write-lock acquisition
-//     of the memo maps, presized on the first batch. A fold stores and
-//     returns the class's own task, so only class leaders allocate one.
+//     class fold or new leader — in one loop under a single write-lock
+//     acquisition of the memo. A key the canonicalizer knows is looked
+//     up and stored by its display and class slots, in slices sized when
+//     the canonicalizer was installed, so a grid sweep hashes no key;
+//     any other key goes through the keyed map, presized for the rest of
+//     the batch when the first one arrives. A fold stores and returns the
+//     class's own task, so only class leaders allocate one.
 //   - One enqueue. All leaders enqueue under a single queue lock
 //     acquisition and one wakeup broadcast, instead of len(cells) of
 //     each.
@@ -84,9 +88,6 @@ func (e *Engine) SubmitBatch(cells []BatchCell) []*Task {
 }
 
 func (e *Engine) submitBatch(cells []BatchCell, out []*Task) {
-	cz := e.canonicalizer()
-	dedup := cz != nil && !e.noDedup
-
 	// leaders are the first sights of their class this engine has not
 	// resolved yet: they go through the second level, and the misses
 	// simulate.
@@ -98,15 +99,9 @@ func (e *Engine) submitBatch(cells []BatchCell, out []*Task) {
 	// and its insert. The canonicalizer is called inside it and must not
 	// re-enter the engine.
 	e.memoMu.Lock()
-	if e.cache == nil {
-		// First batch: size the memo for the whole slice (and the class
-		// map for a highly-deduped grid, ~1 class per 32 cells) instead
-		// of growing them through a dozen rehashes of string keys.
-		e.cache = make(map[Key]*Task, len(cells))
-		e.classes = make(map[Key]*Task, 16+len(cells)/32)
-	}
 	for i, c := range cells {
-		if t, ok := e.cache[c.Key]; ok {
+		ckey, d, cl := e.fold(c.Key)
+		if t := e.memoized(c.Key, d); t != nil {
 			hits++
 			out[i] = t
 			continue
@@ -116,26 +111,24 @@ func (e *Engine) submitBatch(cells []BatchCell, out []*Task) {
 			continue
 		}
 		misses++
-		ckey := c.Key
-		if cz != nil {
-			ckey = cz(c.Key)
-		}
 		// A fold: the display key is memoized to its class's task, which
 		// carries the class result whether it is pending, running or done.
-		// classes stays empty unless dedup is on.
-		if ct, ok := e.classes[ckey]; ok {
+		// Only keys the canonicalizer knows fold; classes stays empty
+		// unless dedup is on.
+		if t := e.classTask(cl); t != nil {
 			classHits++
-			e.cache[c.Key], out[i] = ct, ct
+			e.displays[d], out[i] = t, t
 			continue
 		}
 		// First sight of the class (or dedup off): leader. The scope is
 		// allocated later, only if the cell survives the store lookup and
 		// actually needs simulating.
 		t := &Task{eng: e, key: ckey, keyed: true, fn: c.Fn, done: make(chan struct{})}
-		if dedup {
-			e.classes[ckey] = t
+		if cl >= 0 && !e.noDedup {
+			e.classes[cl] = t
 		}
-		e.cache[c.Key], out[i] = t, t
+		e.memoize(c.Key, d, t, len(cells)-i)
+		out[i] = t
 		leaders = append(leaders, t)
 	}
 	e.memoMu.Unlock()

@@ -11,7 +11,7 @@ import (
 )
 
 // batchKeys builds n display keys folding onto n/alias classes under
-// foldConfig (every key "v=C,alias=A" folds to "v=C").
+// canonKey (every key "v=C,alias=A" folds to "v=C").
 func batchKeys(n, alias int) []Key {
 	keys := make([]Key, n)
 	for i := range keys {
@@ -35,7 +35,7 @@ func TestSubmitBatchMatchesSubmit(t *testing.T) {
 	run := func(batch bool) (vals []uint64, d StatsDetail) {
 		e := New(2)
 		defer e.Close()
-		e.SetCanonicalizer(foldConfig)
+		e.SetCanonicalizer(foldConfig())
 		var tasks []*Task
 		if batch {
 			cells := make([]BatchCell, len(keys))
@@ -78,7 +78,7 @@ func TestSubmitBatchMatchesSubmit(t *testing.T) {
 func TestSubmitBatchFoldsOntoFinishedClass(t *testing.T) {
 	e := New(1)
 	defer e.Close()
-	e.SetCanonicalizer(foldConfig)
+	e.SetCanonicalizer(foldConfig())
 	var runs atomic.Int64
 	fn := func() (any, error) { runs.Add(1); return simscope.Current().FaultSeed, nil }
 
@@ -125,7 +125,7 @@ func TestSubmitBatchUsesGetBatch(t *testing.T) {
 
 	e := New(2)
 	defer e.Close()
-	e.SetCanonicalizer(foldConfig)
+	e.SetCanonicalizer(foldConfig())
 	e.SetSecondLevel(sl)
 
 	var runs atomic.Int64
@@ -287,7 +287,7 @@ func TestSubmitBatchWarmSchedulesNothing(t *testing.T) {
 	}
 	e := New(2)
 	defer e.Close()
-	e.SetCanonicalizer(foldConfig)
+	e.SetCanonicalizer(foldConfig())
 	for _, tk := range e.SubmitBatch(cells) {
 		if _, err := tk.Wait(); err != nil {
 			t.Fatal(err)
@@ -349,14 +349,14 @@ func TestConcurrentSubmissionMatchesSequential(t *testing.T) {
 	}
 	classOf := func(k Key) int {
 		var c int
-		fmt.Sscanf(foldConfig(k).Config, "v=%d", &c)
+		fmt.Sscanf(canonKey(k).Config, "v=%d", &c)
 		return c
 	}
 	newSecond := func() *fakeSecond {
 		sl := newFakeSecond()
 		for _, k := range keys {
 			if c := classOf(k); c < stored {
-				sl.Put(foldConfig(k), float64(c), uint64(c))
+				sl.Put(canonKey(k), float64(c), uint64(c))
 			}
 		}
 		return sl
@@ -408,7 +408,7 @@ func TestConcurrentSubmissionMatchesSequential(t *testing.T) {
 
 	e := New(4)
 	defer e.Close()
-	e.SetCanonicalizer(foldConfig)
+	e.SetCanonicalizer(foldConfig())
 	e.SetSecondLevel(newSecond())
 	results := make([]map[Key]*Task, goroutines)
 	var wg sync.WaitGroup
@@ -447,7 +447,7 @@ func TestConcurrentSubmissionMatchesSequential(t *testing.T) {
 
 	seq := New(1)
 	defer seq.Close()
-	seq.SetCanonicalizer(foldConfig)
+	seq.SetCanonicalizer(foldConfig())
 	seq.SetSecondLevel(newSecond())
 	for g := 0; g < goroutines; g++ {
 		submit(seq, order(g))

@@ -3,20 +3,62 @@ package engine
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
 	"spectrebench/internal/simscope"
 )
 
-// foldConfig canonicalises test keys: any Config with a "v=" prefix
+// canonKey canonicalises test keys: any Config with a "v=" prefix
 // folds to the part before the first comma, so "v=1,extra" and "v=1"
-// are one equivalence class.
-func foldConfig(k Key) Key {
+// are one equivalence class. Other keys stand for themselves.
+func canonKey(k Key) Key {
 	if rest, ok := strings.CutPrefix(k.Config, "v="); ok {
 		k.Config = "v=" + strings.SplitN(rest, ",", 2)[0]
 	}
 	return k
+}
+
+// foldSlots is the size of each of internFold's slot spaces.
+const foldSlots = 1 << 12
+
+// internFold is canonKey as an engine Canonicalizer: it knows every key
+// with a "v=" Config and names display keys and classes by slot,
+// interned in first-fold order. Other keys are outside its set.
+type internFold struct {
+	mu                sync.Mutex
+	displays, classes map[Key]int32
+}
+
+// foldConfig returns a fresh interning canonicalizer over canonKey.
+func foldConfig() *internFold {
+	return &internFold{displays: map[Key]int32{}, classes: map[Key]int32{}}
+}
+
+func (f *internFold) Slots() (displays, classes int) { return foldSlots, foldSlots }
+
+func (f *internFold) Fold(k Key) (Key, int32, int32, bool) {
+	if !strings.HasPrefix(k.Config, "v=") {
+		return k, 0, 0, false
+	}
+	canon := canonKey(k)
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return canon, intern(f.displays, k), intern(f.classes, canon), true
+}
+
+// intern returns k's slot in m, numbering a new key after the others.
+func intern(m map[Key]int32, k Key) int32 {
+	s, ok := m[k]
+	if !ok {
+		if len(m) == foldSlots {
+			panic("internFold: slot space full")
+		}
+		s = int32(len(m))
+		m[k] = s
+	}
+	return s
 }
 
 // TestDedupFoldsEquivalenceClasses: display keys with equal canonical
@@ -25,7 +67,7 @@ func foldConfig(k Key) Key {
 func TestDedupFoldsEquivalenceClasses(t *testing.T) {
 	e := New(2)
 	defer e.Close()
-	e.SetCanonicalizer(foldConfig)
+	e.SetCanonicalizer(foldConfig())
 
 	var runs atomic.Int64
 	fn := func() (any, error) {
@@ -61,7 +103,7 @@ func TestDedupFoldsEquivalenceClasses(t *testing.T) {
 	}
 	// Scope seeds are canonical: the folded cell's seed is its CLASS
 	// key's hash, not its display key's.
-	if want := foldConfig(keys[1]).Hash(); vals[1] != want {
+	if want := canonKey(keys[1]).Hash(); vals[1] != want {
 		t.Errorf("folded cell seed = %d, want canonical hash %d", vals[1], want)
 	}
 	d := e.StatsDetail()
@@ -86,7 +128,7 @@ func TestDedupOffKeepsCanonicalSeeds(t *testing.T) {
 	e := New(2)
 	defer e.Close()
 	e.noDedup = true
-	e.SetCanonicalizer(foldConfig)
+	e.SetCanonicalizer(foldConfig())
 
 	var runs atomic.Int64
 	fn := func() (any, error) {
@@ -117,7 +159,7 @@ func TestDedupOffKeepsCanonicalSeeds(t *testing.T) {
 func TestDedupErrorsPropagateToFollowers(t *testing.T) {
 	e := New(2)
 	defer e.Close()
-	e.SetCanonicalizer(foldConfig)
+	e.SetCanonicalizer(foldConfig())
 	fn := func() (any, error) { return nil, fmt.Errorf("deterministic failure") }
 	t1 := e.Submit(Key{Workload: "w", Uarch: "u", Config: "v=9"}, fn)
 	t2 := e.Submit(Key{Workload: "w", Uarch: "u", Config: "v=9,alias"}, fn)
@@ -188,11 +230,11 @@ func TestFoldedKeysShareClassTask(t *testing.T) {
 		t.Run(fmt.Sprintf("warm=%v", warm), func(t *testing.T) {
 			e := New(2)
 			defer e.Close()
-			e.SetCanonicalizer(foldConfig)
+			e.SetCanonicalizer(foldConfig())
 			sl := newFakeSecond()
 			if warm {
 				for c := 0; c < classes; c++ {
-					sl.Put(foldConfig(alias(c, 0)), float64(c), 1)
+					sl.Put(canonKey(alias(c, 0)), float64(c), 1)
 				}
 			}
 			e.SetSecondLevel(sl)

@@ -41,16 +41,24 @@
 // key, so a folded cell's value is exactly the one it would have
 // simulated itself.
 //
+// The canonicalizer also names every key it knows by dense slot — one
+// per distinct display key, one per distinct class — so the engine
+// memoizes those keys in two slices, sized once when the canonicalizer
+// is installed, and hashes none of them. Keys it does not know (the
+// harness's, the server's and the optimizer's cells) stand for
+// themselves and are memoized in a map keyed by the Key struct.
+//
 // # Scheduling
 //
 // Every cell is an independent measurement, so the scheduler only has
 // to run each pending task once and never lose a waiter:
 //
-//   - The memo is two plain maps (display key → task, canonical key →
-//     class task) under one RWMutex. A batch classifies all its cells in
-//     one write section, so a key's lookup and insert can never
-//     interleave with another submitter's: exactly one task per key is
-//     ever scheduled and the hit/miss totals stay
+//   - The memo is two slices (display slot → task, class slot → class
+//     task) for the keys the canonicalizer knows and one plain map (key
+//     → task) for the rest, under one RWMutex. A batch classifies all
+//     its cells in one write section, so a key's lookup and insert can
+//     never interleave with another submitter's: exactly one task per
+//     key is ever scheduled and the hit/miss totals stay
 //     scheduling-independent. A Submit memo hit takes the read lock.
 //     Second-level reads and enqueueing run after the write section,
 //     outside the lock.
@@ -147,13 +155,29 @@ type BatchGet struct {
 	OK     bool
 }
 
-// Canonicalizer folds a display key down to the canonical key of its
-// equivalence class: two keys with the same canonical form are
-// guaranteed (by the caller) to denote behaviourally identical cells.
-// It must be pure and total — called on the Submit path for every first
-// sight of a display key, under the engine's memo lock, so it must not
-// call back into the engine.
-type Canonicalizer func(Key) Key
+// Canonicalizer folds display keys down to the canonical keys of their
+// equivalence classes — two keys with the same canonical form are
+// guaranteed (by the caller) to denote behaviourally identical cells —
+// and names every key it knows by dense slot, so the engine memoizes
+// those keys by index instead of by hash.
+//
+// Fold reports, for a key in the set the canonicalizer knows, its
+// canonical key, its display slot and its class slot. Two known keys
+// share a display slot if and only if they are equal, and a class slot
+// if and only if their canonical keys are equal. ok is false for any
+// other key: it stands for itself, in the engine's keyed memo. A key the
+// canonicalizer does not know never shares a task with one it knows,
+// even if it equals that key's canonical form. Slots returns the sizes
+// of the two slot spaces: every display slot Fold returns is below
+// displays, every class slot below classes.
+//
+// Fold must be pure, and safe for concurrent use: Submit calls it under
+// the engine's memo read lock from any number of goroutines, SubmitBatch
+// under the write lock, so it must not call back into the engine.
+type Canonicalizer interface {
+	Fold(k Key) (canon Key, display, class int32, ok bool)
+	Slots() (displays, classes int)
+}
 
 // Key identifies one simulation cell. Two Submits with equal Keys share
 // one execution; every field therefore must capture everything the
@@ -340,12 +364,16 @@ func (q *queue) close() []*Task {
 type Engine struct {
 	jobs int
 
-	// memoMu guards the memo: cache and classes. A batch's whole
-	// classification loop is one write section; a Submit memo hit is one
-	// read section. A folded display key maps to its class's own task.
+	// memoMu guards the canonicalizer and the memo: the display and
+	// class slots of the keys the canonicalizer knows, and the keyed map
+	// of every other key. A batch's whole classification loop is one
+	// write section; a Submit memo hit is one read section. A folded
+	// display key maps to its class's own task.
 	memoMu       sync.RWMutex
-	cache        map[Key]*Task // display Key -> class *Task; nil until the first batch
-	classes      map[Key]*Task // canonical Key -> *Task (dedup on)
+	canon        Canonicalizer // nil: every key stands for itself
+	displays     []*Task       // display slot -> class *Task
+	classes      []*Task       // class slot -> *Task (dedup on)
+	cache        map[Key]*Task // any other key -> *Task; nil until first needed
 	hits, misses atomic.Uint64
 	classHits    atomic.Uint64 // display first-sights folded onto an existing class
 	slHits       atomic.Uint64 // class executions replayed from the second level
@@ -354,11 +382,6 @@ type Engine struct {
 	// every display key simulates on its own, though still under its
 	// canonical identity. Production engines leave it false.
 	noDedup bool
-
-	// canon is the optional display→canonical key mapping (atomic.Value
-	// of canonBox). Install with SetCanonicalizer before the first
-	// Submit.
-	canon atomic.Value
 
 	q        queue
 	workerOf sync.Map // goroutine IDs of the workers (value unused)
@@ -404,23 +427,63 @@ func (e *Engine) secondLevel() SecondLevel {
 	return nil
 }
 
-// canonBox wraps a Canonicalizer for atomic.Value.
-type canonBox struct{ fn Canonicalizer }
-
-// SetCanonicalizer installs fn as the engine's display→canonical key
-// mapping. Call before the first Submit; keys already resolved through
-// the memo are not re-folded. Installing a canonicalizer switches cell
-// fault seeds and second-level keys to the canonical key.
-func (e *Engine) SetCanonicalizer(fn Canonicalizer) {
-	e.canon.Store(canonBox{fn})
+// SetCanonicalizer installs cz as the engine's display→canonical key
+// fold and sizes the slot memo for it. Call before the first Submit:
+// keys already resolved through the memo are not re-folded. Installing a
+// canonicalizer switches cell fault seeds and second-level keys to the
+// canonical key.
+func (e *Engine) SetCanonicalizer(cz Canonicalizer) {
+	e.memoMu.Lock()
+	defer e.memoMu.Unlock()
+	e.canon, e.displays, e.classes = cz, nil, nil
+	if cz != nil {
+		d, c := cz.Slots()
+		e.displays, e.classes = make([]*Task, d), make([]*Task, c)
+	}
 }
 
-// canonicalizer returns the installed key canonicalizer, or nil.
-func (e *Engine) canonicalizer() Canonicalizer {
-	if v := e.canon.Load(); v != nil {
-		return v.(canonBox).fn
+// fold returns k's canonical key with its display and class slots, or k
+// itself and -1, -1 when no installed canonicalizer knows k. Call under
+// memoMu.
+func (e *Engine) fold(k Key) (canon Key, display, class int32) {
+	if e.canon != nil {
+		if canon, d, c, ok := e.canon.Fold(k); ok {
+			return canon, d, c
+		}
 	}
-	return nil
+	return k, -1, -1
+}
+
+// memoized returns the task memoized for display key k at display slot
+// d (-1: by key), or nil. Call under memoMu.
+func (e *Engine) memoized(k Key, d int32) *Task {
+	if d >= 0 {
+		return e.displays[d]
+	}
+	return e.cache[k]
+}
+
+// classTask returns the task of class slot c (-1: none), or nil. Call
+// under memoMu.
+func (e *Engine) classTask(c int32) *Task {
+	if c < 0 {
+		return nil
+	}
+	return e.classes[c]
+}
+
+// memoize records t as display key k's task (slot d; -1: by key). A
+// first keyed entry sizes the map for the n cells left in its batch.
+// Call with memoMu held for writing.
+func (e *Engine) memoize(k Key, d int32, t *Task, n int) {
+	if d >= 0 {
+		e.displays[d] = t
+		return
+	}
+	if e.cache == nil {
+		e.cache = make(map[Key]*Task, n)
+	}
+	e.cache[k] = t
 }
 
 // Stats returns the cache hit and miss totals: misses is the number of
@@ -498,17 +561,18 @@ func (d StatsDetail) Sub(prev StatsDetail) StatsDetail {
 
 // Submit schedules the cell identified by key, or returns the existing
 // task when the key was already submitted. fn must be pure with respect
-// to key. A memo hit — every Submit of a warm engine — is answered by
-// one lookup under the memo's read lock, counted exactly as SubmitBatch
-// counts it; anything else is a one-cell SubmitBatch, so both share one
-// submission path and one counter contract. The cell's fault seed,
-// activation snapshot and cycle budget are fixed at submission time,
-// from the submitter's scope.
+// to key. A memo hit — every Submit of a warm engine — is answered under
+// the memo's read lock by the fold and lookup SubmitBatch makes, and
+// counted exactly as SubmitBatch counts it; anything else is a one-cell
+// SubmitBatch, so both share one submission path and one counter
+// contract. The cell's fault seed, activation snapshot and cycle budget
+// are fixed at submission time, from the submitter's scope.
 func (e *Engine) Submit(key Key, fn func() (any, error)) *Task {
 	e.memoMu.RLock()
-	t, ok := e.cache[key]
+	_, d, _ := e.fold(key)
+	t := e.memoized(key, d)
 	e.memoMu.RUnlock()
-	if ok {
+	if t != nil {
 		e.hits.Add(1)
 		return t
 	}

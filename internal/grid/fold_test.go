@@ -90,6 +90,19 @@ func refFold(m *model.CPU, combos int) ([]refClass, []int32) {
 	return out, classOf
 }
 
+// refClassSlots numbers every uarch's reference classes uarch-major,
+// each uarch's in first-seen order: the slot of a "uarch|canon" pair.
+func refClassSlots() map[string]int32 {
+	slots := map[string]int32{}
+	for _, m := range model.All() {
+		classes, _ := refFold(m, CombosPerUarch)
+		for _, c := range classes {
+			slots[m.Uarch+"|"+c.Canon] = int32(len(slots))
+		}
+	}
+	return slots
+}
+
 // refCells is the reference Cells: Apply and CanonicalKey per cell.
 func refCells(n int, seed uint64) []Cell {
 	if max := MaxCells(); n > max {
@@ -99,6 +112,7 @@ func refCells(n int, seed uint64) []Cell {
 		n = 0
 	}
 	cpus := model.All()
+	slots := refClassSlots()
 	out := make([]Cell, 0, n)
 	for ci := 0; len(out) < n; ci++ {
 		bp, display := refCombo(ci)
@@ -108,10 +122,11 @@ func refCells(n int, seed uint64) []Cell {
 			}
 			mit := bp.Apply(m, kernel.Defaults(m))
 			out = append(out, Cell{
-				Display: engine.Key{Workload: Workload, Uarch: m.Uarch, Config: display, Seed: seed},
-				Canon:   engine.Key{Workload: Workload, Uarch: m.Uarch, Config: "canon|" + mit.CanonicalKey(), Seed: seed},
-				CPU:     m,
-				Mit:     mit,
+				Display:     engine.Key{Workload: Workload, Uarch: m.Uarch, Config: display, Seed: seed},
+				CanonConfig: "canon|" + mit.CanonicalKey(),
+				CPU:         m,
+				Mit:         mit,
+				ClassSlot:   slots[m.Uarch+"|"+mit.CanonicalKey()],
 			})
 		}
 	}
@@ -275,48 +290,112 @@ func TestCellsMatchesReference(t *testing.T) {
 
 // refCanonicalizer is the reference fold: a map from every cell's full
 // display key to its canonical key.
-func refCanonicalizer(cells []Cell) engine.Canonicalizer {
+func refCanonicalizer(cells []Cell) func(engine.Key) (engine.Key, bool) {
 	fold := make(map[engine.Key]engine.Key, len(cells))
 	for _, c := range cells {
-		fold[c.Display] = c.Canon
+		fold[c.Display] = c.CanonKey()
 	}
-	return func(k engine.Key) engine.Key {
+	return func(k engine.Key) (engine.Key, bool) {
 		if ck, ok := fold[k]; ok {
-			return ck
+			return ck, true
 		}
-		return k
+		return k, false
 	}
 }
 
-// TestCanonicalizerMatchesReference: the config-chained Canonicalizer
-// folds every cell of a lattice prefix exactly as the map-keyed
-// reference does, and passes through keys that differ from a cell in
-// one field only — another workload, another seed, a combo beyond the
-// prefix, an unknown uarch.
-func TestCanonicalizerMatchesReference(t *testing.T) {
+// canonicalizerSets are the cell sets the Canonicalizer and Classes
+// tests cover: lattice prefixes that end mid-combo, on combo boundaries
+// and at the full grid, under two seeds, and two seeds' cells
+// concatenated, one set repeated.
+func canonicalizerSets() map[string][]Cell {
+	sets := map[string][]Cell{}
 	for _, n := range []int{0, 1, 7, 9, 12345, MaxCells()} {
-		cells := Cells(n, 3)
-		got, want := Canonicalizer(cells), refCanonicalizer(cells)
+		for _, seed := range []uint64{0, 3} {
+			sets[fmt.Sprintf("Cells(%d, %d)", n, seed)] = Cells(n, seed)
+		}
+	}
+	sets["Cells(100, 3)+Cells(5000, 4)+Cells(100, 3)"] = slices.Concat(Cells(100, 3), Cells(5000, 4), Cells(100, 3))
+	sets["Cells(12345, 0)+Cells(7, 1)"] = slices.Concat(Cells(12345, 0), Cells(7, 1))
+	return sets
+}
+
+// TestCanonicalizerMatchesReference: the slot-naming Canonicalizer
+// folds every cell of a set exactly as the map-keyed reference does.
+// Two of its keys share a display slot if and only if they are equal,
+// and a class slot if and only if their canonical keys are equal; every
+// slot is inside Slots, and a one-seed set folds each cell to the class
+// slot Cells stamped. Keys that differ from a cell in one field only —
+// another workload, another seed, a combo beyond the prefix, an unknown
+// uarch — are outside the set.
+func TestCanonicalizerMatchesReference(t *testing.T) {
+	for name, cells := range canonicalizerSets() {
+		cz, want := Canonicalizer(cells), refCanonicalizer(cells)
+		nd, nc := cz.Slots()
+		seeds := map[uint64]bool{}
+		byDisplay, byClass := map[int32]engine.Key{}, map[int32]engine.Key{}
+		displayOf, classOf := map[engine.Key]int32{}, map[engine.Key]int32{}
 		for _, c := range cells {
-			if g, w := got(c.Display), want(c.Display); g != w {
-				t.Fatalf("n=%d: %v folds to %v, reference %v", n, c.Display, g, w)
+			seeds[c.Display.Seed] = true
+		}
+		for _, c := range cells {
+			g, d, cl, ok := cz.Fold(c.Display)
+			if w, _ := want(c.Display); !ok || g != w {
+				t.Fatalf("%s: %v folds to (%v, %v), reference %v", name, c.Display, g, ok, w)
+			}
+			if d < 0 || int(d) >= nd || cl < 0 || int(cl) >= nc {
+				t.Fatalf("%s: %v has slots (%d, %d) outside Slots (%d, %d)", name, c.Display, d, cl, nd, nc)
+			}
+			if len(seeds) == 1 && cl != c.ClassSlot {
+				t.Fatalf("%s: %v folds to class slot %d, its cell is stamped %d", name, c.Display, cl, c.ClassSlot)
+			}
+			for _, p := range []struct {
+				slot     int32
+				key      engine.Key
+				byslot   map[int32]engine.Key
+				slotOf   map[engine.Key]int32
+				slotKind string
+			}{{d, c.Display, byDisplay, displayOf, "display"}, {cl, g, byClass, classOf, "class"}} {
+				if k, seen := p.byslot[p.slot]; seen && k != p.key {
+					t.Fatalf("%s: %v and %v share %s slot %d", name, k, p.key, p.slotKind, p.slot)
+				}
+				if s, seen := p.slotOf[p.key]; seen && s != p.slot {
+					t.Fatalf("%s: %v has %s slots %d and %d", name, p.key, p.slotKind, s, p.slot)
+				}
+				p.byslot[p.slot], p.slotOf[p.key] = p.key, p.slot
 			}
 		}
-		k := engine.Key{Workload: Workload, Uarch: model.All()[0].Uarch, Config: "defaults", Seed: 3}
-		outside := []engine.Key{{}, k}
+		if len(cells) == 0 {
+			continue
+		}
+		k := cells[0].Display
+		k.Config = "defaults"
+		outside := []engine.Key{{}, k, k, k}
 		outside[1].Workload = "grid/lebench/read"
-		outside = append(outside, k, k)
-		outside[2].Seed = 4
+		outside[2].Seed = 99
 		outside[3].Uarch = "no-such-uarch"
-		if n < MaxCells() {
-			_, beyond := ComboAt(n/len(model.All()) + 1)
+		if ci := (len(cells)-1)/len(model.All()) + 1; ci < CombosPerUarch && len(seeds) == 1 {
+			_, beyond := ComboAt(ci)
 			outside = append(outside, k)
-			outside[4].Config = beyond
+			outside[len(outside)-1].Config = beyond
 		}
 		for _, p := range outside {
-			if g := got(p); g != p {
-				t.Fatalf("n=%d: %v is outside the set but folded to %v", n, p, g)
+			if g, _, _, ok := cz.Fold(p); ok || g != p {
+				t.Fatalf("%s: %v is outside the set but folded to (%v, %v)", name, p, g, ok)
 			}
+		}
+	}
+}
+
+// TestClassesMatchesReference: the bitset count equals the number of
+// distinct class keys, for one seed and for mixed seeds.
+func TestClassesMatchesReference(t *testing.T) {
+	for name, cells := range canonicalizerSets() {
+		seen := map[engine.Key]bool{}
+		for _, c := range cells {
+			seen[c.CanonKey()] = true
+		}
+		if got := Classes(cells); got != len(seen) {
+			t.Fatalf("%s: Classes = %d, reference %d", name, got, len(seen))
 		}
 	}
 }

@@ -18,9 +18,9 @@
 // classes' Canon order and the display strings every uarch shares, is
 // built once per process on first use and read-only afterwards: Fold
 // and FoldByCanon return views of a prefix of it, Cells stamps it into
-// every cell's canonical key, and Canonicalizer exposes it to the
-// engine. The memo holds one lattice per registered uarch whatever
-// prefixes callers ask for.
+// every cell's class key and class slot, and Canonicalizer reads it to
+// fold the engine's display keys and name them by slot. The memo holds
+// one lattice per registered uarch whatever prefixes callers ask for.
 package grid
 
 import (
@@ -28,6 +28,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"spectrebench/internal/engine"
 	"spectrebench/internal/kernel"
@@ -76,13 +77,27 @@ type Cell struct {
 	// boot-param string, so rendered output is a function of what was
 	// asked for, not of how it folded.
 	Display engine.Key
-	// Canon is the equivalence-class key: Config holds the effective
-	// kernel.Mitigations rendering. Cells with equal Canon simulate
-	// once.
-	Canon engine.Key
+	// CanonConfig is the Config of the cell's equivalence-class key
+	// (CanonKey): "canon|" and the effective kernel.Mitigations
+	// rendering. Cells with equal class keys simulate once.
+	CanonConfig string
 	// CPU and Mit are the lowered machine configuration the cell runs.
 	CPU *model.CPU
 	Mit kernel.Mitigations
+	// ClassSlot numbers the cell's class among every uarch's lattice
+	// classes (uarch-major, first-seen order within a uarch): two cells
+	// of one seed share it if and only if their class keys are equal. It
+	// is the class slot a Canonicalizer over a one-seed cell set folds
+	// the cell's display key to.
+	ClassSlot int32
+}
+
+// CanonKey is the cell's equivalence-class key: Display with Config
+// replaced by CanonConfig.
+func (c Cell) CanonKey() engine.Key {
+	k := c.Display
+	k.Config = c.CanonConfig
+	return k
 }
 
 // bootParams reconstructs the boot params of combo index i in
@@ -146,6 +161,50 @@ func renderDisplays() []string {
 // combo and shared by every uarch.
 var displays = sync.OnceValue(renderDisplays)
 
+// names is the process-wide index of lattice positions: the registered
+// uarchs in enumeration order and each display string's combo.
+type names struct {
+	cpus    []*model.CPU
+	disp    []string
+	comboOf map[string]int32
+}
+
+func newNames() *names {
+	disp := displays()
+	n := &names{cpus: model.All(), disp: disp, comboOf: make(map[string]int32, len(disp))}
+	for ci, d := range disp {
+		n.comboOf[d] = int32(ci)
+	}
+	return n
+}
+
+var latticeNames = sync.OnceValue(newNames)
+
+// locate returns the lattice position (Cells' enumeration index) of the
+// grid cell whose display key is k, ignoring k's seed; ok is false when
+// no grid cell has k's workload, uarch and config. It checks guess
+// first: for a cell of Cells that takes three comparisons of shared
+// strings and hashes nothing. Any other key is looked up by its Config.
+func (n *names) locate(k engine.Key, guess int) (pos int, ok bool) {
+	if u, ci := guess%len(n.cpus), guess/len(n.cpus); ci < CombosPerUarch &&
+		k.Workload == Workload && k.Uarch == n.cpus[u].Uarch && k.Config == n.disp[ci] {
+		return guess, true
+	}
+	if k.Workload != Workload {
+		return 0, false
+	}
+	ci, ok := n.comboOf[k.Config]
+	if !ok {
+		return 0, false
+	}
+	for u, m := range n.cpus {
+		if m.Uarch == k.Uarch {
+			return int(ci)*len(n.cpus) + u, true
+		}
+	}
+	return 0, false
+}
+
 // ComboAt exposes the enumeration to other packages: the boot params
 // and display token string for combo index i in [0, CombosPerUarch).
 func ComboAt(i int) (kernel.BootParams, string) { return bootParams(i), displays()[i] }
@@ -167,9 +226,10 @@ type Class struct {
 // lattice is the fold of one uarch's full lattice. It is built once
 // per process and read-only afterwards.
 type lattice struct {
-	classes []Class // first-seen order; Combos counts the full lattice
-	classOf []int32 // per combo: its class's position in classes
-	byCanon []int32 // class positions in Canon order
+	classes []Class  // first-seen order; Combos counts the full lattice
+	configs []string // per class: its class key's Config, "canon|" + Canon
+	classOf []int32  // per combo: its class's position in classes
+	byCanon []int32  // class positions in Canon order
 }
 
 // foldLattice lowers every lattice combo on m through kernel.Defaults +
@@ -185,7 +245,9 @@ func foldLattice(m *model.CPU) *lattice {
 		mit := bootParams(ci).Apply(m, def)
 		s := &slot[mit.Index()]
 		if *s == 0 {
-			l.classes = append(l.classes, Class{Mit: mit, Canon: mit.CanonicalKey(), Display: disp[ci], First: ci})
+			c := Class{Mit: mit, Canon: mit.CanonicalKey(), Display: disp[ci], First: ci}
+			l.classes = append(l.classes, c)
+			l.configs = append(l.configs, "canon|"+c.Canon)
 			*s = uint16(len(l.classes))
 		}
 		id := int32(*s) - 1
@@ -215,6 +277,18 @@ func newLattices() map[*model.CPU]func() *lattice {
 
 // lattices is the process-wide lattice memo.
 var lattices = newLattices()
+
+// allLattices returns the lattice of every registered uarch, in
+// enumeration order, with each one's first class slot (the class count
+// of the uarchs before it) and the class count of all of them.
+func allLattices(cpus []*model.CPU) (lats []*lattice, base []int32, classes int32) {
+	lats, base = make([]*lattice, len(cpus)), make([]int32, len(cpus))
+	for u, m := range cpus {
+		lats[u], base[u] = latticeOf(m), classes
+		classes += int32(len(lats[u].classes))
+	}
+	return lats, base, classes
+}
 
 // latticeOf returns m's lattice; m must be one of model.All().
 func latticeOf(m *model.CPU) *lattice {
@@ -283,38 +357,26 @@ func FoldByCanon(m *model.CPU, combos int) []Class {
 // jobs/dedup setting.
 // seed is the fault seed stamped into every key (0 when faults are
 // off), keeping fault-run cells distinct from clean ones in the memo
-// and the store. Every cell of one class shares its canonical key
+// and the store. Every cell of one class shares its canonical Config
 // string.
 func Cells(n int, seed uint64) []Cell {
-	if max := MaxCells(); n > max {
-		n = max
-	}
-	if n < 0 {
-		n = 0
-	}
-	cpus := model.All()
-	lats := make([]*lattice, len(cpus))
-	canon := make([][]string, len(cpus)) // per uarch and class: "canon|" + Canon
-	for u, m := range cpus {
-		lats[u] = latticeOf(m)
-		canon[u] = make([]string, len(lats[u].classes))
-		for id, c := range lats[u].classes {
-			canon[u][id] = "canon|" + c.Canon
-		}
-	}
-	disp := displays()
+	n = min(max(n, 0), MaxCells())
+	nm := latticeNames()
+	lats, base, _ := allLattices(nm.cpus)
 	out := make([]Cell, 0, n)
 	for ci := 0; len(out) < n; ci++ {
-		for u, m := range cpus {
+		for u, m := range nm.cpus {
 			if len(out) >= n {
 				break
 			}
-			id := lats[u].classOf[ci]
+			l := lats[u]
+			id := l.classOf[ci]
 			out = append(out, Cell{
-				Display: engine.Key{Workload: Workload, Uarch: m.Uarch, Config: disp[ci], Seed: seed},
-				Canon:   engine.Key{Workload: Workload, Uarch: m.Uarch, Config: canon[u][id], Seed: seed},
-				CPU:     m,
-				Mit:     lats[u].classes[id].Mit,
+				Display:     engine.Key{Workload: Workload, Uarch: m.Uarch, Config: nm.disp[ci], Seed: seed},
+				CanonConfig: l.configs[id],
+				CPU:         m,
+				Mit:         l.classes[id].Mit,
+				ClassSlot:   base[u] + id,
 			})
 		}
 	}
@@ -323,49 +385,131 @@ func Cells(n int, seed uint64) []Cell {
 
 // Classes counts the distinct equivalence classes in a cell set — the
 // number of simulations a fully deduped sweep performs, and the
-// denominator of the dedup ratio.
+// denominator of the dedup ratio. Cells are grouped by their display
+// key's workload, uarch and seed; within a group a bitset over
+// Mitigations.Index marks the classes seen, since Index, like the class
+// key, is injective over mitigation sets.
 func Classes(cells []Cell) int {
-	seen := make(map[engine.Key]struct{}, len(cells))
-	for _, c := range cells {
-		seen[c.Canon] = struct{}{}
+	type group struct {
+		workload, uarch string
+		seed            uint64
+		seen            *[kernel.IndexSpace / 64]uint64
 	}
-	return len(seen)
+	var buf [8]group // one per uarch for a one-seed lattice prefix
+	groups := buf[:0]
+	n, g := 0, 0
+	for i := range cells {
+		k := &cells[i].Display
+		// A lattice prefix interleaves the uarchs, so the next cell's
+		// group is usually the one after the last.
+		found := false
+		for j := range groups {
+			h := (g + 1 + j) % len(groups)
+			if gr := &groups[h]; gr.uarch == k.Uarch && gr.seed == k.Seed && gr.workload == k.Workload {
+				g, found = h, true
+				break
+			}
+		}
+		if !found {
+			g = len(groups)
+			groups = append(groups, group{workload: k.Workload, uarch: k.Uarch, seed: k.Seed, seen: new([kernel.IndexSpace / 64]uint64)})
+		}
+		x := cells[i].Mit.Index()
+		if w, bit := &groups[g].seen[x/64], uint64(1)<<(x%64); *w&bit == 0 {
+			*w |= bit
+			n++
+		}
+	}
+	return n
+}
+
+// canonicalizer is the engine.Canonicalizer of one cell set. A key of
+// the set is named by its seed and its lattice position (Cells'
+// enumeration index): its display slot is seed*span + position, its
+// class slot seed*perSeed + its cell's ClassSlot.
+type canonicalizer struct {
+	names   *names
+	lats    []*lattice // per uarch
+	base    []int32    // per uarch: its first class slot
+	perSeed int32      // class slots per seed: every uarch's classes
+	seeds   []uint64   // the set's seeds, first-seen order
+	span    int32      // display slots per seed: 1 + the set's last position
+	in      [][]uint64 // per seed: bitset over lattice positions, the set's cells
+	// next is the lattice position after the last key folded. A batch
+	// submits a lattice prefix in order, so it is the next key's position
+	// nearly always, and checking it compares strings instead of hashing
+	// the key's Config. Concurrent folds may overwrite it in any order:
+	// it is checked before it is used.
+	next atomic.Int32
 }
 
 // Canonicalizer builds the engine's display-key → class-key fold for a
-// cell set. Keys outside the set (other experiments sharing the
-// engine) pass through unchanged.
+// cell set. Keys outside the set (other experiments sharing the engine)
+// stand for themselves: Fold reports them not ok. Cells whose display
+// key is no lattice cell's stand for themselves too.
 //
-// Cells are indexed by display Config, the one key field that tells the
-// lattice's combos apart: the full lattice's 172,032 cells share 21,504
-// configs, one per combo. Each config heads a chain of the cells that
-// carry it (one per uarch), and a lookup compares the whole Key along
-// the chain, so workload, uarch and seed still have to match. A later
-// cell with the same display key shadows an earlier one. The fold reads
-// cells on every lookup, so the caller must not modify them afterwards.
+// The fold reads the process-wide lattice tables; from the cells it only
+// records which lattice positions, under which seeds, the set holds, so
+// the caller may reuse them. Each cell is first checked against the
+// position after the previous cell's, so neither building the fold for
+// a lattice prefix nor folding the prefix back in order hashes a key.
 func Canonicalizer(cells []Cell) engine.Canonicalizer {
-	head := make(map[string]int32, len(cells)/len(model.All())+1)
-	next := make([]int32, len(cells)) // next cell of the same config, or -1
-	for i, c := range cells {
-		j, ok := head[c.Display.Config]
+	nm := latticeNames()
+	z := &canonicalizer{names: nm}
+	z.lats, z.base, z.perSeed = allLattices(nm.cpus)
+	pos, s := -1, -1
+	for i := range cells {
+		k := &cells[i].Display
+		p, ok := nm.locate(*k, pos+1)
 		if !ok {
-			j = -1
+			continue
 		}
-		next[i] = j
-		head[c.Display.Config] = int32(i)
-	}
-	return func(k engine.Key) engine.Key {
-		i, ok := head[k.Config]
-		if !ok {
-			return k
-		}
-		for ; i >= 0; i = next[i] {
-			if cells[i].Display == k {
-				return cells[i].Canon
+		pos = p
+		if s < 0 || z.seeds[s] != k.Seed {
+			if s = z.seed(k.Seed); s < 0 {
+				s = len(z.seeds)
+				z.seeds = append(z.seeds, k.Seed)
+				z.in = append(z.in, make([]uint64, (MaxCells()+63)/64))
 			}
 		}
-		return k
+		z.in[s][pos/64] |= 1 << (pos % 64)
+		z.span = max(z.span, int32(pos)+1)
 	}
+	return z
+}
+
+// seed returns the index of seed among the set's seeds, or -1.
+func (z *canonicalizer) seed(seed uint64) int {
+	for s, v := range z.seeds {
+		if v == seed {
+			return s
+		}
+	}
+	return -1
+}
+
+// Slots reports the sizes of the display and class slot spaces.
+func (z *canonicalizer) Slots() (displays, classes int) {
+	return len(z.seeds) * int(z.span), len(z.seeds) * int(z.perSeed)
+}
+
+// Fold returns k's class key and slots when k is a cell of the set.
+// Safe for concurrent use.
+func (z *canonicalizer) Fold(k engine.Key) (engine.Key, int32, int32, bool) {
+	pos, ok := z.names.locate(k, int(z.next.Load()))
+	if !ok {
+		return k, 0, 0, false
+	}
+	z.next.Store(int32(pos + 1))
+	s := z.seed(k.Seed)
+	if s < 0 || z.in[s][pos/64]&(1<<(pos%64)) == 0 {
+		return k, 0, 0, false
+	}
+	ci, u := pos/len(z.names.cpus), pos%len(z.names.cpus)
+	l := z.lats[u]
+	id := l.classOf[ci]
+	k.Config = l.configs[id]
+	return k, int32(s)*z.span + int32(pos), int32(s)*z.perSeed + z.base[u] + id, true
 }
 
 // Run simulates the cell: a fresh machine with the cell's lowered

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"spectrebench/internal/engine"
+	"spectrebench/internal/model"
 )
 
 // TestCellsPrefixStable: the enumeration is deterministic and
@@ -45,16 +46,13 @@ func TestCanonKeyMatchesEffectiveMitigations(t *testing.T) {
 	cells := Cells(20000, 0)
 	byCanon := map[engine.Key]Cell{}
 	for _, c := range cells {
-		if c.Canon.Uarch != c.Display.Uarch || c.Canon.Workload != c.Display.Workload || c.Canon.Seed != c.Display.Seed {
-			t.Fatalf("canonical key changes non-config fields: %v vs %v", c.Canon, c.Display)
-		}
-		first, ok := byCanon[c.Canon]
+		first, ok := byCanon[c.CanonKey()]
 		if !ok {
-			byCanon[c.Canon] = c
+			byCanon[c.CanonKey()] = c
 			continue
 		}
 		if first.Mit != c.Mit {
-			t.Fatalf("canon key %v covers different mitigation sets:\n  %+v\n  %+v", c.Canon, first.Mit, c.Mit)
+			t.Fatalf("canon key %v covers different mitigation sets:\n  %+v\n  %+v", c.CanonKey(), first.Mit, c.Mit)
 		}
 	}
 	// And distinct canon keys on one uarch mean distinct mitigations.
@@ -81,16 +79,16 @@ func TestDedupRatioSubstantial(t *testing.T) {
 }
 
 // TestCanonicalizerPassesForeignKeysThrough: keys outside the cell set
-// (other experiments sharing the engine) are untouched.
+// (other experiments sharing the engine) are not folded.
 func TestCanonicalizerPassesForeignKeysThrough(t *testing.T) {
 	cz := Canonicalizer(Cells(100, 0))
 	foreign := engine.Key{Workload: "lebench/run", Uarch: "Skylake Client", Config: "whatever"}
-	if got := cz(foreign); got != foreign {
-		t.Fatalf("foreign key rewritten: %v -> %v", foreign, got)
+	if got, _, _, ok := cz.Fold(foreign); ok || got != foreign {
+		t.Fatalf("foreign key folded: %v -> (%v, %v)", foreign, got, ok)
 	}
 	cells := Cells(100, 0)
-	if got := cz(cells[42].Display); got != cells[42].Canon {
-		t.Fatalf("grid key folded to %v, want %v", got, cells[42].Canon)
+	if got, _, _, ok := cz.Fold(cells[42].Display); !ok || got != cells[42].CanonKey() {
+		t.Fatalf("grid key folded to (%v, %v), want %v", got, ok, cells[42].CanonKey())
 	}
 }
 
@@ -126,5 +124,56 @@ func TestEndToEndDedupMatchesNoDedup(t *testing.T) {
 	plain := run(nil)
 	if !reflect.DeepEqual(deduped, plain) {
 		t.Fatalf("deduped and per-display-key runs diverge:\n  deduped: %v\n  plain:   %v", deduped, plain)
+	}
+}
+
+// warmStore is a second level holding every class: each GetBatch key
+// replays one preboxed value.
+type warmStore struct{}
+
+var warmVal any = 1.0
+
+func (warmStore) GetBatch(keys []engine.Key) []engine.BatchGet {
+	out := make([]engine.BatchGet, len(keys))
+	for i := range out {
+		out[i] = engine.BatchGet{Val: warmVal, Cycles: 1, OK: true}
+	}
+	return out
+}
+
+func (warmStore) Put(engine.Key, any, uint64) {}
+
+// TestWarmBatchAllocsPerClass: a fully folded SubmitBatch of a lattice
+// prefix, replayed from a warm second level by a fresh engine,
+// allocates per class — a task and its done channel — and not per cell,
+// beyond a constant for the batch's own slices, the engine, its slot
+// memo and the canonicalizer (27 in all with Go 1.24). Classes allocates one bitset per (workload, uarch, seed) group
+// and nothing else.
+func TestWarmBatchAllocsPerClass(t *testing.T) {
+	cells := Cells(10000, 0)
+	classes := Classes(cells)
+	bcells := make([]engine.BatchCell, len(cells))
+	for i, c := range cells {
+		bcells[i] = engine.BatchCell{Key: c.Display, Fn: c.Run}
+	}
+	var d engine.StatsDetail
+	got := testing.AllocsPerRun(5, func() {
+		e := engine.New(1)
+		e.SetCanonicalizer(Canonicalizer(cells))
+		e.SetSecondLevel(warmStore{})
+		e.SubmitBatch(bcells)
+		d = e.StatsDetail()
+		e.Close()
+	})
+	if d.Classes != uint64(classes) || d.SecondLevelHits != uint64(classes) || d.ClassHits != uint64(len(cells)-classes) {
+		t.Fatalf("ledger %+v: want %d classes, all replayed, %d class hits", d, classes, len(cells)-classes)
+	}
+	if bound := 2*classes + 48; got > float64(bound) {
+		t.Errorf("warm SubmitBatch of %d cells (%d classes) allocates %.0f times, want at most %d",
+			len(cells), classes, got, bound)
+	}
+	groups := len(model.All())
+	if got := testing.AllocsPerRun(5, func() { Classes(cells) }); got > float64(groups) {
+		t.Errorf("Classes allocates %.0f times over %d groups, want at most one bitset each", got, groups)
 	}
 }
