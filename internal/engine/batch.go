@@ -12,7 +12,7 @@
 //     class fold or new leader — in one loop under a single write-lock
 //     acquisition of the memo. A key the canonicalizer knows is looked
 //     up and stored by its display and class slots, in slices sized when
-//     the canonicalizer was installed, so a grid sweep hashes no key;
+//     the canonicalizer was installed, so the memo hashes no grid key;
 //     any other key goes through the keyed map, presized for the rest of
 //     the batch when the first one arrives. A fold stores and returns the
 //     class's own task, so only class leaders allocate one.

@@ -29,8 +29,9 @@ func TestConcurrentSubmitFoldedKeys(t *testing.T) {
 	_, nc := cz.Slots()
 	runs := make([]atomic.Int64, nc)
 	fnFor := func(c grid.Cell) func() (any, error) {
+		_, _, slot, _ := cz.Fold(c.Display)
 		return func() (any, error) {
-			runs[c.ClassSlot].Add(1)
+			runs[slot].Add(1)
 			return simscope.Current().FaultSeed, nil
 		}
 	}

@@ -90,19 +90,6 @@ func refFold(m *model.CPU, combos int) ([]refClass, []int32) {
 	return out, classOf
 }
 
-// refClassSlots numbers every uarch's reference classes uarch-major,
-// each uarch's in first-seen order: the slot of a "uarch|canon" pair.
-func refClassSlots() map[string]int32 {
-	slots := map[string]int32{}
-	for _, m := range model.All() {
-		classes, _ := refFold(m, CombosPerUarch)
-		for _, c := range classes {
-			slots[m.Uarch+"|"+c.Canon] = int32(len(slots))
-		}
-	}
-	return slots
-}
-
 // refCells is the reference Cells: Apply and CanonicalKey per cell.
 func refCells(n int, seed uint64) []Cell {
 	if max := MaxCells(); n > max {
@@ -112,7 +99,6 @@ func refCells(n int, seed uint64) []Cell {
 		n = 0
 	}
 	cpus := model.All()
-	slots := refClassSlots()
 	out := make([]Cell, 0, n)
 	for ci := 0; len(out) < n; ci++ {
 		bp, display := refCombo(ci)
@@ -126,7 +112,6 @@ func refCells(n int, seed uint64) []Cell {
 				CanonConfig: "canon|" + mit.CanonicalKey(),
 				CPU:         m,
 				Mit:         mit,
-				ClassSlot:   slots[m.Uarch+"|"+mit.CanonicalKey()],
 			})
 		}
 	}
@@ -322,11 +307,10 @@ func canonicalizerSets() map[string][]Cell {
 // TestCanonicalizerMatchesReference: the slot-naming Canonicalizer
 // folds every cell of a set exactly as the map-keyed reference does.
 // Two of its keys share a display slot if and only if they are equal,
-// and a class slot if and only if their canonical keys are equal; every
-// slot is inside Slots, and a one-seed set folds each cell to the class
-// slot Cells stamped. Keys that differ from a cell in one field only —
-// another workload, another seed, a combo beyond the prefix, an unknown
-// uarch — are outside the set.
+// and a class slot if and only if their canonical keys are equal, and
+// every slot is inside Slots. Keys that differ from a cell in one field
+// only — another workload, another seed, a combo beyond the prefix, an
+// unknown uarch — are outside the set; an empty set folds no key.
 func TestCanonicalizerMatchesReference(t *testing.T) {
 	for name, cells := range canonicalizerSets() {
 		cz, want := Canonicalizer(cells), refCanonicalizer(cells)
@@ -345,9 +329,6 @@ func TestCanonicalizerMatchesReference(t *testing.T) {
 			if d < 0 || int(d) >= nd || cl < 0 || int(cl) >= nc {
 				t.Fatalf("%s: %v has slots (%d, %d) outside Slots (%d, %d)", name, c.Display, d, cl, nd, nc)
 			}
-			if len(seeds) == 1 && cl != c.ClassSlot {
-				t.Fatalf("%s: %v folds to class slot %d, its cell is stamped %d", name, c.Display, cl, c.ClassSlot)
-			}
 			for _, p := range []struct {
 				slot     int32
 				key      engine.Key
@@ -364,16 +345,16 @@ func TestCanonicalizerMatchesReference(t *testing.T) {
 				p.byslot[p.slot], p.slotOf[p.key] = p.key, p.slot
 			}
 		}
-		if len(cells) == 0 {
-			continue
+		k := engine.Key{Workload: Workload, Uarch: model.All()[0].Uarch, Config: "defaults", Seed: 3}
+		if len(cells) > 0 {
+			k = cells[0].Display
+			k.Config = "defaults"
 		}
-		k := cells[0].Display
-		k.Config = "defaults"
 		outside := []engine.Key{{}, k, k, k}
 		outside[1].Workload = "grid/lebench/read"
 		outside[2].Seed = 99
 		outside[3].Uarch = "no-such-uarch"
-		if ci := (len(cells)-1)/len(model.All()) + 1; ci < CombosPerUarch && len(seeds) == 1 {
+		if ci := len(cells)/len(model.All()) + 1; ci < CombosPerUarch && len(seeds) <= 1 {
 			_, beyond := ComboAt(ci)
 			outside = append(outside, k)
 			outside[len(outside)-1].Config = beyond

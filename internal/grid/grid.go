@@ -18,8 +18,8 @@
 // classes' Canon order and the display strings every uarch shares, is
 // built once per process on first use and read-only afterwards: Fold
 // and FoldByCanon return views of a prefix of it, Cells stamps it into
-// every cell's class key and class slot, and Canonicalizer reads it to
-// fold the engine's display keys and name them by slot. The memo holds
+// every cell's class key, and Canonicalizer reads it to fold the
+// engine's display keys and name them by slot. The memo holds
 // one lattice per registered uarch whatever prefixes callers ask for.
 package grid
 
@@ -28,7 +28,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"spectrebench/internal/engine"
 	"spectrebench/internal/kernel"
@@ -84,12 +83,6 @@ type Cell struct {
 	// CPU and Mit are the lowered machine configuration the cell runs.
 	CPU *model.CPU
 	Mit kernel.Mitigations
-	// ClassSlot numbers the cell's class among every uarch's lattice
-	// classes (uarch-major, first-seen order within a uarch): two cells
-	// of one seed share it if and only if their class keys are equal. It
-	// is the class slot a Canonicalizer over a one-seed cell set folds
-	// the cell's display key to.
-	ClassSlot int32
 }
 
 // CanonKey is the cell's equivalence-class key: Display with Config
@@ -182,14 +175,8 @@ var latticeNames = sync.OnceValue(newNames)
 
 // locate returns the lattice position (Cells' enumeration index) of the
 // grid cell whose display key is k, ignoring k's seed; ok is false when
-// no grid cell has k's workload, uarch and config. It checks guess
-// first: for a cell of Cells that takes three comparisons of shared
-// strings and hashes nothing. Any other key is looked up by its Config.
-func (n *names) locate(k engine.Key, guess int) (pos int, ok bool) {
-	if u, ci := guess%len(n.cpus), guess/len(n.cpus); ci < CombosPerUarch &&
-		k.Workload == Workload && k.Uarch == n.cpus[u].Uarch && k.Config == n.disp[ci] {
-		return guess, true
-	}
+// no grid cell has k's workload, uarch and config.
+func (n *names) locate(k engine.Key) (pos int, ok bool) {
 	if k.Workload != Workload {
 		return 0, false
 	}
@@ -362,7 +349,7 @@ func FoldByCanon(m *model.CPU, combos int) []Class {
 func Cells(n int, seed uint64) []Cell {
 	n = min(max(n, 0), MaxCells())
 	nm := latticeNames()
-	lats, base, _ := allLattices(nm.cpus)
+	lats, _, _ := allLattices(nm.cpus)
 	out := make([]Cell, 0, n)
 	for ci := 0; len(out) < n; ci++ {
 		for u, m := range nm.cpus {
@@ -376,7 +363,6 @@ func Cells(n int, seed uint64) []Cell {
 				CanonConfig: l.configs[id],
 				CPU:         m,
 				Mit:         l.classes[id].Mit,
-				ClassSlot:   base[u] + id,
 			})
 		}
 	}
@@ -393,26 +379,18 @@ func Classes(cells []Cell) int {
 	type group struct {
 		workload, uarch string
 		seed            uint64
-		seen            *[kernel.IndexSpace / 64]uint64
+		seen            [kernel.IndexSpace / 64]uint64
 	}
-	var buf [8]group // one per uarch for a one-seed lattice prefix
-	groups := buf[:0]
-	n, g := 0, 0
+	var groups []group
+	n := 0
 	for i := range cells {
 		k := &cells[i].Display
-		// A lattice prefix interleaves the uarchs, so the next cell's
-		// group is usually the one after the last.
-		found := false
-		for j := range groups {
-			h := (g + 1 + j) % len(groups)
-			if gr := &groups[h]; gr.uarch == k.Uarch && gr.seed == k.Seed && gr.workload == k.Workload {
-				g, found = h, true
-				break
-			}
+		g := 0
+		for g < len(groups) && (groups[g].uarch != k.Uarch || groups[g].seed != k.Seed || groups[g].workload != k.Workload) {
+			g++
 		}
-		if !found {
-			g = len(groups)
-			groups = append(groups, group{workload: k.Workload, uarch: k.Uarch, seed: k.Seed, seen: new([kernel.IndexSpace / 64]uint64)})
+		if g == len(groups) {
+			groups = append(groups, group{workload: k.Workload, uarch: k.Uarch, seed: k.Seed})
 		}
 		x := cells[i].Mit.Index()
 		if w, bit := &groups[g].seen[x/64], uint64(1)<<(x%64); *w&bit == 0 {
@@ -426,7 +404,8 @@ func Classes(cells []Cell) int {
 // canonicalizer is the engine.Canonicalizer of one cell set. A key of
 // the set is named by its seed and its lattice position (Cells'
 // enumeration index): its display slot is seed*span + position, its
-// class slot seed*perSeed + its cell's ClassSlot.
+// class slot seed*perSeed + its class's position among every uarch's
+// lattice classes (uarch-major, first-seen order within a uarch).
 type canonicalizer struct {
 	names   *names
 	lats    []*lattice // per uarch
@@ -435,12 +414,6 @@ type canonicalizer struct {
 	seeds   []uint64   // the set's seeds, first-seen order
 	span    int32      // display slots per seed: 1 + the set's last position
 	in      [][]uint64 // per seed: bitset over lattice positions, the set's cells
-	// next is the lattice position after the last key folded. A batch
-	// submits a lattice prefix in order, so it is the next key's position
-	// nearly always, and checking it compares strings instead of hashing
-	// the key's Config. Concurrent folds may overwrite it in any order:
-	// it is checked before it is used.
-	next atomic.Int32
 }
 
 // Canonicalizer builds the engine's display-key → class-key fold for a
@@ -450,21 +423,18 @@ type canonicalizer struct {
 //
 // The fold reads the process-wide lattice tables; from the cells it only
 // records which lattice positions, under which seeds, the set holds, so
-// the caller may reuse them. Each cell is first checked against the
-// position after the previous cell's, so neither building the fold for
-// a lattice prefix nor folding the prefix back in order hashes a key.
+// the caller may reuse them.
 func Canonicalizer(cells []Cell) engine.Canonicalizer {
 	nm := latticeNames()
 	z := &canonicalizer{names: nm}
 	z.lats, z.base, z.perSeed = allLattices(nm.cpus)
-	pos, s := -1, -1
+	s := -1
 	for i := range cells {
 		k := &cells[i].Display
-		p, ok := nm.locate(*k, pos+1)
+		pos, ok := nm.locate(*k)
 		if !ok {
 			continue
 		}
-		pos = p
 		if s < 0 || z.seeds[s] != k.Seed {
 			if s = z.seed(k.Seed); s < 0 {
 				s = len(z.seeds)
@@ -496,11 +466,10 @@ func (z *canonicalizer) Slots() (displays, classes int) {
 // Fold returns k's class key and slots when k is a cell of the set.
 // Safe for concurrent use.
 func (z *canonicalizer) Fold(k engine.Key) (engine.Key, int32, int32, bool) {
-	pos, ok := z.names.locate(k, int(z.next.Load()))
+	pos, ok := z.names.locate(k)
 	if !ok {
 		return k, 0, 0, false
 	}
-	z.next.Store(int32(pos + 1))
 	s := z.seed(k.Seed)
 	if s < 0 || z.in[s][pos/64]&(1<<(pos%64)) == 0 {
 		return k, 0, 0, false
