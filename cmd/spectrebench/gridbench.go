@@ -10,7 +10,6 @@ import (
 
 	"spectrebench/internal/engine"
 	"spectrebench/internal/faultinject"
-	"spectrebench/internal/gls"
 	"spectrebench/internal/grid"
 	"spectrebench/internal/harness"
 	"spectrebench/internal/simscope"
@@ -69,17 +68,16 @@ func gridbench(w io.Writer, opts gridOptions) int {
 		bcells[i] = engine.BatchCell{Key: c.Display, Fn: c.Run}
 	}
 	tasks := eng.SubmitBatch(bcells)
-	// Buffered, batched result drain: one goroutine-identity parse
-	// (WaitG) and hand-rolled float formatting (AppendFloat 'f'/2 is
-	// %.2f) for the whole slice; per-cell Printf syscalls dominate warm
-	// sweeps otherwise. Flushed once before the trailer-bearing return.
+	// Buffered, batched result drain with hand-rolled float formatting
+	// (AppendFloat 'f'/2 is %.2f); per-cell Printf syscalls dominate warm
+	// sweeps otherwise. No scope reads the cells' cycles, so the waits
+	// charge none. Flushed once before the trailer-bearing return.
 	bw := bufio.NewWriterSize(w, 1<<16)
 	failed := 0
-	gid := gls.ID() // one parse for the whole drain loop
 	line := make([]byte, 0, 128)
 	for i, t := range tasks {
 		c := cells[i]
-		v, err := t.WaitG(gid)
+		v, err := t.Wait(nil)
 		if err != nil {
 			failed++
 			fmt.Fprintf(bw, "%s %s error: %v\n", c.Display.Uarch, c.Display.Config, err)

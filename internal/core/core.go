@@ -201,25 +201,26 @@ func merge(a, b kernel.BootParams) kernel.BootParams {
 
 // Sweep runs the attribution for every CPU in the registry against one
 // workload — the full Figure 2 / Figure 3 data set. Each CPU's
-// attribution runs as its own task on eng, fanning out across the
-// worker pool; results are gathered in registry order so the output is
+// attribution runs as its own task on eng, all submitted in one
+// GoBatch, fanning out across the worker pool; results are gathered in registry order so the output is
 // independent of scheduling. The CPUs' attributions run concurrently,
 // so wl must be safe for concurrent use.
 func Sweep(eng *engine.Engine, wl Workload, ladder []Step, cfg Config) ([]*Attribution, error) {
-	tasks := make([]*engine.Task, 0, len(model.All()))
+	items := make([]engine.BatchGo, 0, len(model.All()))
 	for _, m := range model.All() {
 		m := m
-		tasks = append(tasks, eng.Go("sweep/"+m.Uarch, func() (any, error) {
+		items = append(items, engine.BatchGo{Label: "sweep/" + m.Uarch, Fn: func() (any, error) {
 			a, err := Attribute(m, wl, ladder, cfg)
 			if err != nil {
 				return nil, err
 			}
 			return a, nil
-		}))
+		}})
 	}
+	tasks := eng.GoBatch(items)
 	out := make([]*Attribution, 0, len(tasks))
 	for _, t := range tasks {
-		v, err := t.Wait()
+		v, err := t.Wait(nil) // unkeyed: charges no scope
 		if err != nil {
 			return nil, err
 		}

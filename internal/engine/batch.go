@@ -36,7 +36,6 @@ import (
 	"context"
 	"runtime/pprof"
 
-	"spectrebench/internal/gls"
 	"spectrebench/internal/simscope"
 )
 
@@ -168,7 +167,7 @@ func (e *Engine) submitBatch(cells []BatchCell, out []*Task) {
 	if len(leaders) == 0 {
 		return
 	}
-	parent := simscope.CurrentG(gls.ID())
+	parent := simscope.CurrentG(goroutineID())
 	for _, t := range leaders {
 		sc := &simscope.Scope{FaultSeed: t.key.Hash()}
 		if parent != nil {
@@ -183,17 +182,27 @@ func (e *Engine) submitBatch(cells []BatchCell, out []*Task) {
 type BatchGo struct {
 	Label string
 	Fn    func() (any, error)
+	// Scope, when non-nil, is the scope the task runs under instead of
+	// the submitter's. The worker enters it with the goroutine ID it
+	// already holds, so a task that would otherwise enter a scope of its
+	// own first thing parses no stack for it. The task borrows the
+	// scope: the engine never releases it.
+	Scope *simscope.Scope
 }
 
-// GoBatch schedules a slice of unkeyed tasks — all under the
-// submitter's current scope — with one queue lock acquisition and one
-// wakeup instead of per-task rounds. The harness uses it to enqueue a
-// whole supervised batch's experiments at once.
+// GoBatch schedules a slice of unkeyed tasks — each under its item's
+// Scope, or else the submitter's current scope — with one queue lock
+// acquisition and one wakeup instead of per-task rounds. The harness
+// uses it to enqueue a whole supervised batch's experiments at once.
 func (e *Engine) GoBatch(items []BatchGo) []*Task {
 	out := make([]*Task, len(items))
-	gid := gls.ID()
-	sc := simscope.CurrentG(gid)
+	gid := goroutineID()
+	parent := simscope.CurrentG(gid)
 	for i, it := range items {
+		sc := it.Scope
+		if sc == nil {
+			sc = parent
+		}
 		out[i] = &Task{eng: e, label: it.Label, fn: it.Fn, scope: sc, done: make(chan struct{})}
 	}
 	_, nested := e.workerOf.Load(gid)

@@ -49,7 +49,7 @@ func TestSubmitBatchMatchesSubmit(t *testing.T) {
 			}
 		}
 		for i, tk := range tasks {
-			v, err := tk.Wait()
+			v, err := tk.Wait(nil)
 			if err != nil {
 				t.Fatalf("batch=%v key %d: %v", batch, i, err)
 			}
@@ -82,7 +82,7 @@ func TestSubmitBatchFoldsOntoFinishedClass(t *testing.T) {
 	var runs atomic.Int64
 	fn := func() (any, error) { runs.Add(1); return simscope.Current().FaultSeed, nil }
 
-	lead, err := e.Submit(Key{Workload: "w", Uarch: "u", Config: "v=1"}, fn).Wait()
+	lead, err := e.Submit(Key{Workload: "w", Uarch: "u", Config: "v=1"}, fn).Wait(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestSubmitBatchFoldsOntoFinishedClass(t *testing.T) {
 		{Key: Key{Workload: "w", Uarch: "u", Config: "v=1,b"}, Fn: fn},
 	})
 	for i, tk := range tasks {
-		v, err := tk.Wait()
+		v, err := tk.Wait(nil)
 		if err != nil {
 			t.Fatalf("alias %d: %v", i, err)
 		}
@@ -107,7 +107,7 @@ func TestSubmitBatchFoldsOntoFinishedClass(t *testing.T) {
 		t.Errorf("classHits = %d, want 2 (identical to the Submit path)", d.ClassHits)
 	}
 	// Folded aliases still memoize: resubmitting is a memo hit.
-	if _, err := e.Submit(Key{Workload: "w", Uarch: "u", Config: "v=1,a"}, fn).Wait(); err != nil {
+	if _, err := e.Submit(Key{Workload: "w", Uarch: "u", Config: "v=1,a"}, fn).Wait(nil); err != nil {
 		t.Fatal(err)
 	}
 	if d := e.StatsDetail(); d.Hits != 1 {
@@ -135,8 +135,8 @@ func TestSubmitBatchUsesGetBatch(t *testing.T) {
 		{Key: Key{Workload: "w", Uarch: "u0", Config: "v=1"}, Fn: fn},       // cold class
 	}
 	tasks := e.SubmitBatch(cells)
-	v0, err0 := tasks[0].Wait()
-	v1, err1 := tasks[1].Wait()
+	v0, err0 := tasks[0].Wait(nil)
+	v1, err1 := tasks[1].Wait(nil)
 	if err0 != nil || err1 != nil {
 		t.Fatalf("errors: %v, %v", err0, err1)
 	}
@@ -174,7 +174,7 @@ func TestGoBatchRunsUnkeyedTasks(t *testing.T) {
 		items[i] = BatchGo{Label: fmt.Sprintf("task-%d", i), Fn: func() (any, error) { return i * i, nil }}
 	}
 	for i, tk := range e.GoBatch(items) {
-		v, err := tk.Wait()
+		v, err := tk.Wait(nil)
 		if err != nil {
 			t.Fatalf("task %d: %v", i, err)
 		}
@@ -185,14 +185,89 @@ func TestGoBatchRunsUnkeyedTasks(t *testing.T) {
 	e.Close()
 
 	for _, tk := range e.GoBatch(items[:2]) {
-		if _, err := tk.Wait(); !errors.Is(err, ErrClosed) {
+		if _, err := tk.Wait(nil); !errors.Is(err, ErrClosed) {
 			t.Errorf("closed GoBatch error = %v, want ErrClosed", err)
 		}
 	}
 	for _, tk := range e.SubmitBatch([]BatchCell{{Key: Key{Workload: "w", Uarch: "u", Config: "c"}}}) {
-		if _, err := tk.Wait(); !errors.Is(err, ErrClosed) {
+		if _, err := tk.Wait(nil); !errors.Is(err, ErrClosed) {
 			t.Errorf("closed SubmitBatch error = %v, want ErrClosed", err)
 		}
+	}
+}
+
+// TestGoBatchItemScope: an item's Scope replaces the submitter's for
+// that task alone, and the engine does not release it.
+func TestGoBatchItemScope(t *testing.T) {
+	e := New(2)
+	defer e.Close()
+	submitter, own := &simscope.Scope{FaultSeed: 1}, &simscope.Scope{FaultSeed: 2}
+	released := false
+	own.Defer(func() { released = true })
+	restore := simscope.Enter(submitter)
+	current := func() (any, error) { return simscope.Current(), nil }
+	tasks := e.GoBatch([]BatchGo{{Label: "own", Fn: current, Scope: own}, {Label: "inherited", Fn: current}})
+	restore()
+	for i, want := range []*simscope.Scope{own, submitter} {
+		v, err := tasks[i].Wait(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v.(*simscope.Scope) != want {
+			t.Errorf("task %d ran under seed-%d scope, want seed %d", i, v.(*simscope.Scope).FaultSeed, want.FaultSeed)
+		}
+	}
+	if released {
+		t.Error("the engine released a borrowed item scope")
+	}
+}
+
+// TestNestedGoBatchKeepsCallerResults: tasks a worker spawns go ahead
+// of the queue, and workers that pop them must not clear the slice
+// GoBatch returned — also when nothing else was queued. A second
+// worker takes the first spawned task while the spawning task still
+// holds the slice.
+func TestNestedGoBatchKeepsCallerResults(t *testing.T) {
+	e := New(2)
+	defer e.Close()
+	started, release := make(chan struct{}), make(chan struct{})
+	outer := e.Go("outer", func() (any, error) {
+		items := make([]BatchGo, 4)
+		for i := range items {
+			i := i
+			items[i] = BatchGo{Label: fmt.Sprintf("inner-%d", i), Fn: func() (any, error) {
+				if i == 0 {
+					close(started)
+					<-release
+				}
+				return i, nil
+			}}
+		}
+		tasks := e.GoBatch(items)
+		<-started
+		for i, tk := range tasks {
+			if tk == nil {
+				close(release)
+				return nil, fmt.Errorf("GoBatch result %d was cleared by a worker", i)
+			}
+		}
+		close(release)
+		sum := 0
+		for _, tk := range tasks {
+			v, err := tk.Wait(nil)
+			if err != nil {
+				return nil, err
+			}
+			sum += v.(int)
+		}
+		return sum, nil
+	})
+	v, err := outer.Wait(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.(int) != 6 {
+		t.Fatalf("sum = %v, want 6", v)
 	}
 }
 
@@ -222,7 +297,7 @@ func TestCellsRunBeforeQueuedTasks(t *testing.T) {
 			}))
 		}
 		for _, s := range subs {
-			if _, err := s.Wait(); err != nil {
+			if _, err := s.Wait(nil); err != nil {
 				return nil, err
 			}
 		}
@@ -260,7 +335,7 @@ func TestNestedTasksRunBeforeQueuedTasks(t *testing.T) {
 		return nil, nil
 	}
 	a := func() (any, error) {
-		return e.Go("sub", func() (any, error) { return log("sub") }).Wait()
+		return e.Go("sub", func() (any, error) { return log("sub") }).Wait(nil)
 	}
 	b := func() (any, error) { return log("B") }
 	for _, tk := range e.GoBatch([]BatchGo{{Label: "A", Fn: a}, {Label: "B", Fn: b}}) {
@@ -289,7 +364,7 @@ func TestSubmitBatchWarmSchedulesNothing(t *testing.T) {
 	defer e.Close()
 	e.SetCanonicalizer(foldConfig())
 	for _, tk := range e.SubmitBatch(cells) {
-		if _, err := tk.Wait(); err != nil {
+		if _, err := tk.Wait(nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -297,7 +372,7 @@ func TestSubmitBatchWarmSchedulesNothing(t *testing.T) {
 
 	// Identical resubmission: all memo hits.
 	for _, tk := range e.SubmitBatch(cells) {
-		if _, err := tk.Wait(); err != nil {
+		if _, err := tk.Wait(nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -316,7 +391,7 @@ func TestSubmitBatchWarmSchedulesNothing(t *testing.T) {
 		fresh[i] = BatchCell{Key: k, Fn: fn}
 	}
 	for _, tk := range e.SubmitBatch(fresh) {
-		if _, err := tk.Wait(); err != nil {
+		if _, err := tk.Wait(nil); err != nil {
 			t.Fatal(err)
 		}
 	}

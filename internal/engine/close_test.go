@@ -19,7 +19,7 @@ func waitWithDeadline(t *testing.T, task *Task) (any, error) {
 	}
 	ch := make(chan outcome, 1)
 	go func() {
-		v, err := task.Wait()
+		v, err := task.Wait(nil)
 		ch <- outcome{v, err}
 	}()
 	select {
@@ -70,7 +70,7 @@ func TestSubmitRacingCloseNeverStrandsAWaiter(t *testing.T) {
 				for i := 0; i < 20; i++ {
 					task := e.Submit(Key{Workload: "race", Config: string(rune('a' + g)), Seed: uint64(i)},
 						func() (any, error) { return i, nil })
-					if _, err := task.Wait(); err != nil && !errors.Is(err, ErrClosed) {
+					if _, err := task.Wait(nil); err != nil && !errors.Is(err, ErrClosed) {
 						t.Errorf("unexpected error: %v", err)
 						return
 					}
@@ -145,14 +145,11 @@ func TestSecondLevelHitSkipsComputationAndReplaysCycles(t *testing.T) {
 	e.SetSecondLevel(sl)
 
 	sc := &simscope.Scope{FaultSeed: 1}
-	restore := simscope.Enter(sc)
-	defer restore()
-
 	task := e.Submit(key, func() (any, error) {
 		t.Error("fn ran despite a second-level hit")
 		return nil, nil
 	})
-	val, err := task.Wait()
+	val, err := task.Wait(sc)
 	if err != nil {
 		t.Fatalf("Wait: %v", err)
 	}

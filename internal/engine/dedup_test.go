@@ -86,7 +86,7 @@ func TestDedupFoldsEquivalenceClasses(t *testing.T) {
 	}
 	var vals []uint64
 	for i, tk := range tasks {
-		v, err := tk.Wait()
+		v, err := tk.Wait(nil)
 		if err != nil {
 			t.Fatalf("key %d: %v", i, err)
 		}
@@ -111,7 +111,7 @@ func TestDedupFoldsEquivalenceClasses(t *testing.T) {
 		t.Errorf("detail = %+v, want misses=3 classHits=1 classes=2 simulated=2", d)
 	}
 	// Re-submitting any display key is a plain memo hit.
-	if _, err := e.Submit(keys[1], fn).Wait(); err != nil {
+	if _, err := e.Submit(keys[1], fn).Wait(nil); err != nil {
 		t.Fatal(err)
 	}
 	if d := e.StatsDetail(); d.Hits != 1 {
@@ -135,11 +135,11 @@ func TestDedupOffKeepsCanonicalSeeds(t *testing.T) {
 		runs.Add(1)
 		return simscope.Current().FaultSeed, nil
 	}
-	a, err := e.Submit(Key{Workload: "w", Uarch: "u", Config: "v=1"}, fn).Wait()
+	a, err := e.Submit(Key{Workload: "w", Uarch: "u", Config: "v=1"}, fn).Wait(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := e.Submit(Key{Workload: "w", Uarch: "u", Config: "v=1,extra"}, fn).Wait()
+	b, err := e.Submit(Key{Workload: "w", Uarch: "u", Config: "v=1,extra"}, fn).Wait(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,8 +163,8 @@ func TestDedupErrorsPropagateToFollowers(t *testing.T) {
 	fn := func() (any, error) { return nil, fmt.Errorf("deterministic failure") }
 	t1 := e.Submit(Key{Workload: "w", Uarch: "u", Config: "v=9"}, fn)
 	t2 := e.Submit(Key{Workload: "w", Uarch: "u", Config: "v=9,alias"}, fn)
-	_, err1 := t1.Wait()
-	_, err2 := t2.Wait()
+	_, err1 := t1.Wait(nil)
+	_, err2 := t2.Wait(nil)
 	if err1 == nil || err2 == nil {
 		t.Fatalf("errors = %v, %v; want both non-nil", err1, err2)
 	}
@@ -191,7 +191,7 @@ func TestNestedWaitsHelp(t *testing.T) {
 					// A cell that waits on another cell: exercises
 					// helping from inside a cell.
 					sub := Key{Workload: "sub", Uarch: "u", Config: fmt.Sprintf("s%d", i)}
-					if _, err := e.Submit(sub, func() (any, error) { return uint64(i), nil }).Wait(); err != nil {
+					if _, err := e.Submit(sub, func() (any, error) { return uint64(i), nil }).Wait(nil); err != nil {
 						return nil, err
 					}
 				}
@@ -199,7 +199,7 @@ func TestNestedWaitsHelp(t *testing.T) {
 			}))
 		}
 		for i, tk := range tasks {
-			v, err := tk.Wait()
+			v, err := tk.Wait(nil)
 			if err != nil {
 				t.Fatalf("cell %d: %v", i, err)
 			}
@@ -279,7 +279,7 @@ func TestFoldedKeysShareClassTask(t *testing.T) {
 						t.Errorf("class %d: alias %d has its own task, want the class task", c, a)
 					}
 				}
-				if v, err := ts[0].Wait(); err != nil || v != float64(c) {
+				if v, err := ts[0].Wait(nil); err != nil || v != float64(c) {
 					t.Errorf("class %d: (%v, %v), want %d", c, v, err, c)
 				}
 			}

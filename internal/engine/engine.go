@@ -85,9 +85,11 @@
 // deadlock even at -jobs 1.
 //
 // Workers resolve their goroutine ID once at startup and thread it
-// through scope entry and helping joins (simscope.EnterG/CurrentG), so
-// the scheduler's hot paths never pay the runtime.Stack parse behind
-// gls.ID.
+// through scope entry and helping joins (simscope.EnterG), and waiters
+// name the scope they charge (Task.Wait), so the scheduler's hot paths
+// never pay the runtime.Stack parse behind gls.ID: a wait parses only
+// when its task is still pending, to learn whether the waiter is a
+// worker that should help.
 //
 // # Determinism
 //
@@ -123,6 +125,11 @@ import (
 	"spectrebench/internal/gls"
 	"spectrebench/internal/simscope"
 )
+
+// goroutineID resolves the calling goroutine's ID (gls.ID, a
+// runtime.Stack parse) for submitters and waiters. It is a variable so
+// tests can count the parses.
+var goroutineID = gls.ID
 
 // ErrClosed is returned (via Task.Wait) by tasks submitted to an engine
 // that has been closed. A daemon that drains and closes its engine on
@@ -302,9 +309,12 @@ func (q *queue) push(ts []*Task, nested bool) bool {
 	case ts[0].keyed:
 		q.cells = append(q.cells, ts...)
 	case nested:
-		// The full slice expression makes append copy ts: it is the
-		// caller's result slice, which shift must not clear.
-		q.tasks = append(ts[:len(ts):len(ts)], q.tasks...)
+		// Copy ts: it is the caller's result slice, which shift must not
+		// clear. (Appending to ts[:len(ts):len(ts)] copies only when
+		// there is something to append: with no task queued it returned
+		// ts itself, and workers cleared the caller's results as they
+		// popped them.)
+		q.tasks = append(append(make([]*Task, 0, len(ts)+len(q.tasks)), ts...), q.tasks...)
 	default:
 		q.tasks = append(q.tasks, ts...)
 	}
@@ -602,6 +612,8 @@ func (e *Engine) start() {
 }
 
 func (e *Engine) worker() {
+	// Once per worker, and not through goroutineID: a worker that
+	// starts late must not read a test's replacement of it.
 	id := gls.ID()
 	e.workerOf.Store(id, struct{}{})
 	for t := e.q.pop(true); t != nil; t = e.q.pop(true) {
@@ -672,30 +684,45 @@ func (e *Engine) run(t *Task, gid uint64) {
 // A worker that waits helps: it runs other pending tasks rather than
 // idling, which is what keeps -jobs 1 live when an experiment task
 // blocks on its own cells. For keyed tasks, the cell's simulated cycles
-// are charged to the waiter's current scope on every Wait — each
-// requester pays for the cell as if it had simulated it, exactly as the
-// serial engine-less code did, and the sum is independent of execution
-// order.
-func (t *Task) Wait() (any, error) {
-	return t.WaitG(gls.ID())
+// are charged to sc, the waiter's scope, on every Wait — each requester
+// pays for the cell as if it had simulated it, exactly as the serial
+// engine-less code did, and the sum is independent of execution order.
+// A nil sc charges no one; unkeyed tasks charge nothing.
+//
+// The caller names its scope instead of Wait looking it up, because the
+// lookup is keyed by goroutine ID and resolving that ID parses a
+// runtime.Stack. Wait resolves it only when the task is not done yet, to
+// decide whether the waiter is a worker that should help, so a wait on a
+// finished task — every cell of a warm replay — parses no stack.
+func (t *Task) Wait(sc *simscope.Scope) (any, error) {
+	return t.wait(sc, 0)
 }
 
-// WaitG is Wait for a caller that drains many tasks from one goroutine:
-// it takes the caller's gls.ID so the goroutine identity is parsed once
-// per drain loop instead of once per task — on a full-grid sweep that
-// parse is the single largest per-cell cost. Semantics are identical to
-// Wait; gid must be the calling goroutine's own ID.
+// WaitG is Wait for a caller that knows its own goroutine ID, gid, and
+// charges the scope bound to gid. It is kept only because the benchmark
+// module's sweep drain names it; in-tree callers pass their scope to
+// Wait.
 func (t *Task) WaitG(gid uint64) (any, error) {
+	return t.wait(simscope.CurrentG(gid), gid)
+}
+
+// wait is the one wait path. gid is the calling goroutine's ID, or 0
+// when the caller has not resolved it: it is then resolved only if t is
+// still pending.
+func (t *Task) wait(sc *simscope.Scope, gid uint64) (any, error) {
 	select {
 	case <-t.done:
 	default:
+		if gid == 0 {
+			gid = goroutineID()
+		}
 		if _, ok := t.eng.workerOf.Load(gid); ok {
 			t.eng.help(t, gid)
 		}
 		<-t.done
 	}
 	if t.keyed {
-		simscope.CurrentG(gid).AddCycles(t.cycles)
+		sc.AddCycles(t.cycles)
 	}
 	return t.val, t.err
 }

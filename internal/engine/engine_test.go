@@ -23,11 +23,11 @@ func TestSubmitMemoizes(t *testing.T) {
 	if t1 != t2 {
 		t.Fatal("equal keys should share one task")
 	}
-	v, err := t1.Wait()
+	v, err := t1.Wait(nil)
 	if err != nil || v.(int) != 42 {
 		t.Fatalf("Wait = %v, %v", v, err)
 	}
-	if _, err := t2.Wait(); err != nil {
+	if _, err := t2.Wait(nil); err != nil {
 		t.Fatalf("second Wait errored: %v", err)
 	}
 	if got := runs.Load(); got != 1 {
@@ -55,7 +55,7 @@ func TestDistinctKeysDoNotAlias(t *testing.T) {
 		tasks = append(tasks, e.Submit(k, func() (any, error) { return i, nil }))
 	}
 	for i, tk := range tasks {
-		v, err := tk.Wait()
+		v, err := tk.Wait(nil)
 		if err != nil || v.(int) != i {
 			t.Fatalf("key %d: got %v, %v; want %d", i, v, err, i)
 		}
@@ -92,10 +92,10 @@ func TestErrorsAreCached(t *testing.T) {
 	boom := errors.New("boom")
 	key := Key{Workload: "failing"}
 	fn := func() (any, error) { runs.Add(1); return nil, boom }
-	if _, err := e.Submit(key, fn).Wait(); !errors.Is(err, boom) {
+	if _, err := e.Submit(key, fn).Wait(nil); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
-	if _, err := e.Submit(key, fn).Wait(); !errors.Is(err, boom) {
+	if _, err := e.Submit(key, fn).Wait(nil); !errors.Is(err, boom) {
 		t.Fatalf("cached err = %v, want boom", err)
 	}
 	if runs.Load() != 1 {
@@ -108,7 +108,7 @@ func TestPanicBecomesDeterministicError(t *testing.T) {
 	defer e.Close()
 	key := Key{Workload: "panicky"}
 	task := e.Submit(key, func() (any, error) { panic("kaboom") })
-	_, err := task.Wait()
+	_, err := task.Wait(nil)
 	var pe *PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %T %v, want *PanicError", err, err)
@@ -132,7 +132,7 @@ func TestCellScopeSeedIsKeyHash(t *testing.T) {
 			return nil, errors.New("no scope inside cell")
 		}
 		return sc.FaultSeed, nil
-	}).Wait()
+	}).Wait(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestUnkeyedTaskSharesSubmitterScope(t *testing.T) {
 	restore := simscope.Enter(sc)
 	task := e.Go("probe", func() (any, error) { return simscope.Current(), nil })
 	restore()
-	v, err := task.Wait()
+	v, err := task.Wait(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,14 +166,12 @@ func TestWaitChargesCellCyclesToWaiterScope(t *testing.T) {
 		return nil, nil
 	})
 	waiter := &simscope.Scope{}
-	restore := simscope.Enter(waiter)
-	if _, err := task.Wait(); err != nil {
+	if _, err := task.Wait(waiter); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := task.Wait(); err != nil { // second Wait charges again
+	if _, err := task.Wait(waiter); err != nil { // second Wait charges again
 		t.Fatal(err)
 	}
-	restore()
 	if got := waiter.Cycles(); got != 2468 {
 		t.Fatalf("waiter charged %d cycles, want 2468", got)
 	}
@@ -193,7 +191,7 @@ func TestHelpingJoin(t *testing.T) {
 				func() (any, error) { return i, nil }))
 		}
 		for _, s := range subs {
-			v, err := s.Wait()
+			v, err := s.Wait(nil)
 			if err != nil {
 				return nil, err
 			}
@@ -201,7 +199,7 @@ func TestHelpingJoin(t *testing.T) {
 		}
 		return sum, nil
 	})
-	v, err := outer.Wait()
+	v, err := outer.Wait(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +229,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 		}
 		out := ""
 		for _, tk := range tasks {
-			v, err := tk.Wait()
+			v, err := tk.Wait(nil)
 			if err != nil {
 				out += fmt.Sprintf("err:%v;", err)
 			} else {

@@ -74,7 +74,7 @@ func TestConcurrentSubmitFoldedKeys(t *testing.T) {
 			t.Fatalf("%v: a second task for class %v", c.Display, c.CanonKey())
 		}
 		byClass[c.CanonKey()] = task
-		if v, err := task.Wait(); err != nil || v != c.CanonKey().Hash() {
+		if v, err := task.Wait(nil); err != nil || v != c.CanonKey().Hash() {
 			t.Fatalf("%v: (%v, %v), want its class seed %d", c.Display, v, err, c.CanonKey().Hash())
 		}
 	}

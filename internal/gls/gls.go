@@ -4,14 +4,19 @@
 // this parses the header line of runtime.Stack — the documented,
 // stable-for-a-decade "goroutine N [state]:" format.
 //
-// Parsing costs ~1µs per call, which is invisible at core-construction
-// frequency but not on a scheduler's submit/wait/steal path. Long-lived
-// goroutines that make many identity-keyed lookups — the engine's
-// workers above all — should therefore call ID once, keep the result,
-// and use the *G variants of the simscope API (EnterG, CurrentG) plus
-// the engine's internal id-threading instead of re-parsing at every
-// scope entry. ID itself stays allocation-free: the stack snapshot
-// lands in a stack buffer and only the leading decimal is read.
+// A parse is not cheap. runtime.Stack formats the caller's whole stack,
+// frame by frame, even though only the header line lands in the buffer,
+// so the cost grows with stack depth: on a 2-vCPU host it measured ~4µs
+// on a shallow test stack and ~22µs thirty frames deep. It also takes the runtime's global
+// print lock, so concurrent parses serialize: two goroutines parsing at
+// once got no more parses per second than one. Nothing on a per-cell
+// path should parse. Long-lived goroutines that make many
+// identity-keyed lookups — the engine's workers above all — call ID
+// once, keep the result, and use the *G variants of the simscope API
+// (EnterG, CurrentG); code that waits on cells names the scope to
+// charge (engine.Task.Wait) instead of looking it up by goroutine. ID
+// itself stays allocation-free: the stack snapshot lands in a stack
+// buffer and only the leading decimal is read.
 package gls
 
 import "runtime"

@@ -111,7 +111,7 @@ func TestEndToEndDedupMatchesNoDedup(t *testing.T) {
 		}
 		out := make([]float64, len(cells))
 		for i, tk := range e.SubmitBatch(bcells) {
-			v, err := tk.Wait()
+			v, err := tk.Wait(nil)
 			if err != nil {
 				t.Fatalf("cell %d: %v", i, err)
 			}

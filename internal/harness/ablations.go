@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"strconv"
 
 	"spectrebench/internal/core"
 	"spectrebench/internal/engine"
@@ -28,31 +29,34 @@ func init() {
 // extra simulation.
 func runAblations() (*Table, error) {
 	cs := declareCells()
-	geo := func(m *model.CPU, mit kernel.Mitigations) *engine.Task {
-		return cs.eng.Go("ablations/"+m.Uarch, func() (any, error) {
-			v, err := cs.lebenchGeo(m, mit)
-			if err != nil {
-				return nil, err
-			}
-			return v, nil
-		})
+	// An arm gathers one measurement. Both kinds submit their cell when
+	// the row is declared, so every arm's cell is in flight before the
+	// first is gathered.
+	type arm func() (float64, error)
+	geo := func(m *model.CPU, mit kernel.Mitigations) arm {
+		t := cs.lebenchCell(m, mit)
+		return func() (float64, error) { return cs.lebenchGeoOf(t) }
+	}
+	program := func(workload string, m *model.CPU, mit kernel.Mitigations, noPCID bool, prog *isa.Program) arm {
+		t := programCell(cs, workload, m, mit, noPCID, prog)
+		return func() (float64, error) { return cs.waitF(t) }
 	}
 	bw, skl, zen2 := model.Broadwell(), model.SkylakeClient(), model.Zen2()
 	rows := []struct {
 		name, paper, workload string
 		m                     *model.CPU
 		baseArm, variantArm   string
-		base, variant         *engine.Task
+		base, variant         arm
 	}{
 		{"PCIDs under PTI", "§5.1", "getpid + 16-page walk", bw, "defaults", "PCIDs off",
-			programCell(cs, "ablation/pcid-walk", bw, kernel.Defaults(bw), false, pcidProgram()),
-			programCell(cs, "ablation/pcid-walk", bw, kernel.Defaults(bw), true, pcidProgram())},
+			program("ablation/pcid-walk", bw, kernel.Defaults(bw), false, pcidProgram()),
+			program("ablation/pcid-walk", bw, kernel.Defaults(bw), true, pcidProgram())},
 		{"retpoline flavour", "§5.3", "LEBench geomean", zen2, "defaults (AMD)", "spectre_v2=retpoline,generic",
 			geo(zen2, kernel.Defaults(zen2)),
 			geo(zen2, kernel.BootParams{SpectreV2: "retpoline,generic"}.Apply(zen2, kernel.Defaults(zen2)))},
 		{"FPU switching", "§3.1", "FPU ping-pong (fork/yield)", skl, "defaults (eager)", "eagerfpu=off (lazy)",
-			programCell(cs, "ablation/fpu-pingpong", skl, kernel.Defaults(skl), false, fpuProgram()),
-			programCell(cs, "ablation/fpu-pingpong", skl, kernel.BootParams{LazyFPU: true}.Apply(skl, kernel.Defaults(skl)), false, fpuProgram())},
+			program("ablation/fpu-pingpong", skl, kernel.Defaults(skl), false, fpuProgram()),
+			program("ablation/fpu-pingpong", skl, kernel.BootParams{LazyFPU: true}.Apply(skl, kernel.Defaults(skl)), false, fpuProgram())},
 		{"RSB stuffing", "§5.3", "LEBench geomean", bw, "no RSB stuffing", "defaults",
 			geo(bw, kernel.BootParams{NoRSBStuff: true}.Apply(bw, kernel.Defaults(bw))),
 			geo(bw, kernel.Defaults(bw))},
@@ -63,11 +67,11 @@ func runAblations() (*Table, error) {
 			"baseline cycles", "variant cycles", "change"},
 	}
 	for _, r := range rows {
-		base, err := waitF(r.base)
+		base, err := r.base()
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", r.name, err)
 		}
-		variant, err := waitF(r.variant)
+		variant, err := r.variant()
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", r.name, err)
 		}
@@ -86,7 +90,7 @@ func runAblations() (*Table, error) {
 // programCell runs prog as one process to completion on m booted under
 // mit, optionally with PCIDs off, and yields the core's cycles.
 func programCell(cs *cellSet, workload string, m *model.CPU, mit kernel.Mitigations, noPCID bool, prog *isa.Program) *engine.Task {
-	return cs.raw(workload, m.Uarch, fmt.Sprintf("%+v|nopcid=%v", mit, noPCID), func() (any, error) {
+	return cs.raw(workload, m.Uarch, mitConfig(mit)+"|nopcid="+strconv.FormatBool(noPCID), func() (any, error) {
 		mach := core.Boot(m, mit)
 		mach.CPU.NoPCID = noPCID
 		mach.Kernel.NewProcess(workload, prog)

@@ -2,6 +2,8 @@ package harness
 
 import (
 	"fmt"
+	"strconv"
+	"sync/atomic"
 
 	"spectrebench/internal/engine"
 	"spectrebench/internal/kernel"
@@ -18,16 +20,20 @@ import (
 // watchdog budget (folded into every key: a cell observed under one
 // budget is not interchangeable with the same cell under another) — so
 // cell keys are a pure function of experiment identity, not of global
-// mutable state.
+// mutable state. It also keeps the attempt scope itself: every cell
+// wait charges the cell's cycles to it.
 type cellSet struct {
 	eng    *engine.Engine
+	scope  *simscope.Scope
 	seed   uint64
 	budget uint64
 }
 
-// declareCells reads the current supervised scope. Experiments run
-// only under one (SuperviseEach installs it); outside it there is no
-// engine to schedule on, and declareCells panics.
+// declareCells reads the current supervised scope, once per experiment
+// attempt. Experiments run only under one (SuperviseEach installs it);
+// outside it there is no engine to schedule on, and declareCells
+// panics. The per-model tasks an experiment fans out run under the same
+// scope, so its cell waits charge it wherever they run.
 func declareCells() *cellSet {
 	sc := simscope.Current()
 	var eng *engine.Engine
@@ -37,7 +43,7 @@ func declareCells() *cellSet {
 	if eng == nil {
 		panic("harness: experiment run outside a supervised scope")
 	}
-	cs := &cellSet{eng: eng, budget: sc.Budget}
+	cs := &cellSet{eng: eng, scope: sc, budget: sc.Budget}
 	if sc.Fault != nil {
 		cs.seed = sc.FaultSeed
 	}
@@ -50,7 +56,7 @@ func (cs *cellSet) raw(workload, uarch, config string, fn func() (any, error)) *
 	return cs.eng.Submit(engine.Key{
 		Workload: workload,
 		Uarch:    uarch,
-		Config:   fmt.Sprintf("%s|budget=%d", config, cs.budget),
+		Config:   config + "|budget=" + strconv.FormatUint(cs.budget, 10),
 		Seed:     cs.seed,
 	}, fn)
 }
@@ -58,7 +64,25 @@ func (cs *cellSet) raw(workload, uarch, config string, fn func() (any, error)) *
 // cell schedules one simulation cell: workload × CPU model × mitigation
 // configuration (plus the set's seed and budget).
 func (cs *cellSet) cell(workload string, m *model.CPU, mit kernel.Mitigations, fn func() (any, error)) *engine.Task {
-	return cs.raw(workload, m.Uarch, fmt.Sprintf("%+v", mit), fn)
+	return cs.raw(workload, m.Uarch, mitConfig(mit), fn)
+}
+
+// mitConfigs memoizes each mitigation set's key rendering by
+// Mitigations.Index, which is injective over every field (see
+// TestIndexSeesEveryField): a warm replay re-declares every cell, and
+// formatting the struct is then most of what a declaration costs.
+var mitConfigs [kernel.IndexSpace]atomic.Pointer[string]
+
+// mitConfig renders mit as a cell config, fmt.Sprintf("%+v", mit), once
+// per distinct set per process.
+func mitConfig(mit kernel.Mitigations) string {
+	p := &mitConfigs[mit.Index()]
+	if s := p.Load(); s != nil {
+		return *s
+	}
+	s := fmt.Sprintf("%+v", mit)
+	p.Store(&s)
+	return s
 }
 
 // float is cell for the common case of a single float64 measurement.
@@ -72,36 +96,52 @@ func (cs *cellSet) float(workload string, m *model.CPU, mit kernel.Mitigations, 
 	})
 }
 
+// wait gathers a cell, charging its cycles to the attempt scope.
+func (cs *cellSet) wait(t *engine.Task) (any, error) {
+	return t.Wait(cs.scope)
+}
+
 // waitF gathers a float cell.
-func waitF(t *engine.Task) (float64, error) {
-	v, err := t.Wait()
+func (cs *cellSet) waitF(t *engine.Task) (float64, error) {
+	v, err := cs.wait(t)
 	if err != nil {
 		return 0, err
 	}
 	return v.(float64), nil
 }
 
-// lebenchRun is the shared "run the LEBench suite" cell: one execution
-// per (model, mitigations) for the whole process, shared by fig2's
-// ladder rungs and lebench-detail. The returned slice is cached and
-// must be treated as read-only.
-func (cs *cellSet) lebenchRun(m *model.CPU, mit kernel.Mitigations) ([]lebench.Result, error) {
-	v, err := cs.cell("lebench/run", m, mit, func() (any, error) {
+// lebenchCell schedules the shared "run the LEBench suite" cell: one
+// execution per (model, mitigations) for the whole process, shared by
+// fig2's ladder rungs, lebench-detail and the ablations' LEBench arms.
+func (cs *cellSet) lebenchCell(m *model.CPU, mit kernel.Mitigations) *engine.Task {
+	return cs.cell("lebench/run", m, mit, func() (any, error) {
 		res, err := lebench.Run(m, mit)
 		if err != nil {
 			return nil, err
 		}
 		return res, nil
-	}).Wait()
+	})
+}
+
+// lebenchResults gathers a lebenchCell. The returned slice is cached and
+// must be treated as read-only.
+func (cs *cellSet) lebenchResults(t *engine.Task) ([]lebench.Result, error) {
+	v, err := cs.wait(t)
 	if err != nil {
 		return nil, err
 	}
 	return v.([]lebench.Result), nil
 }
 
-// lebenchGeo is the Figure 2 workload routed through the cell cache.
-func (cs *cellSet) lebenchGeo(m *model.CPU, mit kernel.Mitigations) (float64, error) {
-	res, err := cs.lebenchRun(m, mit)
+// lebenchRun schedules and gathers one LEBench suite cell.
+func (cs *cellSet) lebenchRun(m *model.CPU, mit kernel.Mitigations) ([]lebench.Result, error) {
+	return cs.lebenchResults(cs.lebenchCell(m, mit))
+}
+
+// lebenchGeoOf gathers a lebenchCell as the Figure 2 workload: the
+// geometric mean of the suite's cycles.
+func (cs *cellSet) lebenchGeoOf(t *engine.Task) (float64, error) {
+	res, err := cs.lebenchResults(t)
 	if err != nil {
 		return 0, err
 	}
@@ -110,4 +150,9 @@ func (cs *cellSet) lebenchGeo(m *model.CPU, mit kernel.Mitigations) (float64, er
 		vals[i] = r.Cycles
 	}
 	return stats.GeoMean(vals), nil
+}
+
+// lebenchGeo is the Figure 2 workload routed through the cell cache.
+func (cs *cellSet) lebenchGeo(m *model.CPU, mit kernel.Mitigations) (float64, error) {
+	return cs.lebenchGeoOf(cs.lebenchCell(m, mit))
 }

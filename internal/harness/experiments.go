@@ -232,18 +232,18 @@ func runTable3() (*Table, error) {
 		Columns: []string{"CPU", "syscall", "paper", "sysret", "paper", "swap cr3", "paper"},
 	}
 	for i, m := range model.All() {
-		sc, err := waitF(cells[i].sc)
+		sc, err := cs.waitF(cells[i].sc)
 		if err != nil {
 			return nil, err
 		}
-		pair, err := waitF(cells[i].pair)
+		pair, err := cs.waitF(cells[i].pair)
 		if err != nil {
 			return nil, err
 		}
 		sysret := pair - sc
 		row := []string{m.Uarch, cyc(sc), fmt.Sprint(m.Costs.Syscall), cyc(sysret), fmt.Sprint(m.Costs.Sysret)}
 		if cells[i].cr3 != nil {
-			cr3, err := waitF(cells[i].cr3)
+			cr3, err := cs.waitF(cells[i].cr3)
 			if err != nil {
 				return nil, err
 			}
@@ -269,7 +269,7 @@ func runTable4() (*Table, error) {
 			func() (float64, error) { return MeasureVerw(m) }))
 	}
 	for i, m := range model.All() {
-		v, err := waitF(cells[i])
+		v, err := cs.waitF(cells[i])
 		if err != nil {
 			return nil, err
 		}
@@ -313,14 +313,14 @@ func runTable5() (*Table, error) {
 		if t == nil {
 			return "N/A", nil
 		}
-		v, err := waitF(t)
+		v, err := cs.waitF(t)
 		if err != nil {
 			return "", err
 		}
 		return fmt.Sprintf("%+.0f (%+d)", v-base, paper), nil
 	}
 	for i, m := range model.All() {
-		base, err := waitF(cells[i].base)
+		base, err := cs.waitF(cells[i].base)
 		if err != nil {
 			return nil, err
 		}
@@ -357,7 +357,7 @@ func runTable6() (*Table, error) {
 			func() (float64, error) { return MeasureIBPB(m) }))
 	}
 	for i, m := range model.All() {
-		v, err := waitF(cells[i])
+		v, err := cs.waitF(cells[i])
 		if err != nil {
 			return nil, err
 		}
@@ -392,7 +392,7 @@ func runTable8() (*Table, error) {
 			func() (float64, error) { return MeasureLfence(m) }))
 	}
 	for i, m := range model.All() {
-		v, err := waitF(cells[i])
+		v, err := cs.waitF(cells[i])
 		if err != nil {
 			return nil, err
 		}
@@ -439,13 +439,17 @@ func runFig3() (*Table, error) {
 	// experiments share it.
 	cs := declareCells()
 	rungs := octane.Rungs()
+	configs := make([]string, len(rungs)) // one rendering per rung, for every model
+	for r, rung := range rungs {
+		configs[r] = fmt.Sprintf("%+v", rung.Config)
+	}
 	cells := make([][]*engine.Task, 0, len(model.All()))
 	for _, m := range model.All() {
 		m := m
 		per := make([]*engine.Task, len(rungs))
 		for r, rung := range rungs {
 			rcfg := rung.Config
-			per[r] = cs.raw("octane/suite", m.Uarch, fmt.Sprintf("%+v", rcfg), func() (any, error) {
+			per[r] = cs.raw("octane/suite", m.Uarch, configs[r], func() (any, error) {
 				v, err := octane.RunSuite(m, rcfg)
 				if err != nil {
 					return nil, err
@@ -458,7 +462,7 @@ func runFig3() (*Table, error) {
 	for i, m := range model.All() {
 		cycles := make([]float64, len(rungs))
 		for r, task := range cells[i] {
-			v, err := waitF(task)
+			v, err := cs.waitF(task)
 			if err != nil {
 				return nil, fmt.Errorf("octane rung %q: %w", rungs[r].Name, err)
 			}
@@ -496,7 +500,7 @@ func runFig5() (*Table, error) {
 	for i, m := range model.All() {
 		row := []string{m.Uarch}
 		for _, task := range cells[i] {
-			ov, err := waitF(task)
+			ov, err := cs.waitF(task)
 			if err != nil {
 				return nil, err
 			}
@@ -529,7 +533,7 @@ func runProbeTable(id string, ibrs bool) (*Table, error) {
 	}
 	results := make([]*attacks.ProbeResult, 0, len(cells))
 	for _, task := range cells {
-		v, err := task.Wait()
+		v, err := cs.wait(task)
 		if err != nil {
 			return nil, err
 		}
@@ -570,11 +574,11 @@ func runVMLEBench() (*Table, error) {
 		})
 	}
 	for i, m := range model.All() {
-		base, err := waitF(cells[i].off)
+		base, err := cs.waitF(cells[i].off)
 		if err != nil {
 			return nil, err
 		}
-		with, err := waitF(cells[i].on)
+		with, err := cs.waitF(cells[i].on)
 		if err != nil {
 			return nil, err
 		}
@@ -603,7 +607,7 @@ func runVMLFS() (*Table, error) {
 	for i, m := range model.All() {
 		row := []string{m.Uarch}
 		for _, task := range cells[i] {
-			ov, err := waitF(task)
+			ov, err := cs.waitF(task)
 			if err != nil {
 				return nil, err
 			}
@@ -634,7 +638,7 @@ func runParsecDefault() (*Table, error) {
 	for i, m := range model.All() {
 		row := []string{m.Uarch}
 		for _, task := range cells[i] {
-			ov, err := waitF(task)
+			ov, err := cs.waitF(task)
 			if err != nil {
 				return nil, err
 			}
@@ -667,7 +671,7 @@ func runSecurity() (*Table, error) {
 			}))
 	}
 	for _, task := range cells {
-		v, err := task.Wait()
+		v, err := cs.wait(task)
 		if err != nil {
 			return nil, err
 		}

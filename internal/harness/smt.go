@@ -48,7 +48,7 @@ func runSMTCost() (*Table, error) {
 			t.Rows = append(t.Rows, []string{m.Uarch, "", "N/A", "N/A", "N/A"})
 			continue
 		}
-		v, err := cells[i].Wait()
+		v, err := cs.wait(cells[i])
 		if err != nil {
 			return nil, err
 		}

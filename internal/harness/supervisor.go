@@ -141,22 +141,17 @@ type Result struct {
 // act is the batch's fault-injection activation (nil when faults are
 // off); each attempt gets its own simulation scope carrying the
 // attempt's fault seed, the activation, the budget and the engine —
-// everything experiment code and the cells it declares need.
-func supervise(e Experiment, cfg RunConfig, act any) Result {
+// everything experiment code and the cells it declares need. first is
+// the first attempt's scope, which the caller has already entered.
+func supervise(e Experiment, cfg RunConfig, act any, first *simscope.Scope) Result {
 	res := Result{ID: e.ID, Paper: e.Paper, Title: e.Title}
 
 	for attempt := 0; ; attempt++ {
-		// The scope seed derives from (seed, experiment, attempt), so a
-		// retry sees different — but still reproducible — weather, and a
-		// single experiment re-run in isolation reproduces its `run all`
-		// behaviour.
-		sc := &simscope.Scope{
-			FaultSeed: attemptSeed(cfg.Seed, e.ID, attempt),
-			Fault:     act,
-			Budget:    cfg.CycleBudget,
-			Tag:       cfg.Engine,
+		sc, restore := first, func() {}
+		if attempt > 0 {
+			sc = attemptScope(e, cfg, act, attempt)
+			restore = simscope.Enter(sc)
 		}
-		restore := simscope.Enter(sc)
 		tbl, err := runProtected(e, attempt, sc)
 		restore()
 		res.Cycles += sc.Cycles()
@@ -189,6 +184,19 @@ func supervise(e Experiment, cfg RunConfig, act any) Result {
 		if !cfg.Faults && res.Status != StatusInconclusive {
 			return res
 		}
+	}
+}
+
+// attemptScope returns the simulation scope of one attempt. Its seed
+// derives from (seed, experiment, attempt), so a retry sees different —
+// but still reproducible — weather, and a single experiment re-run in
+// isolation reproduces its `run all` behaviour.
+func attemptScope(e Experiment, cfg RunConfig, act any, attempt int) *simscope.Scope {
+	return &simscope.Scope{
+		FaultSeed: attemptSeed(cfg.Seed, e.ID, attempt),
+		Fault:     act,
+		Budget:    cfg.CycleBudget,
+		Tag:       cfg.Engine,
 	}
 }
 
@@ -249,8 +257,10 @@ func SuperviseEach(exps []Experiment, cfg RunConfig, done func(int, Result)) []R
 	items := make([]engine.BatchGo, len(exps))
 	for i, e := range exps {
 		i, e := i, e
-		items[i] = engine.BatchGo{Label: "experiment/" + e.ID, Fn: func() (any, error) {
-			r := supervise(e, cfg, act)
+		// The engine enters the first attempt's scope for the task.
+		first := attemptScope(e, cfg, act, 0)
+		items[i] = engine.BatchGo{Label: "experiment/" + e.ID, Scope: first, Fn: func() (any, error) {
+			r := supervise(e, cfg, act, first)
 			if done != nil {
 				done(i, r)
 			}
@@ -260,7 +270,7 @@ func SuperviseEach(exps []Experiment, cfg RunConfig, done func(int, Result)) []R
 	tasks := cfg.Engine.GoBatch(items)
 	out := make([]Result, len(exps))
 	for i, t := range tasks {
-		v, err := t.Wait()
+		v, err := t.Wait(nil) // unkeyed: charges no scope
 		if err != nil {
 			// A scheduler-level failure (a panic escaping supervise, or
 			// ErrClosed from an engine shut down mid-batch). Degrade

@@ -41,19 +41,20 @@ func runWhatIfV1HW() (*Table, error) {
 	}
 	cs := declareCells()
 	hardened := octane.BrowserDefault()
+	config := fmt.Sprintf("%+v", hardened) // one rendering for every model
 	type arms struct{ base, fused *engine.Task }
 	cells := make([]arms, 0, len(model.All()))
 	for _, m := range model.All() {
 		m := m
 		cells = append(cells, arms{
-			base: cs.raw("octane/suite", m.Uarch, fmt.Sprintf("%+v", hardened), func() (any, error) {
+			base: cs.raw("octane/suite", m.Uarch, config, func() (any, error) {
 				v, err := octane.RunSuite(m, hardened)
 				if err != nil {
 					return nil, err
 				}
 				return v, nil
 			}),
-			fused: cs.raw("octane/suite-fused", m.Uarch, fmt.Sprintf("%+v", hardened), func() (any, error) {
+			fused: cs.raw("octane/suite-fused", m.Uarch, config, func() (any, error) {
 				v, err := runOctaneFused(m)
 				if err != nil {
 					return nil, err
@@ -63,11 +64,11 @@ func runWhatIfV1HW() (*Table, error) {
 		})
 	}
 	for i, m := range model.All() {
-		base, err := waitF(cells[i].base)
+		base, err := cs.waitF(cells[i].base)
 		if err != nil {
 			return nil, err
 		}
-		fused, err := waitF(cells[i].fused)
+		fused, err := cs.waitF(cells[i].fused)
 		if err != nil {
 			return nil, err
 		}

@@ -72,6 +72,7 @@ import (
 	"spectrebench/internal/grid"
 	"spectrebench/internal/kernel"
 	"spectrebench/internal/model"
+	"spectrebench/internal/simscope"
 )
 
 // Leq reports a ≤ b in the dominance order: a enables no costlier
@@ -386,8 +387,10 @@ type evalUnit struct {
 // Search runs the optimizer on the given engine. The caller owns fault
 // activation: cells inherit it from the simscope the caller entered
 // (a scope whose Fault is a faultinject.NewActivation), exactly as
-// with engine.Submit-based experiments.
+// with engine.Submit-based experiments. The evaluated cells' cycles are
+// charged to that scope, which Search reads once per call.
 func Search(eng *engine.Engine, opts Options) (*Result, error) {
+	sc := simscope.Current()
 	require := opts.Require
 	if len(require) == 0 {
 		require = attacks.DefaultModel()
@@ -456,7 +459,7 @@ func Search(eng *engine.Engine, opts Options) (*Result, error) {
 			ev := &Evaluated{Class: *u.class, PerWorkload: make(map[string]float64, len(workloads))}
 			var err error
 			for wi, t := range u.tasks {
-				v, werr := t.Wait()
+				v, werr := t.Wait(sc)
 				if werr != nil {
 					err = fmt.Errorf("%s: %w", workloads[wi].Name, werr)
 					break

@@ -180,7 +180,7 @@ func TestSidecarFromEarlierLayoutReplays(t *testing.T) {
 	for i, task := range e.SubmitBatch(bcells) {
 		h := cells[i].CanonKey().Hash()
 		want := float64(h%100000) / 4
-		if got, err := task.Wait(); err != nil || got != want {
+		if got, err := task.Wait(nil); err != nil || got != want {
 			t.Fatalf("%v replayed (%v, %v), want %v", cells[i].Display, got, err, want)
 		}
 	}
