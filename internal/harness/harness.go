@@ -9,6 +9,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"unicode/utf8"
 )
 
 // Table is a rendered experiment result.
@@ -23,7 +24,14 @@ type Table struct {
 // Render formats the table as aligned text.
 func (t *Table) Render() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s — %s\n", t.ID, t.Title)
+	t.render(&b, 0)
+	return b.String()
+}
+
+// render appends Render's text to b, growing b once for it and extra
+// more bytes. Each cell is left-aligned and padded with spaces as
+// fmt's %-*s would: widths are measured in bytes, padding in runes.
+func (t *Table) render(b *strings.Builder, extra int) {
 	widths := make([]int, len(t.Columns))
 	for i, c := range t.Columns {
 		widths[i] = len(c)
@@ -35,12 +43,28 @@ func (t *Table) Render() string {
 			}
 		}
 	}
+	size := len(t.ID) + len(t.Title) + len(" — \n") + extra
+	for _, w := range widths {
+		size += (w + 2) * (len(t.Rows) + 2)
+	}
+	for _, n := range t.Notes {
+		size += len("note: \n") + len(n)
+	}
+	b.Grow(size)
+
+	b.WriteString(t.ID)
+	b.WriteString(" — ")
+	b.WriteString(t.Title)
+	b.WriteByte('\n')
 	line := func(cells []string) {
 		for i, cell := range cells {
 			if i > 0 {
 				b.WriteString("  ")
 			}
-			fmt.Fprintf(&b, "%-*s", widths[i], cell)
+			b.WriteString(cell)
+			for pad := widths[i] - utf8.RuneCountInString(cell); pad > 0; pad-- {
+				b.WriteByte(' ')
+			}
 		}
 		b.WriteByte('\n')
 	}
@@ -49,16 +73,19 @@ func (t *Table) Render() string {
 		if i > 0 {
 			b.WriteString("  ")
 		}
-		b.WriteString(strings.Repeat("-", w))
+		for ; w > 0; w-- {
+			b.WriteByte('-')
+		}
 	}
 	b.WriteByte('\n')
 	for _, row := range t.Rows {
 		line(row)
 	}
 	for _, n := range t.Notes {
-		fmt.Fprintf(&b, "note: %s\n", n)
+		b.WriteString("note: ")
+		b.WriteString(n)
+		b.WriteByte('\n')
 	}
-	return b.String()
 }
 
 // CSV renders the table as RFC 4180 comma-separated values: any cell

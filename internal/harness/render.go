@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"spectrebench/internal/engine"
@@ -36,8 +37,14 @@ func RenderResult(res Result, csv bool) string {
 	case res.Status == StatusOK && csv:
 		b.WriteString(res.Table.CSV())
 	case res.Status == StatusOK:
-		b.WriteString(res.Table.Render())
-		fmt.Fprintf(&b, "(%s, %.1fM simulated cycles)\n\n", res.Paper, float64(res.Cycles)/1e6)
+		const cycles = "M simulated cycles)\n\n"
+		res.Table.render(&b, len("(, ")+len(res.Paper)+24+len(cycles))
+		b.WriteByte('(')
+		b.WriteString(res.Paper)
+		b.WriteString(", ")
+		var num [24]byte
+		b.Write(strconv.AppendFloat(num[:0], float64(res.Cycles)/1e6, 'f', 1, 64))
+		b.WriteString(cycles)
 	default:
 		// Graceful degradation: report inline and keep going.
 		fmt.Fprintf(&b, "%s — %s\n  status: %s\n  error:  %v\n\n", res.ID, res.Title, res.Status, res.Err)

@@ -12,6 +12,7 @@ import (
 	"math"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 )
 
@@ -119,6 +120,17 @@ func (c *Client) Sweep(ctx context.Context, req SweepRequest) (*SweepResponse, e
 	}
 }
 
+// The decoder state of a sweep stream, reused across responses: a
+// gzip.Reader carries a flate decompressor with its 32 KiB window, and
+// the scanner starts in a 64 KiB line buffer. A line longer than that
+// makes the scanner allocate a larger buffer of its own, which is
+// dropped with the scanner: the pool only ever holds 64 KiB buffers.
+// Records are decoded out of the line, so no record aliases a buffer.
+var (
+	gzipReaders = sync.Pool{New: func() any { return new(gzip.Reader) }}
+	lineBuffers = sync.Pool{New: func() any { b := make([]byte, 64<<10); return &b }}
+)
+
 // sweepOnce performs one POST /sweep attempt.
 func (c *Client) sweepOnce(ctx context.Context, body []byte) (*SweepResponse, error) {
 	httpc := c.HTTPClient
@@ -161,18 +173,20 @@ func (c *Client) sweepOnce(ctx context.Context, body []byte) (*SweepResponse, er
 
 	var stream io.Reader = resp.Body
 	if resp.Header.Get("Content-Encoding") == "gzip" {
-		gz, err := gzip.NewReader(resp.Body)
-		if err != nil {
+		gz := gzipReaders.Get().(*gzip.Reader)
+		defer gzipReaders.Put(gz)
+		if err := gz.Reset(resp.Body); err != nil {
 			return nil, &transientError{err: fmt.Errorf("gzip response: %w", err)}
 		}
-		defer gz.Close()
 		stream = gz
 	}
 	out := &SweepResponse{}
 	var recs []Record
 	sawSummary := false
+	buf := lineBuffers.Get().(*[]byte)
+	defer lineBuffers.Put(buf)
 	sc := bufio.NewScanner(stream)
-	sc.Buffer(make([]byte, 0, 64<<10), 16<<20)
+	sc.Buffer(*buf, 16<<20)
 	for sc.Scan() {
 		line := bytes.TrimSpace(sc.Bytes())
 		if len(line) == 0 {

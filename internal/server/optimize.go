@@ -1,6 +1,6 @@
 // The /optimize endpoint: config-search-as-a-service. It reuses the
-// sweep plumbing — admission semaphore, per-request deadline, buffered
-// NDJSON streaming with gzip negotiation, drain awareness — but runs
+// sweep plumbing — admission semaphore, per-request deadline, pooled
+// NDJSON writers with gzip negotiation, drain awareness — but runs
 // the dominance-pruned optimizer instead of an experiment batch. Fault
 // injection is carried in a simscope entered around the search
 // goroutine, so concurrent optimize and sweep requests with different
@@ -188,7 +188,9 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		resCh <- outcome{res, err}
 	}()
 
-	enc, flush, end := ndjsonResponse(w, r)
+	// Every record of an answer is ready at once, so none is flushed on
+	// its own: end's Close sends them together.
+	enc, _, end := ndjsonResponse(w, r)
 	defer end()
 
 	select {
@@ -196,19 +198,16 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		if out.err != nil {
 			s.completed.Add(1)
 			enc.Encode(OptimizeRecord{Type: "summary", Err: out.err.Error()})
-			flush()
 			return
 		}
 		s.opt.record(out.res)
 		for i := range out.res.PerUarch {
 			enc.Encode(OptimizeRecord{Type: "uarch", Uarch: &out.res.PerUarch[i]})
-			flush()
 		}
 		totals := *out.res
 		totals.PerUarch = nil
 		stats := s.Stats()
 		enc.Encode(OptimizeRecord{Type: "summary", Result: &totals, Stats: &stats})
-		flush()
 		s.completed.Add(1)
 		s.logf("server: optimize finished: %d classes evaluated, %d pruned",
 			out.res.Totals.Evaluated, out.res.Totals.Pruned)
@@ -217,6 +216,5 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		// and the admission slot stays held until it finishes.
 		s.timedOut.Add(1)
 		enc.Encode(OptimizeRecord{Type: "deadline", Err: ErrDeadline.Error()})
-		flush()
 	}
 }
