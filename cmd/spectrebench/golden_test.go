@@ -113,6 +113,36 @@ func TestGridbenchIsolated(t *testing.T) {
 	}
 }
 
+// TestGridbenchFullLatticeGolden pins the stdout of a sweep over the
+// whole 172,032-cell lattice, with and without fault injection, to its
+// md5 in testdata/gridbench.md5: the 10k-cell lines cover under 6% of
+// the cells the full sweep simulates.
+func TestGridbenchFullLatticeGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-lattice sweeps are slow")
+	}
+	want := readMD5s(t, filepath.Join("testdata", "gridbench.md5"))
+	for _, tc := range []struct {
+		args string
+		cfg  harness.RunConfig
+	}{
+		{"-cells 172032 gridbench", harness.RunConfig{Seed: 1}},
+		{"-faults -seed 7 -cells 172032 gridbench", harness.RunConfig{Seed: 7, Faults: true}},
+	} {
+		sum, ok := want[tc.args]
+		if !ok {
+			t.Fatalf("testdata/gridbench.md5 has no line for %q", tc.args)
+		}
+		var buf bytes.Buffer
+		if code := gridbench(&buf, gridOptions{cells: 172032, cfg: withEngine(t, tc.cfg)}); code != 0 {
+			t.Fatalf("%s: exit %d", tc.args, code)
+		}
+		if got := md5.Sum(buf.Bytes()); hex.EncodeToString(got[:]) != sum {
+			t.Errorf("%s: md5 %x, want %s", tc.args, got, sum)
+		}
+	}
+}
+
 // storeNote is the counters of the store note gridbench prints to
 // stderr when its store closes.
 type storeNote struct {

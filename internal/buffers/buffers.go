@@ -18,17 +18,25 @@ type StoreEntry struct {
 	// speculatively bypasses this store (Speculative Store Bypass)
 	// transiently observes Prev instead of Value.
 	Prev uint64
-	Age  int // instructions since issue; drains at DrainAge
+	Age  int // instructions retired since issue (set by Lookup); drains at DrainAge
+
+	issued uint64 // the core's retire count at Insert
 }
 
 // StoreBuffer holds in-flight stores awaiting retirement. While an entry
 // is young (Age < bypass window), a dependent load's address
 // disambiguation may not have completed, which is the Speculative Store
 // Bypass window.
+//
+// Aging is by timestamp: the caller passes its retire count (now) to
+// every method, an entry's age is now minus the count at its Insert, and
+// entries that reached DrainAge leave from the head of the ring at the
+// next Lookup or Len. Stamps grow in insertion order, so drained entries
+// are always the oldest.
 type StoreBuffer struct {
-	entries  []StoreEntry
-	capacity int
-	drainAge int
+	ring     []StoreEntry // fixed at capacity; live entries start at head
+	head, n  int
+	drainAge uint64
 
 	// Forwards counts store-to-load forwarding events (for tests and
 	// SSBD cost accounting).
@@ -44,59 +52,80 @@ func NewStoreBuffer(capacity, drainAge int) *StoreBuffer {
 	if drainAge <= 0 {
 		drainAge = 8
 	}
-	return &StoreBuffer{capacity: capacity, drainAge: drainAge}
+	return &StoreBuffer{ring: make([]StoreEntry, capacity), drainAge: uint64(drainAge)}
 }
 
-// Insert records a store. The memory write itself is performed by the
-// core; the buffer only tracks forwarding state. prev is the memory
-// value being overwritten (the value a bypassing load would observe).
-func (s *StoreBuffer) Insert(addr, value, prev uint64) {
-	if len(s.entries) == s.capacity {
-		s.entries = s.entries[1:]
-	}
-	s.entries = append(s.entries, StoreEntry{Addr: addr, Value: value, Prev: prev})
-}
-
-// Tick ages all entries by one retired instruction and drains old ones.
-func (s *StoreBuffer) Tick() {
-	w := 0
-	for i := range s.entries {
-		s.entries[i].Age++
-		if s.entries[i].Age < s.drainAge {
-			s.entries[w] = s.entries[i]
-			w++
+// expire drops the entries that have drained by retire count now.
+func (s *StoreBuffer) expire(now uint64) {
+	for s.n > 0 && now-s.ring[s.head].issued >= s.drainAge {
+		s.head++
+		if s.head == len(s.ring) {
+			s.head = 0
 		}
+		s.n--
 	}
-	s.entries = s.entries[:w]
 }
 
-// Lookup returns the youngest in-flight store to addr, if any. ok=true
-// means a subsequent load would be satisfied by forwarding.
-func (s *StoreBuffer) Lookup(addr uint64) (StoreEntry, bool) {
-	for i := len(s.entries) - 1; i >= 0; i-- {
-		if s.entries[i].Addr == addr {
+// Insert records a store issued at retire count now. The memory write
+// itself is performed by the core; the buffer only tracks forwarding
+// state. prev is the memory value being overwritten (the value a
+// bypassing load would observe). A full ring displaces its oldest
+// entry: either a live one, as a full buffer must, or a drained one
+// that had not been dropped yet.
+func (s *StoreBuffer) Insert(addr, value, prev, now uint64) {
+	if s.n == len(s.ring) {
+		s.head++
+		if s.head == len(s.ring) {
+			s.head = 0
+		}
+		s.n--
+	}
+	i := s.head + s.n
+	if i >= len(s.ring) {
+		i -= len(s.ring)
+	}
+	s.ring[i] = StoreEntry{Addr: addr, Value: value, Prev: prev, issued: now}
+	s.n++
+}
+
+// Lookup returns the youngest store to addr still in flight at retire
+// count now, with its Age set. ok=true means a subsequent load would be
+// satisfied by forwarding.
+func (s *StoreBuffer) Lookup(addr, now uint64) (StoreEntry, bool) {
+	s.expire(now)
+	for k := s.n - 1; k >= 0; k-- {
+		i := s.head + k
+		if i >= len(s.ring) {
+			i -= len(s.ring)
+		}
+		if s.ring[i].Addr == addr {
 			s.Forwards++
-			return s.entries[i], true
+			e := s.ring[i]
+			e.Age = int(now - e.issued)
+			return e, true
 		}
 	}
 	return StoreEntry{}, false
 }
 
 // Drain empties the buffer (sfence / serialising events).
-func (s *StoreBuffer) Drain() { s.entries = s.entries[:0] }
+func (s *StoreBuffer) Drain() { s.head, s.n = 0, 0 }
 
 // Reset returns the buffer to its freshly constructed state, reusing
-// the entry array (host-side recycling; no simulated event).
+// the ring (host-side recycling; no simulated event).
 func (s *StoreBuffer) Reset() {
-	s.entries = s.entries[:0]
+	s.Drain()
 	s.Forwards = 0
 }
 
-// Len returns the number of in-flight stores.
-func (s *StoreBuffer) Len() int { return len(s.entries) }
+// Len returns the number of stores still in flight at retire count now.
+func (s *StoreBuffer) Len(now uint64) int {
+	s.expire(now)
+	return s.n
+}
 
 // DrainAge exposes the configured drain age (the SSB window length).
-func (s *StoreBuffer) DrainAge() int { return s.drainAge }
+func (s *StoreBuffer) DrainAge() int { return int(s.drainAge) }
 
 // FillBuffer models the line-fill buffers and load ports that MDS-class
 // attacks sample. Every load or store that moves data through the core
@@ -122,7 +151,10 @@ func NewFillBuffer(n int) *FillBuffer {
 // Deposit records a value moving through the buffers.
 func (f *FillBuffer) Deposit(v uint64) {
 	f.slots[f.pos] = v
-	f.pos = (f.pos + 1) % len(f.slots)
+	f.pos++
+	if f.pos == len(f.slots) {
+		f.pos = 0
+	}
 }
 
 // Sample returns the most recently deposited value — what a faulting

@@ -12,6 +12,14 @@
 // window, consult the fault injector, or trap) still routes through the
 // reference execute switch unchanged.
 //
+// Transient windows replay the same decoded blocks (speculate in
+// transient.go): the thunk probe and program search run once per block
+// head, not per wrong-path instruction, while the fetch translation —
+// and with it the TLB Rehit — stays per instruction, as below. Windows
+// look blocks up without touching the dispatch memo and memoise their
+// own exit edge (specPC/specTo), so a wrong path never displaces the
+// architectural chain.
+//
 // Block boundaries. A block is a maximal straight-line run that stays
 // inside one program, one page, and one fetch context. It ends at (and
 // includes) the first isa.IsBlockEnd instruction — any control transfer
@@ -97,6 +105,13 @@ type block struct {
 	// can never replay a stale chain.
 	chainPC uint64
 	chainTo *block
+
+	// specPC/specTo memoise the last exit edge a transient window took
+	// out of this block (speculate). It is a slot of its own so wrong
+	// paths never evict the architectural chain link; it is bounded by
+	// the code generation exactly as chainTo is.
+	specPC uint64
+	specTo *block
 }
 
 // chainNext resolves the successor block for a chained exit from b at
@@ -120,21 +135,13 @@ func (c *Core) chainNext(b *block, pc uint64) *block {
 // take the reference path; nil is cached too, since that fact can only
 // change with a generation bump.
 func (c *Core) blockFor(pc uint64) *block {
-	if c.blocks == nil || c.blocksGen != c.code.gen {
-		if c.blocks == nil {
-			c.blocks = make(map[uint64]*block, 64)
-		} else {
-			clear(c.blocks)
-		}
-		c.blocksGen = c.code.gen
-		c.lastBlock, c.prevBlock = nil, nil
-	}
+	c.syncBlockGen()
 	// Two-entry dispatch memo: a hot loop re-dispatches the same one or
 	// two entry PCs every iteration (the loop body, plus the block after
 	// a conditional branch), so remembering the previous resolutions
-	// skips the map probe. The rebuild branch above clears the memo on
-	// every generation bump, so it can never outlive the blocks it
-	// points into.
+	// skips the map probe. syncBlockGen clears the memo on every
+	// generation bump, so it can never outlive the blocks it points
+	// into.
 	if c.lastBlock != nil && c.lastBlockPC == pc {
 		return c.lastBlock
 	}
@@ -143,14 +150,39 @@ func (c *Core) blockFor(pc uint64) *block {
 		c.lastBlockPC, c.prevBlockPC = c.prevBlockPC, c.lastBlockPC
 		return c.lastBlock
 	}
+	b := c.lookupBlock(pc)
+	if b != nil {
+		c.prevBlock, c.prevBlockPC = c.lastBlock, c.lastBlockPC
+		c.lastBlock, c.lastBlockPC = b, pc
+	}
+	return b
+}
+
+// syncBlockGen discards the decoded-block cache and the dispatch memo
+// when the code generation has moved since they were built.
+func (c *Core) syncBlockGen() {
+	if c.blocks != nil && c.blocksGen == c.code.gen {
+		return
+	}
+	if c.blocks == nil {
+		c.blocks = make(map[uint64]*block, 64)
+	} else {
+		clear(c.blocks)
+	}
+	c.blocksGen = c.code.gen
+	c.lastBlock, c.prevBlock = nil, nil
+}
+
+// lookupBlock probes the block map, building and caching the block
+// headed at pc on a miss. The cache must be current (syncBlockGen).
+// Transient windows call it directly: they leave the dispatch memo
+// alone, so a wrong path never evicts the entries a hot loop
+// re-dispatches.
+func (c *Core) lookupBlock(pc uint64) *block {
 	b, ok := c.blocks[pc]
 	if !ok {
 		b = c.buildBlock(pc)
 		c.blocks[pc] = b
-	}
-	if b != nil {
-		c.prevBlock, c.prevBlockPC = c.lastBlock, c.lastBlockPC
-		c.lastBlock, c.lastBlockPC = b, pc
 	}
 	return b
 }
@@ -367,9 +399,6 @@ chain:
 					c.PC = in.Target
 					c.Instret++
 					c.pendInstret++
-					if c.SB.Len() != 0 {
-						c.SB.Tick()
-					}
 					n++
 					if n < limit {
 						if nb := c.chainNext(b, c.PC); nb != nil {
@@ -408,9 +437,6 @@ chain:
 					c.PC = next
 					c.Instret++
 					c.pendInstret++
-					if c.SB.Len() != 0 {
-						c.SB.Tick()
-					}
 					n++
 					if n < limit {
 						if nb := c.chainNext(b, c.PC); nb != nil {
@@ -509,7 +535,6 @@ chain:
 				c.PC = next
 				c.Instret++
 				c.PMC.Add(pmc.Instructions, 1)
-				c.SB.Tick()
 				n++
 				if in.Op.IsBlockEnd() || next != pcBefore+isa.InstrBytes {
 					// Chain through reference-path control transfers too
@@ -537,9 +562,6 @@ chain:
 			c.PC += isa.InstrBytes
 			c.Instret++
 			c.pendInstret++
-			if c.SB.Len() != 0 {
-				c.SB.Tick()
-			}
 			n++
 		}
 		// Block exhausted without a block-ending op (page boundary,

@@ -9,6 +9,7 @@ import (
 	"spectrebench/internal/isa"
 	"spectrebench/internal/mem"
 	"spectrebench/internal/model"
+	"spectrebench/internal/pmc"
 	"spectrebench/internal/simscope"
 )
 
@@ -16,13 +17,35 @@ import (
 // jump to for JIT-style self-replacement.
 const jitThunkPC = 0x50_0000
 
+// fuzzBase is where the differential fuzzer loads its programs: 64
+// instructions short of a code page boundary, so every program spans two
+// pages and both the architectural and the transient block walks cross
+// a page-boundary block head.
+const fuzzBase = codeBase + mem.PageSize - 64*isa.InstrBytes
+
+// fuzzOffset returns a data-window offset for a fuzz load or store. Most
+// are 8-byte aligned anywhere in the 64-page window; three in sixteen land
+// on one of the last two aligned slots of a page, and one in sixteen
+// straddles a page end (an alignment fault architecturally, the end of
+// the window transiently).
+func fuzzOffset(r *rand.Rand) int64 {
+	page := int64(r.Intn(64)) * mem.PageSize
+	switch r.Intn(16) {
+	case 0:
+		return page + mem.PageSize - 7 + int64(r.Intn(7))
+	case 1, 2, 3:
+		return page + mem.PageSize - 8*int64(1+r.Intn(2))
+	}
+	return page + int64(r.Intn(512))*8
+}
+
 // genFuzzProgram emits a randomized program for the differential test:
-// ALU soup, loads/stores into the data region, conditional and
-// unconditional branches between eight labels, occasional serializing
-// ops, CR3 swaps, timestamp reads, and rare jumps into the JIT thunk.
-// R10 holds the data base, R11/R12 the two CR3 values, R13 a nonzero
-// divisor (until the soup clobbers it — a divide fault is a valid,
-// deterministic outcome).
+// ALU soup, loads/stores into the data region (some at or across page
+// ends), conditional and unconditional branches between eight labels,
+// calls, returns and indirect jumps, occasional serializing ops, CR3
+// swaps, timestamp reads, and rare jumps into the JIT thunk. R10 holds
+// the data base, R11/R12 the two CR3 values, R13 a nonzero divisor and
+// R14 the indirect-jump target; the soup writes only R0-R7.
 func genFuzzProgram(r *rand.Rand) *isa.Program {
 	a := isa.NewAsm()
 	const body = 120
@@ -34,67 +57,83 @@ func genFuzzProgram(r *rand.Rand) *isa.Program {
 		dst := isa.Reg(r.Intn(8))
 		src := isa.Reg(r.Intn(8))
 		lbl := fmt.Sprintf("L%d", r.Intn(labels))
-		off := int64(r.Intn(64*512)) * 8 // within the 64-page data window
 		switch k := r.Intn(100); {
-		case k < 12:
+		case k < 10:
 			a.MovI(dst, int64(r.Uint32()))
-		case k < 20:
+		case k < 17:
 			a.Add(dst, src)
-		case k < 26:
+		case k < 22:
 			a.Sub(dst, src)
-		case k < 30:
+		case k < 25:
 			a.Mul(dst, src)
-		case k < 34:
+		case k < 28:
 			a.Xor(dst, src)
-		case k < 38:
+		case k < 31:
 			a.AndI(dst, int64(r.Uint32()))
-		case k < 41:
+		case k < 33:
 			a.ShrI(dst, int64(r.Intn(16)))
-		case k < 46:
+		case k < 38:
 			a.Cmp(dst, src)
-		case k < 50:
+		case k < 41:
 			a.CmovLt(dst, src)
-		case k < 58:
-			a.Load(dst, isa.R10, off)
-		case k < 66:
-			a.Store(isa.R10, off, src)
-		case k < 72:
+		case k < 49:
+			a.Load(dst, isa.R10, fuzzOffset(r))
+		case k < 57:
+			a.Store(isa.R10, fuzzOffset(r), src)
+		case k < 63:
+			if r.Intn(2) == 0 {
+				// A clock-driven coin: the predictor cannot learn it,
+				// so this branch keeps opening transient windows.
+				a.Rdtsc(dst)
+				a.AndI(dst, 4)
+				a.CmpI(dst, 0)
+			}
 			a.Jne(lbl)
-		case k < 76:
+		case k < 67:
 			a.Jlt(lbl)
-		case k < 79:
+		case k < 69:
 			a.Jmp(lbl)
-		case k < 82:
-			a.Clflush(isa.R10, off)
-		case k < 85:
+		case k < 72:
+			a.Call(lbl)
+		case k < 75:
+			a.Ret()
+		case k < 77:
+			a.MovLabel(isa.R14, lbl)
+			a.JmpInd(isa.R14)
+		case k < 79:
+			a.Clflush(isa.R10, fuzzOffset(r)&^7)
+		case k < 81:
 			a.Rdtsc(dst)
-		case k < 87:
+		case k < 83:
 			a.Lfence()
-		case k < 89:
+		case k < 85:
 			a.Verw()
-		case k < 92:
+		case k < 88:
 			if r.Intn(2) == 0 {
 				a.MovCR3(isa.R11)
 			} else {
 				a.MovCR3(isa.R12)
 			}
-		case k < 94:
+		case k < 90:
 			a.Div(dst, isa.R13)
-		case k < 96:
+		case k < 92:
 			a.JmpAbs(jitThunkPC)
 		default:
 			a.Nop()
 		}
 	}
 	a.Hlt()
-	return a.MustAssemble(codeBase)
+	return a.MustAssemble(fuzzBase)
 }
 
 // newFuzzCore builds one core for the differential test. Both cores of a
 // pair are built identically (own physical memory, own page tables with
 // the same deterministic layout, fault injector streams from the same
 // seed) and differ only in whether StepBlock replays decoded blocks or
-// falls back to per-instruction Step (refStep).
+// falls back to per-instruction Step (refStep). Traps keep the program
+// running: a data fault skips the faulting instruction, and a fetch
+// from outside the program (a return into a replaced JIT program, say)
+// restarts it.
 func newFuzzCore(t *testing.T, m *model.CPU, seed uint64, blockCache bool) *Core {
 	t.Helper()
 	c := New(m)
@@ -114,6 +153,14 @@ func newFuzzCore(t *testing.T, m *model.CPU, seed uint64, blockCache bool) *Core
 	c.Regs[isa.R11] = mem.CR3(pt2)
 	c.Regs[isa.R12] = mem.CR3(pt1)
 	c.Regs[isa.R13] = 7
+	c.Regs[isa.R14] = fuzzBase
+	c.OnTrap = func(cc *Core, f Fault) TrapAction {
+		if f.Kind == FaultInvalidOp || f.Kind == FaultPage && f.Access == mem.AccessFetch {
+			cc.PC = fuzzBase
+			return TrapContext
+		}
+		return TrapSkip
+	}
 	jitGen := 0
 	c.RegisterThunk(jitThunkPC, func(cc *Core) {
 		// JIT recompilation: replace the program at the same base with
@@ -122,10 +169,10 @@ func newFuzzCore(t *testing.T, m *model.CPU, seed uint64, blockCache bool) *Core
 		jitGen++
 		rr := rand.New(rand.NewSource(int64(seed)*1009 + int64(jitGen)))
 		cc.LoadProgram(genFuzzProgram(rr))
-		cc.PC = codeBase
+		cc.PC = fuzzBase
 	})
 	c.LoadProgram(genFuzzProgram(rand.New(rand.NewSource(int64(seed)))))
-	c.PC = codeBase
+	c.PC = fuzzBase
 	return c
 }
 
@@ -179,7 +226,7 @@ func compareCores(t *testing.T, ref, fast *Core, seed uint64) {
 // instret, PMC counts, TLB and cache statistics, and the same error.
 func TestBlockCacheDifferential(t *testing.T) {
 	models := []*model.CPU{model.SkylakeClient(), model.CascadeLake()}
-	var retired, tlbHits uint64
+	var retired, tlbHits, mispredicts uint64
 	for seed := uint64(1); seed <= 25; seed++ {
 		m := models[seed%uint64(len(models))]
 		ref := newFuzzCore(t, m, seed, false)
@@ -197,7 +244,9 @@ func TestBlockCacheDifferential(t *testing.T) {
 		}
 		retired += fast.Instret
 		tlbHits += fast.TLB.Hits
+		mispredicts += fast.PMC.Read(pmc.BranchMispredicts)
 	}
+	t.Logf("%d instructions retired, %d TLB hits, %d mispredicts", retired, tlbHits, mispredicts)
 	// Guard against a fuzzer regression that makes every program fault on
 	// its first instructions: the comparison above would still pass, but
 	// it would no longer cover the fast path at all.
@@ -206,6 +255,11 @@ func TestBlockCacheDifferential(t *testing.T) {
 	}
 	if tlbHits == 0 {
 		t.Error("fuzzer never hit the TLB; the fast fetch path was not exercised")
+	}
+	// Every mispredict opens a transient window; without them the
+	// comparison says nothing about speculate.
+	if mispredicts < 200 {
+		t.Errorf("fuzzer mispredicted only %d branches across all seeds; too few transient windows to exercise speculation", mispredicts)
 	}
 }
 

@@ -62,7 +62,6 @@ func (c *Core) Step() error {
 	c.PC = nextPC
 	c.Instret++
 	c.PMC.Add(pmc.Instructions, 1)
-	c.SB.Tick()
 	return nil
 }
 

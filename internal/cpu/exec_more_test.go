@@ -157,8 +157,8 @@ func TestFencesAndPause(t *testing.T) {
 	a.Pause()
 	a.Hlt()
 	run(t, c, a.MustAssemble(codeBase))
-	if c.SB.Len() != 0 {
-		t.Errorf("store buffer not drained by fences: %d", c.SB.Len())
+	if c.SB.Len(c.Instret) != 0 {
+		t.Errorf("store buffer not drained by fences: %d", c.SB.Len(c.Instret))
 	}
 }
 

@@ -150,7 +150,7 @@ func (c *Core) load(va uint64) (v, stale uint64, bypass bool, fault *Fault) {
 		return 0, 0, false, &Fault{Kind: FaultPage, VA: va, Access: mem.AccessRead, PC: c.PC}
 	}
 
-	if e, hit := c.SB.Lookup(pa); hit {
+	if e, hit := c.SB.Lookup(pa, c.Instret); hit {
 		// Store-to-load forwarding.
 		if c.SSBDActive() && e.Age < 2 {
 			// SSBD: a load aliasing a just-issued store (whose address
@@ -202,7 +202,7 @@ func (c *Core) store(va uint64, v uint64) *Fault {
 	}
 	prev := c.Phys.Read64(pa)
 	c.Phys.Write64(pa, v)
-	c.SB.Insert(pa, v, prev)
+	c.SB.Insert(pa, v, prev, c.Instret)
 	c.lastStoreRet = c.Instret
 	c.charge(c.L1.Access(pa))
 	c.FB.Deposit(v)

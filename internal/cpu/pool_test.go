@@ -137,7 +137,7 @@ func comparePooledCores(t *testing.T, fresh, recycled *Core) {
 	if fresh.RSB.Depth() != recycled.RSB.Depth() || fresh.RSB.Live() != recycled.RSB.Live() {
 		t.Errorf("RSB differs")
 	}
-	if fresh.SB.Len() != recycled.SB.Len() || fresh.SB.DrainAge() != recycled.SB.DrainAge() ||
+	if fresh.SB.Len(fresh.Instret) != recycled.SB.Len(recycled.Instret) || fresh.SB.DrainAge() != recycled.SB.DrainAge() ||
 		fresh.SB.Forwards != recycled.SB.Forwards {
 		t.Errorf("store buffer differs")
 	}

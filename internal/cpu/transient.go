@@ -14,12 +14,30 @@ type txn struct {
 	regs   [isa.NumRegs]uint64
 	fregs  [isa.NumFRegs]float64
 	eq, lt bool
-	// stores holds transient stores (visible to younger transient loads
-	// in the same window, never written back).
-	stores map[uint64]uint64
+	// stores holds transient stores in program order (visible to
+	// younger transient loads in the same window, never written back).
+	// A window runs at most SpecDepth instructions, each storing at most
+	// once, so the youngest-first scan in forward stays short.
+	stores []specStore
 	// fpuOK force-enables the FPU inside the window (the LazyFP leak:
 	// the stale registers are computable transiently).
 	fpuOK bool
+}
+
+// specStore is one transient store: physical address and value.
+type specStore struct{ pa, v uint64 }
+
+// store records a transient store to pa.
+func (t *txn) store(pa, v uint64) { t.stores = append(t.stores, specStore{pa, v}) }
+
+// forward returns the youngest transient store to pa, if any.
+func (t *txn) forward(pa uint64) (uint64, bool) {
+	for i := len(t.stores) - 1; i >= 0; i-- {
+		if t.stores[i].pa == pa {
+			return t.stores[i].v, true
+		}
+	}
+	return 0, false
 }
 
 // vmExit leaves guest mode for the host hook and re-enters, charging the
@@ -45,6 +63,20 @@ func (c *Core) vmExit(r VMExitReason) uint64 {
 // load results, forced-enabled FPU, ...). The window ends at the model's
 // speculation depth, at any serialising instruction (notably LFENCE — the
 // Spectre V1 software mitigation), or at an unresolvable fault.
+//
+// The window replays decoded blocks, as StepBlock does. At each block
+// head it runs the per-instruction reference order — thunk probe, fetch
+// translation, block lookup (a head no block can start at ends the
+// window, exactly where the reference fetch finds no instruction) — and
+// interior instructions skip the thunk probe and the program search:
+// buildBlock proved them thunk-free and in the head's program for this
+// code generation. The fetch translation stays per instruction: its
+// TLB Rehit moves the LRU clock and hit counts, which are simulated
+// state. Only a block's last instruction can transfer control, so the
+// interior is straight-line. The successor block is memoised on the
+// transient exit edge (specPC/specTo); the architectural dispatch memo
+// is left alone. The tests hold this walk to a per-instruction oracle,
+// speculateRef.
 func (c *Core) speculate(startPC uint64, seed func(*txn)) {
 	if !c.SpecEnabled || c.inTransient {
 		return
@@ -53,42 +85,78 @@ func (c *Core) speculate(startPC uint64, seed func(*txn)) {
 	defer func() { c.inTransient = false }()
 
 	// The shadow context is the core's own, reset per window: the
-	// inTransient guard above rules out nesting, and stores is only
-	// ever indexed, so reusing its buckets is invisible.
+	// inTransient guard above rules out nesting.
 	t := &c.spec
 	t.regs, t.fregs = c.Regs, c.FRegs
 	t.eq, t.lt = c.FlagEQ, c.FlagLT
 	t.fpuOK = false
-	clear(t.stores)
+	t.stores = t.stores[:0]
 	if seed != nil {
 		seed(t)
 	}
 
+	// Code cannot change inside a window, so the block cache is
+	// brought up to the current generation once.
+	c.syncBlockGen()
 	pc := startPC
-	for depth := 0; depth < c.Model.SpecDepth; depth++ {
-		if c.code.hasThunks {
+	left := c.Model.SpecDepth
+	user := c.Priv == PrivUser
+	var prev *block
+	for left > 0 {
+		// A memoised edge names a block of this code generation, so its
+		// head is provably no thunk and the probe is skipped, as for a
+		// chained block in StepBlock.
+		memo := prev != nil && prev.specTo != nil && prev.specPC == pc
+		if !memo && c.code.hasThunks {
 			if _, ok := c.Thunks[pc]; ok {
 				// Host thunks are opaque to speculation: the front end
 				// cannot decode past them.
 				return
 			}
 		}
-		if _, _, mf := c.xlate(pc, mem.AccessFetch, false); mf != mem.FaultNone {
+		if !c.specFetch(pc, mem.VPN(pc), user) {
 			return
 		}
-		in := c.findInstruction(pc)
-		if in == nil {
+		var b *block
+		if memo {
+			b = prev.specTo
+		} else if b = c.lookupBlock(pc); b == nil {
 			return
+		} else if prev != nil {
+			prev.specPC, prev.specTo = pc, b
 		}
-		if in.Op.IsSerializing() {
-			return
+		for i, in := range b.ins {
+			if i > 0 {
+				if left == 0 {
+					return
+				}
+				if !c.specFetch(pc, b.vpn, user) {
+					return
+				}
+			}
+			// Serialising ops end the window in transientStep's
+			// default case.
+			next, ok := c.transientStep(t, pc, in)
+			if !ok {
+				return
+			}
+			left--
+			pc = next
 		}
-		next, ok := c.transientStep(t, pc, in)
-		if !ok {
-			return
-		}
-		pc = next
+		prev = b
 	}
+}
+
+// specFetch is xlate(pc, mem.AccessFetch, false) for a transient fetch
+// from page vpn, reporting whether it translates: a hit in the fetch
+// last-translation cache is replayed here (the same Rehit and
+// permission check xlate runs on it), anything else takes xlate.
+func (c *Core) specFetch(pc, vpn uint64, user bool) bool {
+	if !c.noXlate && c.xcFetch.hit(c, vpn) {
+		return checkPTE(c.TLB.Rehit(c.xcFetch.e), mem.AccessFetch, user) == mem.FaultNone
+	}
+	_, _, mf := c.xlate(pc, mem.AccessFetch, false)
+	return mf == mem.FaultNone
 }
 
 // transientStep executes one instruction µarchitecturally. It returns
@@ -180,10 +248,7 @@ func (c *Core) transientStep(t *txn, pc uint64, in *isa.Instruction) (uint64, bo
 		if mf != mem.FaultNone {
 			return 0, false
 		}
-		if t.stores == nil {
-			t.stores = make(map[uint64]uint64)
-		}
-		t.stores[pa] = t.regs[in.Src2]
+		t.store(pa, t.regs[in.Src2])
 
 	case isa.CLFLUSH:
 		// A transient clflush never commits; no effect.
@@ -256,10 +321,7 @@ func (c *Core) transientStep(t *txn, pc uint64, in *isa.Instruction) (uint64, bo
 		if mf != mem.FaultNone {
 			return 0, false
 		}
-		if t.stores == nil {
-			t.stores = make(map[uint64]uint64)
-		}
-		t.stores[pa] = bitsF(t.fregs[in.FSrc])
+		t.store(pa, bitsF(t.fregs[in.FSrc]))
 	case isa.FTOI:
 		t.regs[in.Dst] = uint64(int64(t.fregs[in.FSrc]))
 	case isa.ITOF:
@@ -289,11 +351,11 @@ func (c *Core) transientLoad(t *txn, va uint64) (uint64, bool) {
 		v, ok := c.leakValue(pendingLeak{va: va, pte: pte, kind: mf, valid: true})
 		return v, ok
 	}
-	if tv, ok := t.stores[pa]; ok {
+	if tv, ok := t.forward(pa); ok {
 		return tv, true
 	}
 	var v uint64
-	if e, hit := c.SB.Lookup(pa); hit {
+	if e, hit := c.SB.Lookup(pa, c.Instret); hit {
 		if c.SSBDActive() {
 			// SSBD also blocks transient bypass of in-flight stores:
 			// the load waits and sees the committed value.
@@ -316,10 +378,7 @@ func (c *Core) txnPush(t *txn, v uint64) bool {
 	if mf != mem.FaultNone {
 		return false
 	}
-	if t.stores == nil {
-		t.stores = make(map[uint64]uint64)
-	}
-	t.stores[pa] = v
+	t.store(pa, v)
 	t.regs[isa.SP] = sp
 	return true
 }
@@ -331,7 +390,7 @@ func (c *Core) txnPop(t *txn) (uint64, bool) {
 		return 0, false
 	}
 	t.regs[isa.SP] = sp + 8
-	if tv, ok := t.stores[pa]; ok {
+	if tv, ok := t.forward(pa); ok {
 		return tv, true
 	}
 	return c.Phys.Read64(pa), true

@@ -133,9 +133,7 @@ func (p *Phys) ReadBytes(pa uint64, buf []byte) {
 		if pg, ok := p.lookup(pa); ok {
 			copy(buf[:n], pg[off:off+n])
 		} else {
-			for i := range buf[:n] {
-				buf[i] = 0
-			}
+			clear(buf[:n])
 		}
 		buf = buf[n:]
 		pa += n
